@@ -307,6 +307,12 @@ def cmd_query(ns):
     p = _resolve(ns, QUERY_DEFAULTS)
     if (p["query_id"] is None) == (p["query_file"] is None):
         raise UsageError("exactly one of --query-id / --query-file is required")
+    if p["k"] < 1:
+        raise UsageError(f"--k must be at least 1, got {p['k']}")
+    if p["threshold"] is not None and not -1.0 <= p["threshold"] <= 1.0:
+        raise UsageError(f"--threshold must be a correlation in [-1, 1], got {p['threshold']}")
+    if not p["slack"] > 0:
+        raise UsageError(f"--slack must be positive, got {p['slack']}")
     if p["exact"]:
         return _query_exact(p)
     return _query_index(p)
@@ -324,8 +330,8 @@ def _query_series(p, ds):
         return [(f"id {p['query_id']}", ns.values, int(p["query_id"]))]
     qds = load_csv(p["query_file"], "csv")
     out = []
-    for i in range(qds.n):
-        out.append((f"{p['query_file']}[{i}]", normalize(qds.series(i)).values, None))
+    for i in range(qds.n):  # labelled by data row: dropped constant rows keep their numbers
+        out.append((f"{p['query_file']}[{qds.ids[i]}]", normalize(qds.series(i)).values, None))
     return out
 
 

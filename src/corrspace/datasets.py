@@ -12,11 +12,13 @@ The synthetic families build a spectrum directly and inverse-transform it:
 
 import csv
 import logging
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TimeSeries, normalize
+from .core import TimeSeries
 from .errors import EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
 
 log = logging.getLogger(__name__)
@@ -83,6 +85,10 @@ class SplitDataset:
             raise ValueError("split partitions overlap")
 
 
+_DELIMITERS = {"csv": ",", "csv_id": ",", "ucr": "\t"}
+_INT64_BOUND = 2.0**63  # an id v becomes an int64 iff -2**63 <= v < 2**63
+
+
 def _parse_rows(path, delimiter):
     try:
         fh = open(path, "r", newline="")
@@ -93,19 +99,41 @@ def _parse_rows(path, delimiter):
     return rows
 
 
-def load_csv(path, fmt: str = "csv") -> Dataset:
-    """Load a dataset from disk.
+def _vectorised_rows(path, fmt):
+    """`(ids, values, n_constant)` by the rules of `_loop_rows`, from one call to numpy's C reader.
 
-    fmt "csv":    comma-separated doubles, one series per row, ids = row order.
-    fmt "csv_id": like "csv" with a leading integer id column.
-    fmt "ucr":    tab-separated UCR style; the leading class label is dropped.
-
-    Constant rows are rejected with a warning and counted in
-    `n_constant_dropped`; they would make the correlation undefined.
+    Returns None when that reader cannot take the file, or when a row breaks
+    a rule whose error names its line, since only the loop tracks lines. The
+    reader accepts a subset of what the loop accepts (no quotes, underscores
+    or non-ASCII digits), and its float conversion is correctly rounded like
+    `float`, so every value it returns has the bits the loop would give.
     """
-    if fmt not in ("csv", "csv_id", "ucr"):
-        raise ValueError(f"unknown format {fmt!r}")
-    rows = _parse_rows(path, "\t" if fmt == "ucr" else ",")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy only warns on a file with no data rows
+            with open(path, "r") as fh:  # decoded as `_parse_rows` decodes it
+                table = np.loadtxt(fh, delimiter=_DELIMITERS[fmt], comments=None, ndmin=2, dtype=np.float64)
+    except (OSError, ValueError, Warning):
+        return None
+    if not np.isfinite(table).all():
+        return None
+    if fmt == "csv_id":
+        first = table[:, 0]
+        if not ((first >= -_INT64_BOUND) & (first < _INT64_BOUND)).all():
+            return None
+        ids = first.astype(np.int64)  # truncates toward zero, as `int` does
+    else:
+        ids = np.arange(len(table))
+    values = table if fmt == "csv" else table[:, 1:]
+    if values.shape[1] < 4:
+        return None
+    keep = values.max(axis=1) != values.min(axis=1)
+    return ids[keep], values[keep], len(table) - int(np.count_nonzero(keep))
+
+
+def _loop_rows(path, fmt):
+    """`(ids, values, n_constant)` row by row, raising the typed error of the first bad line."""
+    rows = _parse_rows(path, _DELIMITERS[fmt])
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
 
@@ -121,7 +149,12 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
             nums = [float(tok) for tok in row]
         except ValueError as exc:
             raise ParseError(lineno, str(exc))
+        for tok, num in zip(row, nums):
+            if not math.isfinite(num):
+                raise ParseError(lineno, f"non-finite value {tok!r}")
         if fmt == "csv_id":
+            if not -_INT64_BOUND <= nums[0] < _INT64_BOUND:
+                raise ParseError(lineno, f"id {row[0]!r} is outside the int64 range")
             rid, vals = int(nums[0]), nums[1:]
         elif fmt == "ucr":
             rid, vals = len(ids) + n_constant, nums[1:]  # label column dropped
@@ -134,14 +167,36 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
             continue
         ids.append(rid)
         data.append(vals)
+    return ids, data, n_constant
+
+
+def load_csv(path, fmt: str = "csv") -> Dataset:
+    """Load a dataset from disk.
+
+    fmt "csv":    comma-separated doubles, one series per row, ids = row order.
+    fmt "csv_id": like "csv" with a leading integer id column.
+    fmt "ucr":    tab-separated UCR style; the leading class label is dropped.
+
+    Constant rows are rejected with a warning and counted in
+    `n_constant_dropped`; they would make the correlation undefined. A
+    non-finite value anywhere is a `ParseError`.
+
+    The file is parsed in one vectorised pass. A file that pass cannot take
+    or that breaks a row rule is read again line by line, which gives the
+    same values or raises the error naming the first bad line.
+    """
+    if fmt not in _DELIMITERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    rows = _vectorised_rows(path, fmt)
+    ids, values, n_constant = _loop_rows(path, fmt) if rows is None else rows
 
     if n_constant:
         log.warning("%s: dropped %d constant series", path, n_constant)
-    if not data:
+    if len(ids) == 0:
         raise EmptyFile(f"{path}: all rows were constant")
     return Dataset(
-        ids=np.array(ids),
-        values=np.array(data),
+        ids=ids,
+        values=values,
         provenance=f"{fmt}:{path}",
         n_constant_dropped=n_constant,
     )
@@ -149,12 +204,13 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
 
 def save_csv(ds: Dataset, path, include_ids: bool = True) -> None:
     """Write as CSV with 17 significant digits (value-exact round trip)."""
+    line = ",".join(["%d"] * include_ids + ["%.17g"] * ds.length) + "\n"
+    rows = ds.values.tolist()
     with open(path, "w", newline="") as fh:
-        for rid, row in zip(ds.ids, ds.values):
-            cells = [f"{x:.17g}" for x in row]
-            if include_ids:
-                cells.insert(0, str(int(rid)))
-            fh.write(",".join(cells) + "\n")
+        if include_ids:
+            fh.writelines(line % (rid, *row) for rid, row in zip(ds.ids.tolist(), rows))
+        else:
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:
@@ -270,8 +326,3 @@ def gen_example2(n: int, big_m: int, m: int, eps: float = 0.01, seed: int = 0) -
         provenance=f"gen_example2(n={n}, M={big_m}, m={m}, eps={eps}, seed={seed})",
         seed=seed,
     )
-
-
-def normalized_or_raise(ds: Dataset, row: int):
-    """Normalize one series of the dataset (ConstantSeries on zero variance)."""
-    return normalize(ds.series(row))

@@ -95,6 +95,14 @@ def test_ingest_ragged_file_exit_code(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_ingest_non_finite_value_exit_code(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2,3,4\n1,-Inf,3,4\n")
+    code, _, err = run(capsys, "ingest", "--input", str(bad), "--format", "csv", "--output", str(tmp_path / "x.csv"))
+    assert code == 16
+    assert "line 2" in err
+
+
 def test_ingest_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "ingest", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "x.csv"))
     assert code == 16
@@ -289,6 +297,38 @@ def test_query_file_input(capsys, tmp_path):
     assert len(hits) == 2
     assert hits[0][0] == 0  # external copy of series 0 finds it at distance ~0
     assert hits[0][1] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_query_file_labels_by_data_row(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    ds = load_csv(str(data), "csv_id")
+    qfile = tmp_path / "qf.csv"
+    rows = [np.full(ds.length, 2.5), ds.values[4], ds.values[9]]  # the constant row is dropped
+    qfile.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
+    code, stdout, _ = run(capsys, "query", "--index", str(idx), "--query-file", str(qfile), "--k", "1")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert [line.split()[2] for line in lines[0::3]] == [f"{qfile}[1]", f"{qfile}[2]"]
+    assert [int(line.split()[0]) for line in lines[2::3]] == [4, 9]
+
+
+@pytest.mark.parametrize("query, bad", [
+    ("id", ("--k", "0")),
+    ("file", ("--k", "0")),
+    ("id", ("--threshold", "1.5")),
+    ("id", ("--threshold", "0.9", "--slack", "0")),
+])
+def test_query_rejects_bad_arguments_before_loading(capsys, tmp_path, query, bad):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    source = ("--query-id", "1", "--data", str(data)) if query == "id" else ("--query-file", str(data))
+    code, stdout, err = run(capsys, "query", "--index", str(idx), *source, *bad)
+    assert code == 2 and stdout == ""
+    assert bad[-2] in err
+    # the arguments are checked before any file is opened
+    code, _, _ = run(capsys, "query", "--index", str(tmp_path / "ghost.idx"), "--query-id", "1", *bad)
+    assert code == 2
 
 
 def test_query_argument_errors(capsys, tmp_path):

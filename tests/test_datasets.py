@@ -1,8 +1,15 @@
 """Ingestion, splitting, and the two synthetic generator families."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrspace import datasets
 from corrspace.core import TimeSeries, dft, normalize, pearson, truncated_distance_sq
 from corrspace.datasets import (
     Dataset,
@@ -13,7 +20,7 @@ from corrspace.datasets import (
     save_csv,
     split,
 )
-from corrspace.errors import EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
+from corrspace.errors import CorrSpaceError, EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
 
 
 def write(path, text):
@@ -95,6 +102,127 @@ def test_save_load_round_trip(tmp_path):
     back = load_csv(str(p), "csv_id")
     np.testing.assert_array_equal(back.ids, ds.ids)
     np.testing.assert_array_equal(back.values, ds.values)  # 17 sig digits: exact
+
+
+@pytest.mark.parametrize("include_ids", [True, False])
+def test_save_csv_matches_per_value_format(tmp_path, include_ids):
+    values = np.random.default_rng(4).standard_normal((5, 6)) * 10.0 ** np.arange(-150, 150, 60)[:, None]
+    values[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
+    ds = Dataset(ids=np.array([-2**63, 0, 17, 2**63 - 1, 5]), values=values)
+    p = tmp_path / "out.csv"
+    save_csv(ds, p, include_ids=include_ids)
+    want = ""
+    for rid, row in zip(ds.ids, ds.values):
+        cells = [f"{x:.17g}" for x in row]
+        if include_ids:
+            cells.insert(0, str(int(rid)))
+        want += ",".join(cells) + "\n"
+    assert p.read_text() == want
+
+
+# ------------------------------------------- vectorised reader vs the loop
+
+def load_by_loop(path, fmt):
+    """`load_csv` with the vectorised reader switched off: the line-by-line reference."""
+    with mock.patch.object(datasets, "_vectorised_rows", lambda path, fmt: None):
+        return load_csv(path, fmt)
+
+
+def outcome(loader, path, fmt):
+    """Everything a caller can see of one load: the data bits, or the error."""
+    try:
+        ds = loader(path, fmt)
+    except CorrSpaceError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return ds.ids.tolist(), ds.values.shape, ds.values.tobytes(), ds.n_constant_dropped
+
+
+def assert_paths_agree(path, fmt):
+    assert outcome(load_csv, path, fmt) == outcome(load_by_loop, path, fmt)
+
+
+AGREEMENT_CASES = {
+    "blank lines": ("csv", "\n1,2,3,4\n\n5,6,7,9\n\n"),
+    "crlf": ("csv", "1,2,3,4\r\n5,6,7,9\r\n"),
+    "hash line first": ("csv", "# header\n1,2,3,4\n"),
+    "hash line after rows": ("csv", "1,2,3,4\n# note\n"),
+    "quoted fields": ("csv", '"1",2,3,4\n5,"6",7,9\n'),
+    "spaces around tokens": ("csv", " 1 , 2,3 ,4\n5 ,6, 7,9 \n"),
+    "underscore digits": ("csv", "1_000,2,3,4\n5,6,7,9\n"),
+    "non-ascii digit": ("csv", "\u0661,2,3,4\n"),
+    "trailing comma": ("csv", "1,2,3,4,\n5,6,7,9,\n"),
+    "whitespace-only line": ("csv", "1,2,3,4\n  \n5,6,7,9\n"),
+    "ragged after good rows": ("csv", "1,2,3,4\n5,6,7,9\n1,2,3\n"),
+    "short series": ("csv", "1,2,3\n4,5,6\n"),
+    "short series after a blank line": ("csv", "\n1,2,3\n"),
+    "one column": ("csv", "1\n2\n"),
+    "some rows constant": ("csv", "1,2,3,4\n0,-0,0,0\n5,5,5,5\n4,3,2,1\n"),
+    "all rows constant": ("csv", "5,5,5,5\n2,2,2,2\n"),
+    "single row": ("csv", "1,2,3,4\n"),
+    "empty file": ("csv", ""),
+    "only blank lines": ("csv", "\n\n"),
+    "nan after good rows": ("csv", "1,2,3,4\n\n1,nan,1,1\n"),
+    "overflow to inf": ("csv", "1,2,3,4\n1e400,2,3,4\n"),
+    "ucr tab rows": ("ucr", "1\t0.5\t0.1\t0.9\t0.3\n2\t0.2\t0.8\t0.4\t0.6\n"),
+    "ucr constant row": ("ucr", "1\t3\t3\t3\t3\n2\t1\t2\t3\t4\n"),
+    "ucr label only": ("ucr", "1\t2\t3\t4\n"),
+    "ucr nan label": ("ucr", "nan\t1\t2\t3\t4\n"),
+    "ucr commas": ("ucr", "1,2,3,4,5\n"),
+    "csv_id ids as floats": ("csv_id", "7.0,1,2,3,4\n9,4,3,2,1\n"),
+    "csv_id fractional id": ("csv_id", "7.9,1,2,3,4\n-3.5,4,3,2,1\n"),
+    "csv_id int64 extremes": ("csv_id", "-9223372036854775808,1,2,3,4\n9223372036854774784,4,3,2,1\n"),
+    "csv_id id past int64": ("csv_id", "1,1,2,3,4\n9223372036854775807,4,3,2,1\n"),
+    "csv_id huge id": ("csv_id", "1e30,1,2,3,4\n"),
+    "csv_id inf id": ("csv_id", "-inf,1,2,3,4\n"),
+    "csv_id short": ("csv_id", "1,2,3,4\n"),
+}
+
+
+@pytest.mark.parametrize("case", AGREEMENT_CASES)
+def test_vectorised_reader_agrees_with_loop(tmp_path, case):
+    fmt, text = AGREEMENT_CASES[case]
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    assert_paths_agree(str(p), fmt)
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "+NAN", "inf", "-Inf", "+INFINITY", "infinity", "1e999"])
+def test_non_finite_value_is_a_parse_error(tmp_path, token):
+    p = write(tmp_path / "d.csv", f"1,2,3,4\n\n5,6,{token},8\n1,nan,2,3\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(p, "csv")
+    assert type(exc.value) is ParseError and exc.value.line == 3
+
+
+def test_csv_id_outside_int64_is_a_parse_error(tmp_path):
+    p = write(tmp_path / "d.csv", "1,1,2,3,4\n9223372036854775808,4,3,2,1\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(p, "csv_id")
+    assert exc.value.line == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fmt=st.sampled_from(["csv", "csv_id", "ucr"]),
+    n=st.integers(1, 8),
+    length=st.integers(4, 12),
+    digits=st.integers(1, 17),
+    scale=st.integers(-300, 300),
+    seed=st.integers(0, 2**32 - 1),
+    constant=st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_vectorised_reader_agrees_with_loop_on_random_matrices(fmt, n, length, digits, scale, seed, constant):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, length)) * 10.0**scale
+    values[np.array(constant[:n])] = values[np.array(constant[:n]), :1]
+    lead = {"csv": [], "csv_id": [rng.permutation(4 * n)[:n] - n], "ucr": [rng.integers(-1, 3, n)]}[fmt]
+    table = np.column_stack(lead + [values])
+    delimiter = "\t" if fmt == "ucr" else ","
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        np.savetxt(p, table, fmt=["%d"] * len(lead) + [f"%.{digits}g"] * length, delimiter=delimiter)
+        assert datasets._vectorised_rows(str(p), fmt) is not None
+        assert_paths_agree(str(p), fmt)
 
 
 def test_dataset_unique_ids_enforced():
