@@ -18,7 +18,7 @@ from . import __version__
 from .core import normalize
 from .datasets import Dataset, SplitDataset, gen_example1, gen_example2, load_csv, save_csv, split
 from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, load_model, save_model
-from .errors import CorrSpaceError, MissingArtifact, UsageError
+from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
 from .evaluation import METHODS, EvalReport, SweepConfig, latency_benchmark, sweep
 from .index import KdTree, load_index, save_index, threshold_radius_sq
 from .train import APPROXIMATE, ORDER, TrainConfig, train
@@ -377,10 +377,19 @@ def _query_index(p):
         tree, meta = load_index(p["index"])
     except FileNotFoundError:
         raise MissingArtifact(f"index file not found: {p['index']}")
+    if not {"method", "m"} <= meta.keys():
+        raise CorruptArtifact(f"{p['index']}: index metadata lacks method or m")
     model_path = p["model"] or meta.get("model")
     embedder = _embedder_for(meta["method"], meta.get("m"), model_path)
     ds = load_csv(p["data"], p["format"]) if p["data"] else None
-    for label, q_values, self_id in _query_series(p, ds):
+    queries = _query_series(p, ds)
+    length = meta.get("series_length")
+    for label, q_values, _ in queries:  # all checked before any answer is printed
+        if length is not None and len(q_values) != length:
+            raise LengthMismatch(
+                f"query {label} has length {len(q_values)}, the index holds series of length {length}"
+            )
+    for label, q_values, self_id in queries:
         q = embedder.embed(_AsNormalized(q_values))
         if p["threshold"] is not None:
             res = tree.within_radius(q, threshold_radius_sq(p["threshold"], p["slack"]))
@@ -449,7 +458,7 @@ def cmd_bench(ns):
         p["n"], p["m"], p["k"], n_queries=p["queries"], seed=p["seed"],
         series_length=p["length"], hidden_size=p["hidden_size"], params=params,
     )
-    for key in ("q50_us", "q99_us", "embed_q50_us", "traverse_q50_us", "build_ms"):
+    for key in ("q50_us", "q99_us", "embed_q50_us", "traverse_q50_us", "scanned_q50", "build_ms"):
         print(f"{key} = {stats[key]:.1f}")
     if p["report_out"]:
         with open(p["report_out"], "w") as fh:

@@ -13,6 +13,7 @@ The synthetic families build a spectrum directly and inverse-transform it:
 import csv
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,21 +95,39 @@ def _parse_rows(path, delimiter):
         fh = open(path, "r", newline="")
     except FileNotFoundError:
         raise ParseError(0, f"cannot open {path}")
+    rows, lineno = [], 0
     with fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1) if row]
+        try:
+            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+                if row:
+                    rows.append((lineno, row))
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise ParseError(lineno + 1, str(exc))
     return rows
+
+
+def _has_long_line(path) -> bool:
+    """True when a line could hold a field longer than `csv`'s limit."""
+    limit = csv.field_size_limit()
+    if os.path.getsize(path) <= limit:
+        return False
+    with open(path, "rb") as fh:
+        return max(map(len, fh)) > limit
 
 
 def _vectorised_rows(path, fmt):
     """`(ids, values, n_constant)` by the rules of `_loop_rows`, from one call to numpy's C reader.
 
     Returns None when that reader cannot take the file, or when a row breaks
-    a rule whose error names its line, since only the loop tracks lines. The
-    reader accepts a subset of what the loop accepts (no quotes, underscores
-    or non-ASCII digits), and its float conversion is correctly rounded like
-    `float`, so every value it returns has the bits the loop would give.
+    a rule whose error names its line (a repeated id, a field longer than
+    `csv` takes), since only the loop tracks lines. The reader accepts a
+    subset of what the loop accepts (no quotes, underscores or non-ASCII
+    digits), and its float conversion is correctly rounded like `float`, so
+    every value it returns has the bits the loop would give.
     """
     try:
+        if _has_long_line(path):  # numpy takes fields the loop refuses
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy only warns on a file with no data rows
             with open(path, "r") as fh:  # decoded as `_parse_rows` decodes it
@@ -128,6 +147,8 @@ def _vectorised_rows(path, fmt):
     if values.shape[1] < 4:
         return None
     keep = values.max(axis=1) != values.min(axis=1)
+    if len(np.unique(ids[keep])) < np.count_nonzero(keep):
+        return None
     return ids[keep], values[keep], len(table) - int(np.count_nonzero(keep))
 
 
@@ -138,6 +159,7 @@ def _loop_rows(path, fmt):
         raise EmptyFile(f"{path}: no data rows")
 
     ids, data = [], []
+    line_of = {}  # kept id -> its line
     width = None
     n_constant = 0
     for lineno, row in rows:
@@ -165,6 +187,9 @@ def _loop_rows(path, fmt):
         if max(vals) == min(vals):
             n_constant += 1
             continue
+        if rid in line_of:
+            raise ParseError(lineno, f"id {rid} repeats the id of line {line_of[rid]}")
+        line_of[rid] = lineno
         ids.append(rid)
         data.append(vals)
     return ids, data, n_constant

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NormalizedSeries, dft
-from .errors import DegenerateOutput, DimensionMismatch, InvalidM
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
@@ -201,23 +201,43 @@ def save_model(p: NetworkParams, path) -> None:
 
 
 def load_model(path) -> NetworkParams:
-    """Read a CHR1 model file written by `save_model`."""
+    """Read a CHR1 model file written by `save_model`.
+
+    A file that is not a whole CHR1 model raises `CorruptArtifact`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a CHR1 model file")
+        raise CorruptArtifact(f"{path}: not a CHR1 model file")
     off = 4
+
+    def need(size):
+        if off + size > len(data):
+            raise CorruptArtifact(f"{path}: needs {size} bytes at byte {off}, the file has {len(data)}")
+
+    need(4)
     (n_layers,) = struct.unpack_from("<I", data, off)
     off += 4
     weights, biases = [], []
     for _ in range(n_layers):
+        need(8)
         rows, cols = struct.unpack_from("<II", data, off)
         off += 8
+        need(8 * rows * (cols + 1))
         w = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
         off += 8 * rows * cols
         b = np.frombuffer(data, dtype="<f8", count=rows, offset=off)
         off += 8 * rows
         weights.append(w.astype(np.float64))
         biases.append(b.astype(np.float64))
+    need(8)
     (seed,) = struct.unpack_from("<Q", data, off)
-    return NetworkParams(weights=weights, biases=biases, seed=seed)
+    off += 8
+    if off != len(data):
+        raise CorruptArtifact(f"{path}: {len(data) - off} bytes after the model")
+    if n_layers == 0:
+        raise CorruptArtifact(f"{path}: model has no layers")
+    try:
+        return NetworkParams(weights=weights, biases=biases, seed=seed)
+    except ValueError as exc:  # layer shapes that do not chain
+        raise CorruptArtifact(f"{path}: {exc}")

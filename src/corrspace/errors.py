@@ -99,6 +99,12 @@ class MissingArtifact(CorrSpaceError):
     exit_code = 23
 
 
+class CorruptArtifact(CorrSpaceError, ValueError):
+    """A model or index file is truncated, padded or garbled."""
+
+    exit_code = 24
+
+
 class UsageError(CorrSpaceError):
     """Invalid command-line arguments."""
 

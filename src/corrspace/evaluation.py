@@ -264,7 +264,9 @@ def latency_benchmark(
     """Per-query latency of embed + k-d traversal over a random pool.
 
     The network defaults to a fresh initialization: latency depends on the
-    architecture, not on the trained weights. Times are microseconds.
+    architecture, not on the trained weights. Times are microseconds;
+    `scanned_q50` is the median count of points whose distance² a query
+    computed, so a pruning regression shows without a profiler.
     """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n + n_queries, series_length))
@@ -278,14 +280,15 @@ def latency_benchmark(
     tree = KdTree(emb_pool, np.arange(n))
     build_ms = (time.perf_counter() - t0) * 1e3
 
-    embed_us, traverse_us, total_us = [], [], []
+    embed_us, traverse_us, total_us, scanned = [], [], [], []
     for i in range(n, n + n_queries):
         row = h[i : i + 1]
         t0 = time.perf_counter()
         q = forward_batch(params, features_matrix(row), smooth=False)[0]
         t1 = time.perf_counter()
-        tree.top_k(q, k)
+        res = tree.top_k(q, k)
         t2 = time.perf_counter()
+        scanned.append(res.scanned)
         embed_us.append((t1 - t0) * 1e6)
         traverse_us.append((t2 - t1) * 1e6)
         total_us.append((t2 - t0) * 1e6)
@@ -301,6 +304,7 @@ def latency_benchmark(
         "embed_q99_us": pct(embed_us, 99),
         "traverse_q50_us": pct(traverse_us, 50),
         "traverse_q99_us": pct(traverse_us, 99),
+        "scanned_q50": pct(scanned, 50),
         "q50_us": pct(total_us, 50),
         "q99_us": pct(total_us, 99),
     }

@@ -1,75 +1,114 @@
-"""Exact k-d tree over embedding vectors.
+"""Exact k-d tree over embedding vectors, searched bucket by bucket.
 
 Median splits on a cycling dimension, ties broken by record id, so the tree
-is deterministic for a fixed input order. Queries are exact branch-and-bound
-(results match a brute-force scan including tie order); the only
-approximation in the pipeline lives in the embedding itself.
+is deterministic for a fixed input order. Splitting stops at the first level
+whose nodes all hold at most `BUCKET` points; those nodes are the buckets.
+They all sit at the same depth and differ in size by at most one.
 
-Layout: one permutation array over the input rows, recursively sorted so
-every subtree occupies a contiguous slice with its median point in the
-middle. Small subtrees are distance-scanned in bulk instead of recursed.
+Layout: the points live once, bucket by bucket, in a (buckets, width, m)
+array padded with NaN rows to a common width, so any set of buckets is one
+fancy index. Beside it sit the ids (padding -1), the bucket sizes, each
+bucket's bounding box, and `_rows`, the flat slot of each input row, which
+gives `save_index` the input order back with one gather.
+
+A query is a few numpy passes. The squared distance from q to each box is
+a lower bound for every point in that bucket. `top_k` scans the buckets
+nearest q until they hold k points and takes the k-th d² as its bound;
+`within_radius` takes r². Every bucket whose lower bound is within the
+bound is then gathered, its d² computed, and the answer ordered by
+(d², id). Every d² comes from `_dist_sq`, so answers equal a brute-force
+scan with that kernel bit for bit, ties included; the only approximation
+in the pipeline lives in the embedding itself.
 """
 
-import heapq
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import CorruptArtifact, DimensionMismatch, EmptyInput
 
 INDEX_MAGIC = b"CIX1"
 INDEX_VERSION = 1
+_HEADER = struct.Struct("<4sIIII")  # magic, version, n, m, meta length
 
-_SCAN_CUTOFF = 64  # subtrees at most this big are scanned vectorized
+BUCKET = 128  # most points per bucket (README "Index" has the measurements)
+
+# Box bounds below this are set to 0, so the rounding argument in
+# `KdTree._box_bounds` never meets a subnormal product or sum.
+_TINY = 2.0**-900
 
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Matches ordered by ascending distance², ties by ascending id."""
+    """Matches ordered by ascending distance², ties by ascending id.
+
+    `scanned` counts the points whose distance² the query computed.
+    """
 
     ids: np.ndarray
     distances_sq: np.ndarray
+    scanned: int = 0
 
     def __len__(self):
         return len(self.ids)
 
 
+def _dist_sq(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distance from q to each row: the one kernel behind every d²."""
+    diff = rows - q
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 class KdTree:
     def __init__(self, points: np.ndarray, ids=None):
         points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise DimensionMismatch(f"points must be (n, m), got shape {points.shape}")
-        if points.shape[0] == 0:
+        if points.ndim != 2 or points.shape[1] == 0:
+            raise DimensionMismatch(f"points must be (n, m) with m >= 1, got shape {points.shape}")
+        n, m = points.shape
+        if n == 0:
             raise EmptyInput("cannot index zero points")
         if ids is None:
-            ids = np.arange(points.shape[0])
+            ids = np.arange(n)
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape[0] != points.shape[0]:
+        if ids.shape[0] != n:
             raise DimensionMismatch("ids/points row counts differ")
-        self._input_points = points
-        self._input_ids = ids
-        order = _build_order(points, ids)
-        self._pts = np.ascontiguousarray(points[order])
-        self._ids = ids[order]
+        self._levels = 0
+        while -(-n // 2**self._levels) > BUCKET:
+            self._levels += 1
+        order, bounds = _build_order(points, ids, self._levels)
+        sizes = np.diff(bounds)
+        n_buckets, width = len(sizes), int(sizes.max())
+        # tree position t in bucket b goes to flat slot b·width + (t − bounds[b])
+        slot = np.empty(n, dtype=np.int64)
+        slot[order] = np.repeat(np.arange(n_buckets) * width - bounds[:-1], sizes) + np.arange(n)
+        pts = np.full((n_buckets * width, m), np.nan)
+        pts[slot] = points
+        pad_ids = np.full(n_buckets * width, -1, dtype=np.int64)
+        pad_ids[slot] = ids
+        self._pts = pts.reshape(n_buckets, width, m)
+        self._ids = pad_ids.reshape(n_buckets, width)
+        self._rows = slot
+        self._sizes = sizes
+        self._smallest = int(sizes.min())
+        self._lo = np.fmin.reduce(self._pts, axis=1)  # fmin/fmax skip the NaN padding
+        self._hi = np.fmax.reduce(self._pts, axis=1)
+        # See `_box_bounds`: shrinking by 2(m+2)·2⁻⁵³ absorbs the rounding.
+        self._shrink = 1.0 - 2 * (m + 2) * 2.0**-53
 
     @property
     def n(self):
-        return self._pts.shape[0]
+        return len(self._rows)
 
     @property
     def m(self):
-        return self._pts.shape[1]
+        return self._pts.shape[2]
 
     @property
     def height(self):
-        """Levels in the median-split tree: ceil(log2(n + 1))."""
-        size, h = self.n, 0
-        while size > 0:
-            h += 1
-            size //= 2
-        return h
+        """Levels of the median-split tree, the bucket level included."""
+        return self._levels + 1
 
     def _check_query(self, q):
         q = np.asarray(q, dtype=np.float64)
@@ -77,116 +116,88 @@ class KdTree:
             raise DimensionMismatch(f"query shape {q.shape}, index dimension {self.m}")
         return q
 
+    def _box_bounds(self, q):
+        """Per bucket, a number no larger than the computed d² of any of its points.
+
+        Proof. Let p be a point of the bucket and c = clip(q, lo, hi) its
+        box's point nearest q. Each c_j lies between q_j and p_j, so
+        |c_j − q_j| ≤ |p_j − q_j|, and as rounding is monotone and odd,
+        |fl(c_j − q_j)| ≤ |fl(p_j − q_j)|. `_dist_sq` sums m squares of
+        these gaps; in whatever order and with or without fused
+        multiply-adds, such a sum is within a factor 1 ± γ, γ = mu/(1 − mu),
+        u = 2⁻⁵³, of the exact sum of squares, barring underflow. So
+        D(c) ≤ (1 + γ)/(1 − γ)·D(p), with D the computed d². With
+        s = 1 − 2(m + 2)u, s·(1 + γ)/(1 − γ) < 1, so the exact product
+        s·D(c) is below D(p) and, D(p) being a float, the rounded product
+        is no larger. Underflow adds at most m·2⁻¹⁰⁷⁴ to either sum; when
+        D(c) ≥ 2⁻⁹⁰⁰ the spare 4u in s covers that, and a smaller D(c) is
+        taken as 0. So pruning a bucket whose bound exceeds a threshold
+        never drops a point whose computed d² is within it.
+        """
+        nearest = np.minimum(np.maximum(q, self._lo), self._hi)
+        lb = _dist_sq(nearest, q)
+        return np.where(lb < _TINY, 0.0, lb * self._shrink)
+
+    def _scan(self, buckets, q):
+        """(d², ids) of every slot of the given buckets; padding gives NaN."""
+        return _dist_sq(self._pts[buckets].reshape(-1, self.m), q), self._ids[buckets].ravel()
+
     def top_k(self, q, k: int) -> QueryResult:
         """Exact k nearest neighbors (k capped at n), ties by ascending id."""
         q = self._check_query(q)
         if k < 1:
             raise ValueError("k must be at least 1")
         k = min(k, self.n)
-        pts, ids, m = self._pts, self._ids, self.m
-        heap = []  # min-heap of (-d², -id); heap[0] is the current worst keeper
-
-        def scan(lo, hi):
-            block = pts[lo:hi] - q
-            d2 = np.einsum("ij,ij->i", block, block)
-            if len(heap) == k:
-                keep = np.flatnonzero(d2 <= -heap[0][0])
-                d2, bids = d2[keep], ids[lo:hi][keep]
-            else:
-                bids = ids[lo:hi]
-            for d, i in zip(d2.tolist(), bids.tolist()):
-                item = (-d, -i)
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
-
-        def visit(lo, hi, depth):
-            if hi - lo <= _SCAN_CUTOFF:
-                if hi > lo:
-                    scan(lo, hi)
-                return
-            mid = (lo + hi) // 2
-            axis = depth % m
-            diff = q[axis] - pts[mid, axis]
-            block = pts[mid : mid + 1] - q  # same kernel as scan() for bit-stable ties
-            d2_mid = float(np.einsum("ij,ij->i", block, block)[0])
-            item = (-d2_mid, -int(ids[mid]))
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-            if diff < 0.0:
-                near, far = (lo, mid), (mid + 1, hi)
-            else:
-                near, far = (mid + 1, hi), (lo, mid)
-            visit(near[0], near[1], depth + 1)
-            if len(heap) < k or diff * diff <= -heap[0][0]:
-                visit(far[0], far[1], depth + 1)
-
-        visit(0, self.n, 0)
-        best = sorted((-a, -b) for a, b in heap)
-        return QueryResult(
-            ids=np.array([b for _, b in best], dtype=np.int64),
-            distances_sq=np.array([a for a, _ in best]),
-        )
+        lb = self._box_bounds(q)
+        near = np.argsort(lb)
+        first = -(-k // self._smallest)  # the nearest `first` buckets hold at least k points
+        d2, ids = self._scan(near[:first], q)
+        bound = np.partition(d2, k - 1)[k - 1]  # NaN padding sorts last
+        cut = int(np.searchsorted(lb[near], bound, side="right"))
+        if cut > first:
+            more_d2, more_ids = self._scan(near[first:cut], q)
+            d2, ids = np.concatenate([d2, more_d2]), np.concatenate([ids, more_ids])
+        return self._ranked(d2, ids, bound, near[: max(first, cut)], k)
 
     def within_radius(self, q, r_sq: float) -> QueryResult:
         """All points with distance² ≤ r_sq, ascending (distance², id)."""
         q = self._check_query(q)
         if r_sq < 0:
             raise ValueError("radius² must be nonnegative")
-        pts, ids, m = self._pts, self._ids, self.m
-        out_d, out_i = [], []
+        hits = np.flatnonzero(self._box_bounds(q) <= r_sq)
+        return self._ranked(*self._scan(hits, q), r_sq, hits)
 
-        def visit(lo, hi, depth):
-            if hi - lo <= _SCAN_CUTOFF:
-                if hi > lo:
-                    block = pts[lo:hi] - q
-                    d2 = np.einsum("ij,ij->i", block, block)
-                    keep = np.flatnonzero(d2 <= r_sq)
-                    out_d.append(d2[keep])
-                    out_i.append(ids[lo:hi][keep])
-                return
-            mid = (lo + hi) // 2
-            axis = depth % m
-            diff = q[axis] - pts[mid, axis]
-            block = pts[mid : mid + 1] - q
-            d2_mid = float(np.einsum("ij,ij->i", block, block)[0])
-            if d2_mid <= r_sq:
-                out_d.append(np.array([d2_mid]))
-                out_i.append(ids[mid : mid + 1])
-            if diff < 0.0:
-                near, far = (lo, mid), (mid + 1, hi)
-            else:
-                near, far = (mid + 1, hi), (lo, mid)
-            visit(near[0], near[1], depth + 1)
-            if diff * diff <= r_sq:
-                visit(far[0], far[1], depth + 1)
-
-        visit(0, self.n, 0)
-        d2 = np.concatenate(out_d) if out_d else np.empty(0)
-        rid = np.concatenate(out_i) if out_i else np.empty(0, dtype=np.int64)
-        sort = np.lexsort((rid, d2))
-        return QueryResult(ids=rid[sort], distances_sq=d2[sort])
+    def _ranked(self, d2, ids, bound, buckets, k=None) -> QueryResult:
+        """Points of the scanned `buckets` with d² ≤ bound by (d², id), the first k if given."""
+        keep = np.flatnonzero(d2 <= bound)  # NaN padding never passes
+        d2, ids = d2[keep], ids[keep]
+        order = np.lexsort((ids, d2))[:k]
+        return QueryResult(ids=ids[order], distances_sq=d2[order], scanned=int(self._sizes[buckets].sum()))
 
 
-def _build_order(pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Permutation placing each subtree's median at its slice midpoint."""
+def _build_order(pts: np.ndarray, ids: np.ndarray, levels: int):
+    """(order, bounds): input rows in tree order, and the bucket edges in it.
+
+    Each of the `levels` rounds sorts every node by (coordinate depth % m,
+    id) and splits it at its midpoint. A node without ties in that
+    coordinate skips the id key: `argsort` alone gives the same order.
+    """
     n, m = pts.shape
     order = np.arange(n)
-    stack = [(0, n, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        if hi - lo <= 1:
-            continue
-        idx = order[lo:hi]
-        sub = np.lexsort((ids[idx], pts[idx, depth % m]))
-        order[lo:hi] = idx[sub]
-        mid = (lo + hi) // 2
-        stack.append((lo, mid, depth + 1))
-        stack.append((mid + 1, hi, depth + 1))
-    return order
+    bounds = [0, n]
+    for depth in range(levels):
+        axis = depth % m
+        edges = [0]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            idx = order[lo:hi]
+            col = pts[idx, axis]
+            sub = np.argsort(col)
+            if not (col[sub[1:]] > col[sub[:-1]]).all():  # a tie (or NaN): order it by id
+                sub = np.lexsort((ids[idx], col))
+            order[lo:hi] = idx[sub]
+            edges += [(lo + hi) // 2, hi]
+        bounds = edges
+    return order, np.array(bounds)
 
 
 def build(points, ids=None) -> KdTree:
@@ -206,27 +217,36 @@ def save_index(tree: KdTree, path, meta: dict | None = None) -> None:
     """Versioned dump of ids + points (input order); the tree rebuilds on load."""
     blob = json.dumps(meta or {}, sort_keys=True).encode()
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<III", INDEX_VERSION, tree._input_points.shape[0], tree._input_points.shape[1]))
-        fh.write(struct.pack("<I", len(blob)))
+        fh.write(_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, tree.n, tree.m, len(blob)))
         fh.write(blob)
-        fh.write(tree._input_ids.astype("<i8").tobytes())
-        fh.write(tree._input_points.astype("<f8").tobytes())
+        fh.write(tree._ids.ravel()[tree._rows].astype("<i8", copy=False).tobytes())
+        fh.write(tree._pts.reshape(-1, tree.m)[tree._rows].astype("<f8", copy=False).tobytes())
 
 
 def load_index(path):
-    """Load a dump written by `save_index`; returns (KdTree, meta)."""
+    """Load a dump written by `save_index`; returns (KdTree, meta).
+
+    A file that is not a whole `CIX1` dump raises `CorruptArtifact`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != INDEX_MAGIC:
-        raise ValueError(f"{path}: not an index file")
-    version, n, m, blob_len = struct.unpack_from("<IIII", data, 4)
+        raise CorruptArtifact(f"{path}: not an index file")
+    if len(data) < _HEADER.size:
+        raise CorruptArtifact(f"{path}: {len(data)} bytes, shorter than the {_HEADER.size}-byte header")
+    _, version, n, m, blob_len = _HEADER.unpack_from(data)
     if version != INDEX_VERSION:
-        raise ValueError(f"{path}: unsupported index version {version}")
-    off = 20
-    meta = json.loads(data[off : off + blob_len].decode())
-    off += blob_len
-    ids = np.frombuffer(data, dtype="<i8", count=n, offset=off).astype(np.int64)
-    off += 8 * n
-    pts = np.frombuffer(data, dtype="<f8", count=n * m, offset=off).reshape(n, m).astype(np.float64)
+        raise CorruptArtifact(f"{path}: unsupported index version {version}")
+    off = _HEADER.size + blob_len
+    want = off + 8 * n * (1 + m)
+    if len(data) != want:
+        raise CorruptArtifact(f"{path}: {len(data)} bytes, but its header describes {want}")
+    try:
+        meta = json.loads(data[_HEADER.size : off].decode())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CorruptArtifact(f"{path}: unreadable metadata ({exc})")
+    if not isinstance(meta, dict):
+        raise CorruptArtifact(f"{path}: metadata is not a JSON object")
+    ids = np.frombuffer(data, dtype="<i8", count=n, offset=off)
+    pts = np.frombuffer(data, dtype="<f8", count=n * m, offset=off + 8 * n).reshape(n, m)
     return KdTree(pts, ids), meta

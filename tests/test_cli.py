@@ -16,7 +16,7 @@ from corrspace.datasets import load_csv
 from corrspace.embed import load_model
 from corrspace.errors import MissingArtifact
 from corrspace.evaluation import exact_top_k
-from corrspace.index import load_index
+from corrspace.index import load_index, save_index
 from corrspace.train import desk_config, init_params
 
 
@@ -354,6 +354,51 @@ def test_query_argument_errors(capsys, tmp_path):
     assert code == 23
 
 
+def test_query_length_must_match_the_index(capsys, tmp_path):
+    # a DFT index over length-16 series and a query file of length-8 series
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    qf = tmp_path / "short.csv"
+    qf.write_text("1,2,3,4,5,6,7,9\n")
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-file", str(qf), "--k", "3")
+    assert code == 11
+    assert stdout == "" and "length 8" in err and "length 16" in err
+
+
+def test_query_index_meta_without_method_is_corrupt(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    tree, meta = load_index(str(idx))
+    del meta["method"]
+    save_index(tree, str(idx), meta)
+    code, _, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "1")
+    assert code == 24 and "lacks method" in err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "trailing"])
+def test_corrupt_index_and_model_exit_code(capsys, tmp_path, damage):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    model = tmp_path / "model.chr1"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "5",
+        "--model-out", str(model), "--log-out", str(tmp_path / "log.csv"),
+    )
+    assert code == 0, err
+    commands = {
+        idx: ("query", "--index", str(idx), "--data", str(data), "--query-id", "1"),
+        model: ("index", "--data", str(data), "--method", "learned-order", "--model", str(model),
+                "--output", str(tmp_path / "learned.idx")),
+    }
+    for path, argv in commands.items():
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-3] if damage == "truncate" else blob + b"\x00")
+        code, _, err = run(capsys, *argv)
+        assert code == 24, err
+        assert err.startswith(f"error: {path}: ")
+        path.write_bytes(blob)
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_report_rows(capsys, tmp_path):
@@ -411,6 +456,18 @@ def test_bench_smoke_and_report(capsys, tmp_path):
     stats = json.loads(report.read_text())
     assert stats["n"] == 300 and stats["k"] == 5
     assert stats["q50_us"] > 0.0
+
+
+def test_bench_prints_points_scanned(capsys, tmp_path):
+    report = tmp_path / "bench.json"
+    code, stdout, _ = run(
+        capsys, "bench", "--n", "300", "--m", "4", "--k", "5", "--queries", "10",
+        "--length", "32", "--hidden-size", "16", "--report-out", str(report),
+    )
+    assert code == 0
+    printed = dict(line.split(" = ") for line in stdout.strip().splitlines())
+    assert float(printed["scanned_q50"]) == json.loads(report.read_text())["scanned_q50"]
+    assert 5 <= float(printed["scanned_q50"]) <= 300
 
 
 def test_bench_missing_model_exit_code(capsys, tmp_path):

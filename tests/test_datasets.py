@@ -225,6 +225,42 @@ def test_vectorised_reader_agrees_with_loop_on_random_matrices(fmt, n, length, d
         assert_paths_agree(str(p), fmt)
 
 
+@pytest.mark.parametrize("loader", [load_csv, load_by_loop])
+def test_repeated_csv_id_is_a_parse_error_naming_its_line(tmp_path, loader):
+    p = write(tmp_path / "d.csv", "7,1,2,3,4\n8,1,2,3,5\n\n7.0,4,3,2,1\n")
+    with pytest.raises(ParseError) as exc:
+        loader(p, "csv_id")
+    assert type(exc.value) is ParseError and exc.value.line == 4
+    assert "line 1" in str(exc.value)
+
+
+def test_repeated_id_of_a_dropped_constant_row_still_loads(tmp_path):
+    # only the rows that reach the Dataset must have distinct ids
+    p = write(tmp_path / "d.csv", "7,1,1,1,1\n7,1,2,3,4\n")
+    assert_paths_agree(p, "csv_id")
+    ds = load_csv(p, "csv_id")
+    assert ds.ids.tolist() == [7] and ds.n_constant_dropped == 1
+
+
+@pytest.mark.parametrize("loader", [load_csv, load_by_loop])
+@pytest.mark.parametrize("field", ["0." + "0" * 140_000 + "1", '"1' + "0" * 140_000 + '"'])
+def test_field_past_the_csv_limit_is_a_parse_error(tmp_path, loader, field):
+    # the first field numpy's reader would take, the second it would not
+    p = write(tmp_path / "d.csv", f"1,2,3,4,5\n2,3,{field},5\n")
+    with pytest.raises(ParseError) as exc:
+        loader(p, "csv")
+    assert exc.value.line == 2 and "field larger than field limit" in str(exc.value)
+
+
+def test_long_lines_of_short_fields_still_load(tmp_path):
+    values = np.random.default_rng(5).standard_normal((2, 8000))
+    p = tmp_path / "d.csv"
+    np.savetxt(p, values, fmt="%.17g", delimiter=",")
+    assert p.stat().st_size > 2 * 131_072
+    np.testing.assert_array_equal(load_csv(str(p), "csv").values, values)
+    assert_paths_agree(str(p), "csv")
+
+
 def test_dataset_unique_ids_enforced():
     with pytest.raises(ValueError):
         Dataset(ids=np.array([1, 1]), values=np.zeros((2, 4)))

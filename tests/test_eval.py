@@ -281,3 +281,8 @@ def test_latency_benchmark_smoke():
         q50, q99 = stats[f"{prefix}q50_us"], stats[f"{prefix}q99_us"]
         assert 0.0 < q50 <= q99
     assert stats["q50_us"] >= stats["traverse_q50_us"]  # total includes embed
+
+
+def test_latency_benchmark_reports_points_scanned():
+    stats = latency_benchmark(n=5000, m=4, k=5, n_queries=25, seed=0, series_length=32, hidden_size=16)
+    assert 5 <= stats["scanned_q50"] < 5000  # at m=4 the box bounds prune most buckets

@@ -6,10 +6,16 @@ import json
 import math
 import struct
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrspace.errors import DimensionMismatch, EmptyInput
+from corrspace import index
+from corrspace.embed import load_model, save_model
+from corrspace.errors import CorruptArtifact, DimensionMismatch, EmptyInput
 from corrspace.index import (
     INDEX_MAGIC,
     KdTree,
@@ -18,6 +24,7 @@ from corrspace.index import (
     save_index,
     threshold_radius_sq,
 )
+from corrspace.train import init_params
 
 
 def brute_top_k(points, ids, q, k):
@@ -279,3 +286,170 @@ def test_small_inputs_use_same_contract():
         q = np.random.default_rng(1000 + n).standard_normal(5)
         k = min(n, 9)
         assert_same_answer(tree.top_k(q, k), *brute_top_k(points, ids, q, k))
+
+
+# ------------------------------------------------------------ bucketed search
+
+def full_scan(points, ids, q):
+    """Every point's d² from the index's own kernel expression, and the (d², id) order."""
+    block = points - q
+    d2 = np.einsum("ij,ij->i", block, block)
+    return d2, np.lexsort((ids, d2))
+
+
+def assert_bitwise(res, ids, d2):
+    np.testing.assert_array_equal(res.ids, ids)
+    assert res.distances_sq.tobytes() == d2.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    m=st.integers(1, 20),
+    grid=st.booleans(),
+    bucket=st.sampled_from([2, 3, 16, index.BUCKET]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_bucketed_search_equals_full_scan_bit_for_bit(n, m, grid, bucket, seed, data):
+    # integer-grid points tie heavily and sit on their buckets' box faces
+    rng = np.random.default_rng(seed)
+    def draw(*shape):
+        return rng.integers(-2, 3, size=shape).astype(np.float64) if grid else rng.standard_normal(shape)
+
+    points, ids = draw(n, m), rng.permutation(4 * n)[:n].astype(np.int64)
+    with mock.patch.object(index, "BUCKET", bucket):
+        tree = build(points, ids)
+    q = points[rng.integers(n)] if data.draw(st.booleans()) else draw(m)
+    k = data.draw(st.integers(1, n + 5))
+    d2, order = full_scan(points, ids, q)
+    top = order[:k]
+    res = tree.top_k(q, k)
+    assert_bitwise(res, ids[top], d2[top])
+    assert min(k, n) <= res.scanned <= n
+    kth = float(d2[top[-1]])
+    for r2 in (0.0, kth, math.inf):
+        hit = order[d2[order] <= r2]
+        res = tree.within_radius(q, r2)
+        assert_bitwise(res, ids[hit], d2[hit])
+        assert len(hit) <= res.scanned <= n
+
+
+def test_padding_never_reaches_an_answer():
+    # 5 points in buckets of 2 and 3: one padding row, never returned
+    points = np.arange(10.0).reshape(5, 2)
+    with mock.patch.object(index, "BUCKET", 3):
+        tree = build(points)
+    assert tree._pts.shape == (2, 3, 2)
+    assert sorted(tree.within_radius(np.zeros(2), math.inf).ids) == [0, 1, 2, 3, 4]
+    assert sorted(tree.top_k(np.zeros(2), 99).ids) == [0, 1, 2, 3, 4]
+
+
+def test_buckets_differ_in_size_by_at_most_one():
+    for n in (1, 128, 129, 1000, 4097):
+        tree, _, _ = random_tree(n, 3, seed=n)
+        sizes = tree._sizes
+        assert sizes.sum() == n and sizes.max() <= index.BUCKET and sizes.max() - sizes.min() <= 1
+
+
+def test_scanned_counts_pruned_search():
+    tree, points, _ = random_tree(20_000, 4, seed=33)
+    res = tree.top_k(points[0], 10)
+    assert 10 <= res.scanned < tree.n // 10  # a low-m query prunes almost every bucket
+    assert tree.within_radius(points[0], math.inf).scanned == tree.n
+
+
+def test_box_bound_survives_rounding_at_huge_offsets():
+    # coordinates near 1e8 with gaps near 1e-8 make every subtraction round;
+    # the shrunken box bound must still keep every bucket holding a tie
+    rng = np.random.default_rng(35)
+    points = 1e8 + rng.integers(0, 50, size=(3000, 6)) * 1e-8
+    ids = np.arange(3000)
+    tree = build(points, ids)
+    for row in rng.choice(3000, size=20, replace=False):
+        q = points[row] + 3e-9
+        d2, order = full_scan(points, ids, q)
+        assert_bitwise(tree.top_k(q, 25), ids[order[:25]], d2[order[:25]])
+        hit = order[d2[order] <= d2[order[25]]]
+        assert_bitwise(tree.within_radius(q, float(d2[order[25]])), ids[hit], d2[hit])
+
+
+def test_save_writes_input_order_from_the_bucket_layout(tmp_path):
+    tree, points, ids = random_tree(1000, 5, seed=37)
+    held = sum(v.nbytes for v in vars(tree).values() if isinstance(v, np.ndarray))
+    assert held < 2 * points.nbytes  # one copy of the points, not two
+    path = tmp_path / "idx.bin"
+    save_index(tree, str(path))
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", blob, 16)
+    rest = blob[20 + meta_len :]
+    np.testing.assert_array_equal(np.frombuffer(rest[: 1000 * 8], dtype="<i8"), ids)
+    np.testing.assert_array_equal(np.frombuffer(rest[1000 * 8 :], dtype="<f8").reshape(1000, 5), points)
+
+
+# ------------------------------------------------------------- artifact fuzz
+
+def small_index(tmp_path):
+    tree, _, _ = random_tree(5, 3, seed=39)
+    path = tmp_path / "idx.cix1"
+    save_index(tree, str(path), meta={"method": "dft", "m": 3, "series_length": 16})
+    return path, path.read_bytes()
+
+
+def small_model(tmp_path):
+    path = tmp_path / "model.chr1"
+    save_model(init_params(4, 3, 2, seed=41), path)
+    return path, path.read_bytes()
+
+
+def loads_or_corrupt(loader, path, blob):
+    """Loading `blob` either succeeds or raises CorruptArtifact, nothing else."""
+    path.write_bytes(blob)
+    try:
+        loader(str(path))
+    except CorruptArtifact:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("make,loader", [(small_index, load_index), (small_model, load_model)])
+def test_truncated_artifact_is_corrupt_at_every_length(tmp_path, make, loader):
+    path, blob = make(tmp_path)
+    for size in range(len(blob)):
+        assert not loads_or_corrupt(loader, path, blob[:size]), size
+
+
+@pytest.mark.parametrize("make,loader", [(small_index, load_index), (small_model, load_model)])
+def test_trailing_bytes_are_corrupt(tmp_path, make, loader):
+    path, blob = make(tmp_path)
+    for tail in (b"\x00", b"junk", bytes(8)):
+        assert not loads_or_corrupt(loader, path, blob + tail)
+
+
+def test_corrupt_index_header_and_meta_bytes_give_only_typed_errors(tmp_path):
+    path, blob = small_index(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", blob, 16)
+    for off in range(20 + meta_len):  # the fixed header and the JSON metadata
+        for value in (0x00, 0x7B, 0xFF, blob[off] ^ 0x01):
+            loads_or_corrupt(load_index, path, blob[:off] + bytes([value]) + blob[off + 1 :])
+    for off in range(4, 20):  # any change to a size field breaks the length check
+        assert not loads_or_corrupt(load_index, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
+
+
+def test_corrupt_model_header_bytes_give_only_typed_errors(tmp_path):
+    path, blob = small_model(tmp_path)
+    # magic, layer count, then the rows/cols words of both layers
+    second = 16 + 8 * (3 * 4 + 3)
+    offsets = list(range(16)) + list(range(second, second + 8))
+    for off in offsets:
+        for value in (0x00, 0x01, 0xFF, blob[off] ^ 0x01):
+            loads_or_corrupt(load_model, path, blob[:off] + bytes([value]) + blob[off + 1 :])
+    for off in (4, 8, 12, second, second + 4):  # the low byte of each size word
+        assert not loads_or_corrupt(load_model, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
+
+
+def test_bad_meta_json_is_corrupt(tmp_path):
+    path, blob = small_index(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", blob, 16)
+    for bad in (b"{" + b" " * (meta_len - 1), b"[" + b" " * (meta_len - 2) + b"]", b"\xff" * meta_len):
+        assert not loads_or_corrupt(load_index, path, blob[:20] + bad + blob[20 + meta_len :])
