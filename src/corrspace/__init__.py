@@ -35,11 +35,8 @@ from .embed import (
     DownSampleEmbedder,
     LearnedEmbedder,
     NetworkParams,
-    embed_dft_baseline,
-    embed_downsample,
     feature_width,
-    features,
-    forward,
+    features_matrix,
     load_model,
     save_model,
 )
@@ -50,18 +47,20 @@ from .evaluation import (
     exact_top_k,
     gap,
     latency_benchmark,
+    pair_rows,
     precision,
     sweep,
 )
-from .index import KdTree, QueryResult, build, load_index, save_index, threshold_radius_sq
+from .index import KdTree, QueryResult, load_index, save_index, threshold_radius_sq
 from .train import (
     TrainConfig,
     adam_step,
+    batch_loss,
     desk_config,
-    gradient,
     init_params,
-    loss_approximate,
-    loss_order,
+    loss_and_gradient,
+    pair_batch_from,
     train,
+    triple_batch_from,
     xavier_init,
 )

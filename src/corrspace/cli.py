@@ -363,13 +363,6 @@ def _query_exact(p):
     return 0
 
 
-class _AsNormalized:
-    """Adapter giving already-normalized values the NormalizedSeries shape."""
-
-    def __init__(self, values):
-        self.values = values
-
-
 def _query_index(p):
     if not p["index"]:
         raise UsageError("--index is required (or pass --exact)")
@@ -390,7 +383,8 @@ def _query_index(p):
                 f"query {label} has length {len(q_values)}, the index holds series of length {length}"
             )
     for label, q_values, self_id in queries:
-        q = embedder.embed(_AsNormalized(q_values))
+        # one row per call: a query's bits do not depend on the other rows of --query-file
+        q = embedder.embed_matrix(q_values[np.newaxis])[0]
         if p["threshold"] is not None:
             res = tree.within_radius(q, threshold_radius_sq(p["threshold"], p["slack"]))
             ids, d2 = res.ids, res.distances_sq

@@ -227,15 +227,11 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
     )
 
 
-def save_csv(ds: Dataset, path, include_ids: bool = True) -> None:
-    """Write as CSV with 17 significant digits (value-exact round trip)."""
-    line = ",".join(["%d"] * include_ids + ["%.17g"] * ds.length) + "\n"
-    rows = ds.values.tolist()
+def save_csv(ds: Dataset, path) -> None:
+    """Write as `csv_id` rows with 17 significant digits (value-exact round trip)."""
+    line = ",".join(["%d"] + ["%.17g"] * ds.length) + "\n"
     with open(path, "w", newline="") as fh:
-        if include_ids:
-            fh.writelines(line % (rid, *row) for rid, row in zip(ds.ids.tolist(), rows))
-        else:
-            fh.writelines(line % tuple(row) for row in rows)
+        fh.writelines(line % (rid, *row) for rid, row in zip(ds.ids.tolist(), ds.values.tolist()))
 
 
 def split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:

@@ -11,11 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NormalizedSeries, dft
 from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
+
+# Values per FFT block in `features_matrix`. The FFT of a block holds two
+# complex copies of it (the cast input and the output): 2 MB a block, where
+# one FFT over 20 000 x 128 values held 78 MB. Each row's transform is
+# computed on its own, so blocking leaves every bit as it was.
+_FFT_BLOCK = 2**16
 
 
 def feature_width(series_length: int) -> int:
@@ -23,24 +28,23 @@ def feature_width(series_length: int) -> int:
     return 2 * (series_length // 2)
 
 
-def features(ns: NormalizedSeries) -> np.ndarray:
-    """Frequency-domain features: interleaved Re/Im of coefficients 1..floor(M/2).
+def features_matrix(values: np.ndarray) -> np.ndarray:
+    """Frequency-domain features of a (n, M) matrix of normalized series:
+    interleaved Re/Im of coefficients 1..floor(M/2), `feature_width(M)` columns.
 
     The DC term is zero for normalized input and the upper half of the
     spectrum duplicates the lower by conjugate symmetry, so this keeps every
     informative coefficient exactly once.
     """
-    return features_matrix(ns.values[np.newaxis, :])[0]
-
-
-def features_matrix(values: np.ndarray) -> np.ndarray:
-    """Vectorized `features` over a (n, M) matrix of normalized series."""
     n, big_m = values.shape
-    c = np.fft.fft(values, axis=1) / np.sqrt(big_m)
-    half = c[:, 1 : big_m // 2 + 1]
-    out = np.empty((n, 2 * half.shape[1]), dtype=np.float64)
-    out[:, 0::2] = half.real
-    out[:, 1::2] = half.imag
+    out = np.empty((n, feature_width(big_m)), dtype=np.float64)
+    step = max(1, _FFT_BLOCK // big_m)
+    for lo in range(0, n, step):
+        c = np.fft.fft(values[lo : lo + step], axis=1)
+        c /= np.sqrt(big_m)
+        half = c[:, 1 : big_m // 2 + 1]
+        out[lo : lo + step, 0::2] = half.real
+        out[lo : lo + step, 1::2] = half.imag
     return out
 
 
@@ -76,63 +80,43 @@ class NetworkParams:
         return self.weights[-1].shape[0]
 
 
-def forward(p: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Embed one feature vector: unit-norm output, strict on degenerate inputs."""
-    y = forward_batch(p, np.asarray(x, dtype=np.float64)[np.newaxis, :], smooth=False)
-    return y[0]
+def forward_trace(p: NetworkParams, x: np.ndarray):
+    """Forward pass over a (n, input_width) batch: (acts, v, n, y).
 
-
-def forward_batch(p: NetworkParams, x: np.ndarray, smooth: bool) -> np.ndarray:
-    """Embed a (n, input_width) batch.
-
-    With smooth=False a pre-normalization norm below 1e-12 raises
-    DegenerateOutput; with smooth=True the norm denominator gets +1e-12 so
-    training gradients stay finite.
+    acts[i] is the input to layer i (acts[0] is x), v the last layer's
+    output, n its row norms and y = v / (n + SMOOTH_EPS) the embedding.
+    Each hidden activation gets its bias and ReLU in place.
     """
     if x.shape[1] != p.input_width:
         raise DimensionMismatch(f"input width {x.shape[1]} != network {p.input_width}")
-    h = x
+    acts = [x]
     for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
-    v = h @ p.weights[-1].T + p.biases[-1]
-    norms = np.linalg.norm(v, axis=1)
-    if not smooth and np.any(norms < SMOOTH_EPS):
-        raise DegenerateOutput("pre-normalization output has near-zero norm")
-    return v / (norms + SMOOTH_EPS)[:, np.newaxis]
+        a = acts[-1] @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    v = acts[-1] @ p.weights[-1].T + p.biases[-1]
+    n = np.linalg.norm(v, axis=1, keepdims=True)
+    return acts, v, n, v / (n + SMOOTH_EPS)
 
 
-def embed_dft_baseline(ns: NormalizedSeries, m: int) -> np.ndarray:
-    """DFT-truncation baseline: coefficients 1..m/2 flattened to m reals.
+def forward_batch(p: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """Embed a (n, input_width) batch onto the unit sphere.
 
-    Each coordinate is scaled by sqrt(2) so that 2*||emb(s)-emb(r)||^2 equals
-    4*d_{m/2}^2, the symmetry-corrected estimate of 2 - 2*corr.
+    A pre-normalization norm below 1e-12 raises DegenerateOutput.
     """
-    return _dft_baseline_matrix(ns.values[np.newaxis, :], m)[0]
-
-
-def _dft_baseline_matrix(values: np.ndarray, m: int) -> np.ndarray:
-    big_m = values.shape[1]
-    if m < 2 or m % 2 != 0 or m >= big_m:
-        raise InvalidM(f"m={m} must be even and in [2, M) for M={big_m}")
-    feats = features_matrix(values)
-    return np.sqrt(2.0) * feats[:, :m]
-
-
-def embed_downsample(ns: NormalizedSeries, m: int) -> np.ndarray:
-    """Down-sampling baseline: every floor(j*M/m)-th value, rescaled by sqrt(M/m)."""
-    return _downsample_matrix(ns.values[np.newaxis, :], m)[0]
-
-
-def _downsample_matrix(values: np.ndarray, m: int) -> np.ndarray:
-    big_m = values.shape[1]
-    if m < 1 or m > big_m:
-        raise InvalidM(f"m={m} outside [1, M={big_m}]")
-    idx = (np.arange(m) * big_m) // m
-    return values[:, idx] * np.sqrt(big_m / m)
+    _, _, n, y = forward_trace(p, x)
+    if np.any(n < SMOOTH_EPS):
+        raise DegenerateOutput("pre-normalization output has near-zero norm")
+    return y
 
 
 class LearnedEmbedder:
-    """Embedder backed by a trained (or initialized) network."""
+    """Embedder backed by a trained (or initialized) network.
+
+    The series length must give exactly the network's input width
+    (`feature_width`); any other length raises DimensionMismatch.
+    """
 
     name = "learned"
 
@@ -140,46 +124,43 @@ class LearnedEmbedder:
         self.params = params
         self.m = params.output_width
 
-    def _features(self, values_matrix):
-        feats = features_matrix(values_matrix)
-        want = self.params.input_width
-        if feats.shape[1] < want:
-            raise DimensionMismatch(
-                f"series yield {feats.shape[1]} features, network expects {want}"
-            )
-        return feats[:, :want]
-
-    def embed(self, ns: NormalizedSeries) -> np.ndarray:
-        return forward_batch(self.params, self._features(ns.values[np.newaxis, :]), smooth=False)[0]
-
     def embed_matrix(self, values_matrix: np.ndarray) -> np.ndarray:
-        return forward_batch(self.params, self._features(values_matrix), smooth=False)
+        return forward_batch(self.params, features_matrix(values_matrix))
 
 
 class DftTruncationEmbedder:
+    """DFT-truncation baseline: coefficients 1..m/2 flattened to m reals.
+
+    Each coordinate is scaled by sqrt(2) so that 2*||emb(s)-emb(r)||^2 equals
+    4*d_{m/2}^2, the symmetry-corrected estimate of 2 - 2*corr.
+    """
+
     name = "dft"
 
     def __init__(self, m: int):
         self.m = m
 
-    def embed(self, ns: NormalizedSeries) -> np.ndarray:
-        return embed_dft_baseline(ns, self.m)
-
     def embed_matrix(self, values_matrix: np.ndarray) -> np.ndarray:
-        return _dft_baseline_matrix(values_matrix, self.m)
+        big_m = values_matrix.shape[1]
+        if self.m < 2 or self.m % 2 != 0 or self.m >= big_m:
+            raise InvalidM(f"m={self.m} must be even and in [2, M) for M={big_m}")
+        return np.sqrt(2.0) * features_matrix(values_matrix)[:, : self.m]
 
 
 class DownSampleEmbedder:
+    """Down-sampling baseline: every floor(j*M/m)-th value, rescaled by sqrt(M/m)."""
+
     name = "downsample"
 
     def __init__(self, m: int):
         self.m = m
 
-    def embed(self, ns: NormalizedSeries) -> np.ndarray:
-        return embed_downsample(ns, self.m)
-
     def embed_matrix(self, values_matrix: np.ndarray) -> np.ndarray:
-        return _downsample_matrix(values_matrix, self.m)
+        big_m = values_matrix.shape[1]
+        if self.m < 1 or self.m > big_m:
+            raise InvalidM(f"m={self.m} outside [1, M={big_m}]")
+        idx = (np.arange(self.m) * big_m) // self.m
+        return values_matrix[:, idx] * np.sqrt(big_m / self.m)
 
 
 def save_model(p: NetworkParams, path) -> None:
@@ -203,7 +184,8 @@ def save_model(p: NetworkParams, path) -> None:
 def load_model(path) -> NetworkParams:
     """Read a CHR1 model file written by `save_model`.
 
-    A file that is not a whole CHR1 model raises `CorruptArtifact`.
+    A file that is not a whole CHR1 model, or whose weights or biases are
+    not all finite, raises `CorruptArtifact`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -228,6 +210,8 @@ def load_model(path) -> NetworkParams:
         off += 8 * rows * cols
         b = np.frombuffer(data, dtype="<f8", count=rows, offset=off)
         off += 8 * rows
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise CorruptArtifact(f"{path}: layer {len(weights)} holds a non-finite weight or bias")
         weights.append(w.astype(np.float64))
         biases.append(b.astype(np.float64))
     need(8)

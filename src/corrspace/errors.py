@@ -30,7 +30,8 @@ class InvalidM(CorrSpaceError):
 
 
 class DegenerateOutput(CorrSpaceError):
-    """Network pre-normalization output has (near-)zero norm."""
+    """An embedding is unusable: the network's pre-normalization output has
+    (near-)zero norm, or a query vector holds a non-finite value."""
 
     exit_code = 13
 

@@ -13,16 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import train as _train
-from .core import NormalizedSeries
 from .datasets import Dataset, split
-from .embed import (
-    DftTruncationEmbedder,
-    DownSampleEmbedder,
-    LearnedEmbedder,
-    feature_width,
-    features_matrix,
-    forward_batch,
-)
+from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, feature_width
 from .errors import KTooLarge, SizeMismatch
 from .index import KdTree
 
@@ -65,35 +57,19 @@ def gap(fhat_ids, f_ids, ns, pool: Dataset, k=None) -> float:
     return float((d2(pool.rows_for(fhat_ids)).sum() - d2(pool.rows_for(f_ids)).sum()) / k)
 
 
-def make_test_pairs(ds: Dataset, ids, seed: int):
-    """Disjoint (s, r) NormalizedSeries pairs from a seeded permutation of ids.
+def pair_rows(ds: Dataset, ids, seed: int):
+    """Disjoint (s, r) row pairs from a seeded permutation of the rows of ids.
 
     An odd id is left unpaired and dropped.
     """
-    rows_s, rows_r = _pair_rows(ds, ids, seed)
-    h = ds.normalized_matrix()
-    raw = ds.values
-    wrap = lambda row: NormalizedSeries(
-        values=h[row], mean=float(raw[row].mean()), stddev=float(raw[row].std())
-    )
-    return [(wrap(s), wrap(r)) for s, r in zip(rows_s, rows_r)]
-
-
-def _pair_rows(ds: Dataset, ids, seed: int):
     rows = ds.rows_for(ids)
     perm = np.random.default_rng((seed, 7)).permutation(rows)
     half = len(perm) // 2
     return perm[: 2 * half : 2], perm[1 : 2 * half : 2]
 
 
-def approximation_loss(embedder, pairs) -> float:
-    """Mean |2*||f(s)-f(r)||^2 - (2 - 2*corr)| over (s, r) NormalizedSeries pairs."""
-    h_s = np.vstack([p[0].values for p in pairs])
-    h_r = np.vstack([p[1].values for p in pairs])
-    return _approximation_loss_rows(embedder, h_s, h_r)
-
-
-def _approximation_loss_rows(embedder, h_s, h_r) -> float:
+def approximation_loss(embedder, h_s, h_r) -> float:
+    """Mean |2*||f(s)-f(r)||^2 - (2 - 2*corr)| over normalized row pairs (h_s[i], h_r[i])."""
     e_s = embedder.embed_matrix(h_s)
     e_r = embedder.embed_matrix(h_r)
     d2e = np.einsum("ij,ij->i", e_s - e_r, e_s - e_r)
@@ -194,7 +170,7 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
     exact_order = np.vstack([np.lexsort((pool_ids, d2_true[i])) for i in range(n_q)])
     col_of = {int(r): c for c, r in enumerate(pool_ids)}
 
-    pair_s, pair_r = _pair_rows(ds, splits.test_ids, cfg.seed)
+    pair_s, pair_r = pair_rows(ds, splits.test_ids, cfg.seed)
 
     report = EvalReport()
     for method in methods:
@@ -211,7 +187,7 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
             embed_us = (time.perf_counter() - t0) / n_q * 1e6 if cfg.timing else float("nan")
             emb_pool = embedder.embed_matrix(pool_h)
             tree = KdTree(emb_pool, pool_ids)
-            approx = _approximation_loss_rows(embedder, h[pair_s], h[pair_r])
+            approx = approximation_loss(embedder, h[pair_s], h[pair_r])
             for k in k_values:
                 rho_sum, delta_sum, lat = 0.0, 0.0, []
                 for i in range(n_q):
@@ -220,7 +196,7 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
                     lat.append((time.perf_counter() - t0) * 1e6)
                     f_cols = exact_order[i, :k]
                     fhat_cols = np.array([col_of[int(r)] for r in res.ids])
-                    rho_sum += len(set(fhat_cols.tolist()) & set(f_cols.tolist())) / k
+                    rho_sum += precision(res.ids, pool_ids[f_cols], k)
                     delta_sum += (d2_true[i, fhat_cols].sum() - d2_true[i, f_cols].sum()) / k
                 q50, q99 = (
                     (float(np.percentile(lat, 50)), float(np.percentile(lat, 99)))
@@ -270,11 +246,11 @@ def latency_benchmark(
     """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n + n_queries, series_length))
-    centered = raw - raw.mean(axis=1, keepdims=True)
-    h = centered / np.linalg.norm(centered, axis=1, keepdims=True)
+    h = Dataset(ids=np.arange(n + n_queries), values=raw).normalized_matrix()
     if params is None:
         params = _train.init_params(feature_width(series_length), hidden_size, m, seed)
-    emb_pool = forward_batch(params, features_matrix(h[:n]), smooth=False)
+    embedder = LearnedEmbedder(params)
+    emb_pool = embedder.embed_matrix(h[:n])
 
     t0 = time.perf_counter()
     tree = KdTree(emb_pool, np.arange(n))
@@ -284,7 +260,7 @@ def latency_benchmark(
     for i in range(n, n + n_queries):
         row = h[i : i + 1]
         t0 = time.perf_counter()
-        q = forward_batch(params, features_matrix(row), smooth=False)[0]
+        q = embedder.embed_matrix(row)[0]
         t1 = time.perf_counter()
         res = tree.top_k(q, k)
         t2 = time.perf_counter()

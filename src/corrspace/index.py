@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptArtifact, DimensionMismatch, EmptyInput
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput
 
 INDEX_MAGIC = b"CIX1"
 INDEX_VERSION = 1
@@ -114,6 +114,8 @@ class KdTree:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.m,):
             raise DimensionMismatch(f"query shape {q.shape}, index dimension {self.m}")
+        if not np.isfinite(q).all():
+            raise DegenerateOutput("query vector holds a non-finite value")
         return q
 
     def _box_bounds(self, q):
@@ -200,10 +202,6 @@ def _build_order(pts: np.ndarray, ids: np.ndarray, levels: int):
     return order, np.array(bounds)
 
 
-def build(points, ids=None) -> KdTree:
-    return KdTree(points, ids)
-
-
 def threshold_radius_sq(eta: float, slack: float = 1.0) -> float:
     """Radius² for a correlation threshold η: 2‖Δ‖² ≤ 2−2η ⇒ r² = slack·(1−η)."""
     if not -1.0 <= eta <= 1.0:
@@ -226,7 +224,8 @@ def save_index(tree: KdTree, path, meta: dict | None = None) -> None:
 def load_index(path):
     """Load a dump written by `save_index`; returns (KdTree, meta).
 
-    A file that is not a whole `CIX1` dump raises `CorruptArtifact`.
+    A file that is not a whole `CIX1` dump, or whose points are not all
+    finite, raises `CorruptArtifact`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -249,4 +248,6 @@ def load_index(path):
         raise CorruptArtifact(f"{path}: metadata is not a JSON object")
     ids = np.frombuffer(data, dtype="<i8", count=n, offset=off)
     pts = np.frombuffer(data, dtype="<f8", count=n * m, offset=off + 8 * n).reshape(n, m)
+    if not np.isfinite(pts).all():
+        raise CorruptArtifact(f"{path}: the index holds a non-finite point")
     return KdTree(pts, ids), meta

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, SplitDataset
-from .embed import SMOOTH_EPS, NetworkParams, feature_width, features_matrix
-from .errors import DimensionMismatch, InsufficientData
+from .embed import SMOOTH_EPS, NetworkParams, feature_width, features_matrix, forward_trace
+from .errors import InsufficientData
 
 APPROXIMATE = "approximate"
 ORDER = "order"
@@ -102,22 +102,7 @@ def triple_batch_from(h: np.ndarray, f: np.ndarray, idx_s, idx_r, idx_u) -> Trip
     return TripleBatch(f_s=f[idx_s], f_r=f[idx_r], f_u=f[idx_u], target=2.0 * (corr_ru - corr_rs))
 
 
-def _forward_trace(p: NetworkParams, x: np.ndarray):
-    """Forward pass keeping every intermediate needed by the backward pass."""
-    acts, pres = [x], []
-    a = x
-    for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        z = a @ w.T + b
-        pres.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    v = a @ p.weights[-1].T + p.biases[-1]
-    n = np.linalg.norm(v, axis=1, keepdims=True)
-    y = v / (n + SMOOTH_EPS)
-    return acts, pres, v, n, y
-
-
-def _backward(p: NetworkParams, acts, pres, v, n, y_bar):
+def _backward(p: NetworkParams, acts, v, n, y_bar):
     """Parameter gradients in [W0, b0, W1, b1, ...] order given dL/dy."""
     nn = n + SMOOTH_EPS
     proj = np.sum(y_bar * v, axis=1, keepdims=True)
@@ -128,52 +113,47 @@ def _backward(p: NetworkParams, acts, pres, v, n, y_bar):
         grads[2 * i] = delta.T @ acts[i]
         grads[2 * i + 1] = delta.sum(axis=0)
         if i:
-            delta = (delta @ p.weights[i]) * (pres[i - 1] > 0.0)
+            delta = (delta @ p.weights[i]) * (acts[i] > 0.0)  # ReLU(z) > 0 exactly when z > 0
     return grads
 
 
 def _pair_pieces(p, batch):
     b = batch.target.shape[0]
-    acts, pres, v, n, y = _forward_trace(p, np.vstack([batch.f_s, batch.f_r]))
+    acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r]))
     diff = y[:b] - y[b:]
     inner = 2.0 * np.sum(diff * diff, axis=1) - batch.target
-    return acts, pres, v, n, inner, diff, b
+    return acts, v, n, inner, diff, b
 
 
 def _triple_pieces(p, batch):
     b = batch.target.shape[0]
-    acts, pres, v, n, y = _forward_trace(p, np.vstack([batch.f_s, batch.f_r, batch.f_u]))
+    acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r, batch.f_u]))
     d_rs = y[b : 2 * b] - y[:b]
     d_ru = y[b : 2 * b] - y[2 * b :]
     inner = 2.0 * (np.sum(d_rs * d_rs, axis=1) - np.sum(d_ru * d_ru, axis=1)) - batch.target
-    return acts, pres, v, n, inner, d_rs, d_ru, b
+    return acts, v, n, inner, d_rs, d_ru, b
 
 
 def batch_loss(p: NetworkParams, batch) -> float:
     """Mean per-element loss over the batch."""
     if isinstance(batch, PairBatch):
-        inner = _pair_pieces(p, batch)[4]
+        inner = _pair_pieces(p, batch)[3]
     else:
-        inner = _triple_pieces(p, batch)[4]
+        inner = _triple_pieces(p, batch)[3]
     return float(np.mean(np.abs(inner)))
 
 
 def loss_and_gradient(p: NetworkParams, batch):
     """(mean loss, parameter gradients) for a PairBatch or TripleBatch."""
     if isinstance(batch, PairBatch):
-        acts, pres, v, n, inner, diff, b = _pair_pieces(p, batch)
+        acts, v, n, inner, diff, b = _pair_pieces(p, batch)
         g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
         y_bar = np.vstack([g * diff, -g * diff])
     else:
-        acts, pres, v, n, inner, d_rs, d_ru, b = _triple_pieces(p, batch)
+        acts, v, n, inner, d_rs, d_ru, b = _triple_pieces(p, batch)
         g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
         y_bar = np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
-    return float(np.mean(np.abs(inner))), _backward(p, acts, pres, v, n, y_bar)
-
-
-def gradient(p: NetworkParams, batch) -> list:
-    """Mean gradient over the batch, shaped like [W0, b0, W1, b1, ...]."""
-    return loss_and_gradient(p, batch)[1]
+    return float(np.mean(np.abs(inner))), _backward(p, acts, v, n, y_bar)
 
 
 def _param_slots(p: NetworkParams) -> list:
@@ -207,30 +187,6 @@ def adam_step(p: NetworkParams, grads, state: AdamState, lr: float) -> NetworkPa
         m2 += (1.0 - ADAM_BETA2) * g * g
         slot -= lr * (m1 / c1) / (np.sqrt(m2 / c2) + ADAM_EPS)
     return p
-
-
-def _features_for(p: NetworkParams, values: np.ndarray) -> np.ndarray:
-    feats = features_matrix(values)
-    if feats.shape[1] < p.input_width:
-        raise DimensionMismatch(f"series yield {feats.shape[1]} features, network expects {p.input_width}")
-    return feats[:, : p.input_width]
-
-
-def loss_approximate(p: NetworkParams, s, r) -> float:
-    """Pair loss for two NormalizedSeries."""
-    f = _features_for(p, np.vstack([s.values, r.values]))
-    corr = float(np.clip(np.dot(s.values, r.values), -1.0, 1.0))
-    return batch_loss(p, PairBatch(f[0:1], f[1:2], np.array([2.0 * (1.0 - corr)])))
-
-
-def loss_order(p: NetworkParams, s, r, u) -> float:
-    """Triple loss for NormalizedSeries (r is the reference)."""
-    f = _features_for(p, np.vstack([s.values, r.values, u.values]))
-    corr_rs = float(np.clip(np.dot(r.values, s.values), -1.0, 1.0))
-    corr_ru = float(np.clip(np.dot(r.values, u.values), -1.0, 1.0))
-    return batch_loss(
-        p, TripleBatch(f[0:1], f[1:2], f[2:3], np.array([2.0 * (corr_ru - corr_rs)]))
-    )
 
 
 def _sample_batch(rng, loss_kind, n, batch_size, h, f):

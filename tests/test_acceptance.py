@@ -35,17 +35,17 @@ from corrspace.evaluation import (
     exact_top_k,
     gap,
     latency_benchmark,
-    make_test_pairs,
+    pair_rows,
     sweep,
 )
-from corrspace.index import build, load_index, save_index
+from corrspace.index import KdTree, load_index, save_index
 from corrspace.train import (
     APPROXIMATE,
     ORDER,
     batch_loss,
     desk_config,
-    gradient,
     init_params,
+    loss_and_gradient,
     pair_batch_from,
     train,
     triple_batch_from,
@@ -68,12 +68,13 @@ def example1_desk():
     t0 = time.perf_counter()
     ds = gen_example1(2000, 128, seed=0)
     splits = split(ds, seed=0)
-    pairs = make_test_pairs(ds, splits.test_ids, seed=0)
+    h = ds.normalized_matrix()
+    rows_s, rows_r = pair_rows(ds, splits.test_ids, seed=0)
     out = {}
     for m in (4, 8):
         params = train(ds, splits, desk_config(m=m, loss_kind=APPROXIMATE, seed=0))
-        learned = approximation_loss(LearnedEmbedder(params), pairs)
-        baseline = approximation_loss(DftTruncationEmbedder(m), pairs)
+        learned = approximation_loss(LearnedEmbedder(params), h[rows_s], h[rows_r])
+        baseline = approximation_loss(DftTruncationEmbedder(m), h[rows_s], h[rows_r])
         out[m] = (learned, baseline)
     out["wall_s"] = time.perf_counter() - t0
     return out
@@ -247,7 +248,7 @@ def _loss_with_kink_diag(params, batch):
 def _fd_gradient_check(params, batch, step=1e-5, kink_margin=1e-7):
     base, m_base = _loss_with_kink_diag(params, batch)
     assert base == pytest.approx(batch_loss(params, batch), abs=1e-12)
-    analytic = np.concatenate([g.ravel() for g in gradient(params, batch)])
+    analytic = np.concatenate([g.ravel() for g in loss_and_gradient(params, batch)[1]])
     slots = []
     for w, b in zip(params.weights, params.biases):
         slots.extend([w, b])
@@ -312,7 +313,7 @@ def test_criterion_03_index_oracle_equivalence():
             rng = np.random.default_rng(n * 100 + m)
             points = rng.standard_normal((n, m))
             ids = rng.permutation(n).astype(np.int64)
-            tree = build(points, ids)
+            tree = KdTree(points, ids)
             for k in (1, 10, 100):
                 kk = min(k, n)
                 for _ in range(50):
@@ -351,7 +352,7 @@ def test_criterion_04_gap_bounded_by_worst_pair_error(trained_small):
     )
     eps_hat = float(np.max(np.abs(d2_est - d2_true)))  # 100x100 = 1e4 pairs
 
-    tree = build(e_pool, pool.ids)
+    tree = KdTree(e_pool, pool.ids)
     worst_gap, k = 0.0, 10
     for qi, row in enumerate(query_rows):
         ns = normalize(ds.series(int(row)))
@@ -502,7 +503,7 @@ def test_criterion_10_artifact_round_trips(trained_small, tmp_path):
     model_ok = m1.read_bytes() == m2.read_bytes()
 
     emb = LearnedEmbedder(params)
-    tree = build(emb.embed_matrix(ds.normalized_matrix()), ds.ids)
+    tree = KdTree(emb.embed_matrix(ds.normalized_matrix()), ds.ids)
     i1, i2 = tmp_path / "i1.bin", tmp_path / "i2.bin"
     save_index(tree, str(i1), meta={"method": "learned-approx", "m": 8})
     loaded, meta = load_index(str(i1))

@@ -13,7 +13,7 @@ import pytest
 from corrspace.cli import main, replay_manifest
 from corrspace.core import normalize
 from corrspace.datasets import load_csv
-from corrspace.embed import load_model
+from corrspace.embed import load_model, save_model
 from corrspace.errors import MissingArtifact
 from corrspace.evaluation import exact_top_k
 from corrspace.index import load_index, save_index
@@ -397,6 +397,40 @@ def test_corrupt_index_and_model_exit_code(capsys, tmp_path, damage):
         assert code == 24, err
         assert err.startswith(f"error: {path}: ")
         path.write_bytes(blob)
+
+
+def test_non_finite_model_weight_exit_code(capsys, tmp_path):
+    # a model that turns NaN after the index was built must not answer
+    # with an empty hit list
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "model.chr1"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "5",
+        "--model-out", str(model), "--log-out", str(tmp_path / "log.csv"),
+    )
+    assert code == 0, err
+    idx = build_index(capsys, tmp_path, data, method="learned-order", m="4", extra=("--model", str(model)))
+    params = load_model(str(model))
+    params.weights[0][0, 0] = np.nan
+    save_model(params, str(model))
+    code, stdout, err = run(
+        capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "5",
+    )
+    assert code == 24 and stdout == ""
+    assert err.startswith(f"error: {model}: ") and "non-finite" in err
+
+
+def test_index_rejects_series_longer_than_the_model(capsys, tmp_path):
+    # a model trained on length-16 series does not embed length-32 series
+    model = tmp_path / "model.chr1"
+    save_model(init_params(16, 8, 4, seed=0), model)
+    data = gen_small(capsys, tmp_path, name="long.csv", length=32)
+    code, stdout, err = run(
+        capsys, "index", "--data", str(data), "--method", "learned-order", "--model", str(model),
+        "--output", str(tmp_path / "long.idx"),
+    )
+    assert code == 14 and stdout == ""
+    assert "32 != network 16" in err
 
 
 # --------------------------------------------------------------------- eval

@@ -104,19 +104,15 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, ds.values)  # 17 sig digits: exact
 
 
-@pytest.mark.parametrize("include_ids", [True, False])
-def test_save_csv_matches_per_value_format(tmp_path, include_ids):
+def test_save_csv_matches_per_value_format(tmp_path):
     values = np.random.default_rng(4).standard_normal((5, 6)) * 10.0 ** np.arange(-150, 150, 60)[:, None]
     values[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
     ds = Dataset(ids=np.array([-2**63, 0, 17, 2**63 - 1, 5]), values=values)
     p = tmp_path / "out.csv"
-    save_csv(ds, p, include_ids=include_ids)
+    save_csv(ds, p)
     want = ""
     for rid, row in zip(ds.ids, ds.values):
-        cells = [f"{x:.17g}" for x in row]
-        if include_ids:
-            cells.insert(0, str(int(rid)))
-        want += ",".join(cells) + "\n"
+        want += ",".join([str(int(rid))] + [f"{x:.17g}" for x in row]) + "\n"
     assert p.read_text() == want
 
 

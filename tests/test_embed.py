@@ -14,12 +14,8 @@ from corrspace.embed import (
     DownSampleEmbedder,
     LearnedEmbedder,
     NetworkParams,
-    embed_dft_baseline,
-    embed_downsample,
     feature_width,
-    features,
     features_matrix,
-    forward,
     forward_batch,
     load_model,
     save_model,
@@ -36,6 +32,14 @@ def rand_normalized(rng, big_m):
     return norm_ts(rng.standard_normal(big_m))
 
 
+def dft_emb(ns, m):
+    return DftTruncationEmbedder(m).embed_matrix(ns.values[np.newaxis])[0]
+
+
+def downsample_emb(ns, m):
+    return DownSampleEmbedder(m).embed_matrix(ns.values[np.newaxis])[0]
+
+
 # ----------------------------------------------------------------- features
 
 def test_feature_width():
@@ -47,7 +51,7 @@ def test_feature_width():
 def test_features_of_ramp():
     ns = norm_ts([1.0, 2.0, 3.0, 4.0])
     c = dft(ns.values).coeffs  # oracle: same values the features must carry
-    got = features(ns)
+    got = features_matrix(ns.values[np.newaxis])[0]
     np.testing.assert_allclose(got, [c[1].real, c[1].imag, c[2].real, c[2].imag], atol=1e-12)
 
 
@@ -62,16 +66,15 @@ def test_features_against_direct_dft():
         want = np.empty(2 * (big_m // 2))
         want[0::2] = c[1 : big_m // 2 + 1].real
         want[1::2] = c[1 : big_m // 2 + 1].imag
-        np.testing.assert_allclose(features(ns), want, atol=1e-9)
+        np.testing.assert_allclose(features_matrix(x[np.newaxis])[0], want, atol=1e-9)
 
 
 def test_features_parseval_bookkeeping():
     # normalized input: 2*||features||^2 - |c_{M/2}|^2 == 1 for even M
     # (every coefficient below Nyquist appears twice in the spectrum)
     rng = np.random.default_rng(5)
-    for trial in range(50):
-        ns = rand_normalized(rng, 32)
-        f = features(ns)
+    rows = np.vstack([rand_normalized(rng, 32).values for _ in range(50)])
+    for f in features_matrix(rows):
         nyq_sq = f[-2] ** 2 + f[-1] ** 2
         assert abs(2.0 * np.dot(f, f) - nyq_sq - 1.0) <= 1e-9
 
@@ -84,20 +87,29 @@ def test_features_matrix_consistent_with_single():
         np.testing.assert_array_equal(fm[i], features_matrix(rows[i : i + 1])[0])
 
 
+def test_features_matrix_blocks_match_one_fft():
+    # more rows than one FFT block: blocking must not move a bit
+    rows = np.random.default_rng(8).standard_normal((1100, 128))
+    c = np.fft.fft(rows, axis=1) / np.sqrt(128)
+    want = np.empty((1100, 128))
+    want[:, 0::2], want[:, 1::2] = c[:, 1:65].real, c[:, 1:65].imag
+    np.testing.assert_array_equal(features_matrix(rows), want)
+
+
 # ------------------------------------------------------------------ forward
 
 def test_forward_zero_params_degenerate():
     p = NetworkParams(weights=[np.zeros((3, 4)), np.zeros((2, 3))], biases=[np.zeros(3), np.zeros(2)], seed=0)
     with pytest.raises(DegenerateOutput):
-        forward(p, np.ones(4))
+        forward_batch(p, np.ones((1, 4)))
 
 
 def test_forward_identity_net_on_nonnegative_input():
     # ReLU is inactive on nonnegative input, so an identity-weight network
     # reduces to plain unit-norm projection
     p = NetworkParams(weights=[np.eye(4), np.eye(4)], biases=[np.zeros(4), np.zeros(4)], seed=0)
-    x = np.array([1.0, 2.0, 0.0, 3.0])
-    np.testing.assert_allclose(forward(p, x), x / np.linalg.norm(x), atol=1e-12)
+    x = np.array([[1.0, 2.0, 0.0, 3.0]])
+    np.testing.assert_allclose(forward_batch(p, x), x / np.linalg.norm(x), atol=1e-12)
 
 
 def test_forward_matches_straight_line_recomputation():
@@ -108,23 +120,23 @@ def test_forward_matches_straight_line_recomputation():
         h = np.maximum(p.weights[0] @ x + p.biases[0], 0.0)
         v = p.weights[1] @ h + p.biases[1]
         want = v / (np.linalg.norm(v) + 1e-12)
-        np.testing.assert_allclose(forward(p, x), want, atol=1e-12)
+        np.testing.assert_allclose(forward_batch(p, x[np.newaxis])[0], want, atol=1e-12)
 
 
 def test_forward_unit_norm_and_purity():
     rng = np.random.default_rng(13)
     p = init_params(16, 32, 8, seed=1)
     for trial in range(100):
-        x = rng.standard_normal(16)
-        y = forward(p, x)
+        x = rng.standard_normal((1, 16))
+        y = forward_batch(p, x)
         assert abs(np.linalg.norm(y) - 1.0) <= 1e-7
-        np.testing.assert_array_equal(y, forward(p, x))
+        np.testing.assert_array_equal(y, forward_batch(p, x))
 
 
 def test_forward_batch_width_check():
     p = init_params(8, 4, 2, seed=0)
     with pytest.raises(DimensionMismatch):
-        forward_batch(p, np.zeros((1, 5)), smooth=False)
+        forward_batch(p, np.zeros((1, 5)))
 
 
 def test_network_params_shape_validation():
@@ -142,7 +154,7 @@ def test_network_params_shape_validation():
 
 def test_dft_baseline_identical_series():
     ns = norm_ts(np.random.default_rng(17).standard_normal(16))
-    assert np.linalg.norm(embed_dft_baseline(ns, 4) - embed_dft_baseline(ns, 4)) == 0.0
+    assert np.linalg.norm(dft_emb(ns, 4) - dft_emb(ns, 4)) == 0.0
 
 
 def test_dft_baseline_scale_against_core_oracle():
@@ -151,7 +163,7 @@ def test_dft_baseline_scale_against_core_oracle():
     rng = np.random.default_rng(19)
     s, r = rand_normalized(rng, 32), rand_normalized(rng, 32)
     for m in (2, 8, 14):
-        d2 = np.sum((embed_dft_baseline(s, m) - embed_dft_baseline(r, m)) ** 2)
+        d2 = np.sum((dft_emb(s, m) - dft_emb(r, m)) ** 2)
         want = 2.0 * (
             np.sum(np.abs(dft(s.values).coeffs[1 : m // 2 + 1] - dft(r.values).coeffs[1 : m // 2 + 1]) ** 2)
         )
@@ -175,7 +187,7 @@ def test_dft_baseline_example1_pair_exact():
     for trial in range(10):
         s_raw, r_raw = make(), make()
         s, r = norm_ts(s_raw), norm_ts(r_raw, 1)
-        d2 = np.sum((embed_dft_baseline(s, big_m // 2) - embed_dft_baseline(r, big_m // 2)) ** 2)
+        d2 = np.sum((dft_emb(s, big_m // 2) - dft_emb(r, big_m // 2)) ** 2)
         corr = pearson(TimeSeries(id=0, values=s_raw), TimeSeries(id=1, values=r_raw))
         assert abs(2.0 * d2 - (2.0 - 2.0 * corr)) <= 1e-8
 
@@ -185,7 +197,7 @@ def test_dft_baseline_distance_monotone_in_m():
     s, r = rand_normalized(rng, 64), rand_normalized(rng, 64)
     prev = 0.0
     for m in (2, 4, 8, 16, 32):
-        d2 = float(np.sum((embed_dft_baseline(s, m) - embed_dft_baseline(r, m)) ** 2))
+        d2 = float(np.sum((dft_emb(s, m) - dft_emb(r, m)) ** 2))
         assert d2 >= prev - 1e-15
         prev = d2
 
@@ -194,33 +206,33 @@ def test_dft_baseline_m_validation():
     ns = norm_ts(np.arange(8.0))
     for bad in (0, 1, 3, 8, 9):  # odd or out of [2, M)
         with pytest.raises(InvalidM):
-            embed_dft_baseline(ns, bad)
+            dft_emb(ns, bad)
 
 
 # ------------------------------------------------------------- down-sample
 
 def test_downsample_full_m_is_identity():
     ns = norm_ts(np.random.default_rng(31).standard_normal(12))
-    np.testing.assert_allclose(embed_downsample(ns, 12), ns.values, atol=1e-15)
+    np.testing.assert_allclose(downsample_emb(ns, 12), ns.values, atol=1e-15)
 
 
 def test_downsample_ramp_indices_and_scale():
     ns = norm_ts(np.arange(8.0))
     want = ns.values[[0, 2, 4, 6]] * np.sqrt(2.0)
-    np.testing.assert_allclose(embed_downsample(ns, 4), want, atol=1e-15)
+    np.testing.assert_allclose(downsample_emb(ns, 4), want, atol=1e-15)
 
 
 def test_downsample_identical_series_distance_zero():
     ns = norm_ts(np.random.default_rng(37).standard_normal(20))
     for m in (1, 3, 7, 20):
-        assert np.linalg.norm(embed_downsample(ns, m) - embed_downsample(ns, m)) == 0.0
+        assert np.linalg.norm(downsample_emb(ns, m) - downsample_emb(ns, m)) == 0.0
 
 
 def test_downsample_m_validation():
     ns = norm_ts(np.arange(8.0))
     for bad in (0, 9):
         with pytest.raises(InvalidM):
-            embed_downsample(ns, bad)
+            downsample_emb(ns, bad)
 
 
 # ---------------------------------------------------------------- embedders
@@ -232,21 +244,20 @@ def test_embedder_names_and_m():
     assert DownSampleEmbedder(5).name == "downsample"
 
 
-def test_learned_embedder_caps_features_to_input_width():
-    # a network trained on length-8 series (8 features) applied to length-16
-    # series uses the first 8 features only
+def test_learned_embedder_rejects_too_long_series():
+    # a network trained on length-8 series (8 features) does not take the
+    # 16 features of a length-16 series
     p = init_params(8, 4, 3, seed=0)
-    rng = np.random.default_rng(41)
-    ns = rand_normalized(rng, 16)
-    emb = LearnedEmbedder(p)
-    np.testing.assert_array_equal(emb.embed(ns), forward(p, features(ns)[:8]))
+    ns = rand_normalized(np.random.default_rng(41), 16)
+    with pytest.raises(DimensionMismatch):
+        LearnedEmbedder(p).embed_matrix(ns.values[np.newaxis])
 
 
 def test_learned_embedder_rejects_too_short_series():
     p = init_params(16, 4, 3, seed=0)
     ns = norm_ts(np.arange(8.0))  # only 8 features, network wants 16
     with pytest.raises(DimensionMismatch):
-        LearnedEmbedder(p).embed(ns)
+        LearnedEmbedder(p).embed_matrix(ns.values[np.newaxis])
 
 
 def test_embed_matrix_agrees_with_embed():

@@ -17,7 +17,7 @@ from corrspace.evaluation import (
     exact_top_k,
     gap,
     latency_benchmark,
-    make_test_pairs,
+    pair_rows,
     precision,
     sweep,
 )
@@ -130,49 +130,45 @@ def test_gap_size_mismatch():
 
 # --------------------------------------------------------------- test pairs
 
-def test_make_test_pairs_disjoint_and_deterministic():
+def test_pair_rows_disjoint_and_deterministic():
     ds = random_dataset(40, 16, seed=9)
     ids = ds.ids[:25]
-    pairs = make_test_pairs(ds, ids, seed=0)
-    assert len(pairs) == 12  # one odd id dropped
-    seen = [tuple(np.round(p.values, 12)) for pair in pairs for p in pair]
-    assert len(set(seen)) == 24  # no series reused across pairs
-    again = make_test_pairs(ds, ids, seed=0)
-    for (a, b), (c, d) in zip(pairs, again):
-        np.testing.assert_array_equal(a.values, c.values)
-        np.testing.assert_array_equal(b.values, d.values)
+    rows_s, rows_r = pair_rows(ds, ids, seed=0)
+    assert len(rows_s) == len(rows_r) == 12  # one odd id dropped
+    both = np.concatenate([rows_s, rows_r])
+    assert len(set(both.tolist())) == 24  # no series reused across pairs
+    assert set(both.tolist()) <= set(ds.rows_for(ids).tolist())
+    again_s, again_r = pair_rows(ds, ids, seed=0)
+    np.testing.assert_array_equal(rows_s, again_s)
+    np.testing.assert_array_equal(rows_r, again_r)
 
 
-def test_make_test_pairs_reconstruct_raw():
-    ds = random_dataset(10, 8, seed=10)
-    pairs = make_test_pairs(ds, ds.ids, seed=1)
-    raws = {tuple(np.round(r, 9)) for r in ds.values}
-    for s, r in pairs:
-        for p in (s, r):
-            raw = p.stddev * np.sqrt(len(p.values)) * p.values + p.mean
-            assert tuple(np.round(raw, 9)) in raws
+def pairs_of(ds, seed):
+    """The normalized rows of `pair_rows` over every id of ds."""
+    h = ds.normalized_matrix()
+    rows_s, rows_r = pair_rows(ds, ds.ids, seed)
+    return h[rows_s], h[rows_r]
 
 
 # ------------------------------------------------------- approximation loss
 
 def test_approximation_loss_identical_pairs_zero():
     ds = random_dataset(12, 16, seed=11)
-    pairs = make_test_pairs(ds, ds.ids, seed=0)
-    same = [(s, s) for s, _ in pairs]
-    assert approximation_loss(DftTruncationEmbedder(4), same) == pytest.approx(0.0, abs=1e-12)
-    assert approximation_loss(DownSampleEmbedder(4), same) == pytest.approx(0.0, abs=1e-12)
+    h_s, _ = pairs_of(ds, seed=0)
+    assert approximation_loss(DftTruncationEmbedder(4), h_s, h_s) == pytest.approx(0.0, abs=1e-12)
+    assert approximation_loss(DownSampleEmbedder(4), h_s, h_s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_approximation_loss_dft_matches_truncated_distance():
     # for the DFT baseline, 2*||f(s)-f(r)||^2 = 4*d_{m/2}^2 coefficient-wise
     ds = random_dataset(20, 16, seed=12)
-    pairs = make_test_pairs(ds, ds.ids, seed=2)
+    h_s, h_r = pairs_of(ds, seed=2)
     m = 6
-    got = approximation_loss(DftTruncationEmbedder(m), pairs)
+    got = approximation_loss(DftTruncationEmbedder(m), h_s, h_r)
     parts = []
-    for s, r in pairs:
-        d2 = truncated_distance_sq(dft(s.values), dft(r.values), m // 2)
-        corr = float(np.dot(s.values, r.values))
+    for s, r in zip(h_s, h_r):
+        d2 = truncated_distance_sq(dft(s), dft(r), m // 2)
+        corr = float(np.dot(s, r))
         parts.append(abs(4.0 * d2 - (2.0 - 2.0 * corr)))
     assert got == pytest.approx(np.mean(parts), abs=1e-12)
 
@@ -181,8 +177,8 @@ def test_approximation_loss_quarter_copy_exact_at_half_width():
     # series whose second half repeats the first make the truncated DFT
     # distance exact at m/2 = M/4 kept coefficients, so the loss vanishes
     ds = gen_example1(30, 32, seed=0)
-    pairs = make_test_pairs(ds, ds.ids, seed=0)
-    assert approximation_loss(DftTruncationEmbedder(16), pairs) == pytest.approx(0.0, abs=1e-8)
+    h_s, h_r = pairs_of(ds, seed=0)
+    assert approximation_loss(DftTruncationEmbedder(16), h_s, h_r) == pytest.approx(0.0, abs=1e-8)
 
 
 # -------------------------------------------------------------------- sweep
@@ -261,11 +257,12 @@ def test_every_query_gap_bounded_by_worst_approximation_error():
     tree = KdTree(e_pool, pool.ids)
     for row in ds.rows_for(splits.test_ids):
         ns = query_series(ds, row)
+        q = emb.embed_matrix(ns.values[np.newaxis])[0]
         d2_true = 2.0 - 2.0 * (h[pool_rows] @ h[row])
-        d2_est = 2.0 * np.sum((e_pool - emb.embed(ns)) ** 2, axis=1)
+        d2_est = 2.0 * np.sum((e_pool - q) ** 2, axis=1)
         eps_hat = np.max(np.abs(d2_est - d2_true))
         for k in (1, 5, 20):
-            fhat = tree.top_k(emb.embed(ns), k).ids
+            fhat = tree.top_k(q, k).ids
             f = exact_top_k(ns, pool, k)
             assert gap(fhat, f, ns, pool, k) <= 2.0 * eps_hat + 1e-9
 

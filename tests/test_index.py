@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 from corrspace import index
 from corrspace.embed import load_model, save_model
-from corrspace.errors import CorruptArtifact, DimensionMismatch, EmptyInput
+from corrspace.errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput
 from corrspace.index import (
     INDEX_MAGIC,
     KdTree,
-    build,
     load_index,
     save_index,
     threshold_radius_sq,
@@ -48,13 +47,13 @@ def random_tree(n, m, seed, integer=False):
     else:
         points = rng.standard_normal((n, m))
     ids = rng.permutation(n).astype(np.int64)
-    return build(points, ids), points, ids
+    return KdTree(points, ids), points, ids
 
 
 # -------------------------------------------------------------- construction
 
 def test_single_point():
-    tree = build(np.array([[1.0, 2.0]]))
+    tree = KdTree(np.array([[1.0, 2.0]]))
     assert tree.n == 1 and tree.m == 2 and tree.height == 1
     res = tree.top_k(np.array([0.0, 0.0]), 1)
     assert list(res.ids) == [0]
@@ -63,19 +62,29 @@ def test_single_point():
 
 def test_empty_rejected():
     with pytest.raises(EmptyInput):
-        build(np.empty((0, 3)))
+        KdTree(np.empty((0, 3)))
 
 
 def test_dimension_mismatch_on_query():
-    tree = build(np.random.default_rng(0).standard_normal((10, 4)))
+    tree = KdTree(np.random.default_rng(0).standard_normal((10, 4)))
     with pytest.raises(DimensionMismatch):
         tree.top_k(np.zeros(3), 1)
     with pytest.raises(DimensionMismatch):
         tree.within_radius(np.zeros(5), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_degenerate(bad):
+    tree = KdTree(np.random.default_rng(0).standard_normal((1000, 4)))
+    q = np.array([bad, 0.0, 0.0, 0.0])
+    with pytest.raises(DegenerateOutput):
+        tree.top_k(q, 5)
+    with pytest.raises(DegenerateOutput):
+        tree.within_radius(q, 1.0)
+
+
 def test_k_out_of_range():
-    tree = build(np.random.default_rng(0).standard_normal((10, 4)))
+    tree = KdTree(np.random.default_rng(0).standard_normal((10, 4)))
     with pytest.raises(ValueError):
         tree.top_k(np.zeros(4), 0)
     # too-large k is capped: the full ranking comes back
@@ -85,13 +94,13 @@ def test_k_out_of_range():
 def test_height_bound():
     # balanced median splits: height <= ceil(log2 n) + 1
     for n in (1, 2, 3, 63, 64, 65, 500, 1000):
-        tree = build(np.random.default_rng(n).standard_normal((n, 3)))
+        tree = KdTree(np.random.default_rng(n).standard_normal((n, 3)))
         assert tree.height <= math.ceil(math.log2(n)) + 1 if n > 1 else tree.height == 1
 
 
 def test_ids_default_to_row_numbers():
     pts = np.random.default_rng(1).standard_normal((20, 2))
-    tree = build(pts)
+    tree = KdTree(pts)
     res = tree.top_k(pts[7], 1)
     assert list(res.ids) == [7]
     assert res.distances_sq[0] == 0.0
@@ -142,7 +151,7 @@ def test_top_k_with_heavy_ties():
 def test_duplicate_points_tie_break_by_id():
     points = np.zeros((5, 2))
     ids = np.array([42, 7, 99, 3, 55], dtype=np.int64)
-    tree = build(points, ids)
+    tree = KdTree(points, ids)
     res = tree.top_k(np.array([1.0, 0.0]), 3)
     assert list(res.ids) == [3, 7, 42]
 
@@ -157,7 +166,7 @@ def test_query_result_len():
 def test_within_radius_zero_at_duplicates():
     points = np.vstack([np.zeros((4, 2)), np.ones((3, 2))])
     ids = np.arange(7, dtype=np.int64)
-    tree = build(points, ids)
+    tree = KdTree(points, ids)
     res = tree.within_radius(np.zeros(2), 0.0)
     assert sorted(res.ids) == [0, 1, 2, 3]
 
@@ -319,7 +328,7 @@ def test_bucketed_search_equals_full_scan_bit_for_bit(n, m, grid, bucket, seed, 
 
     points, ids = draw(n, m), rng.permutation(4 * n)[:n].astype(np.int64)
     with mock.patch.object(index, "BUCKET", bucket):
-        tree = build(points, ids)
+        tree = KdTree(points, ids)
     q = points[rng.integers(n)] if data.draw(st.booleans()) else draw(m)
     k = data.draw(st.integers(1, n + 5))
     d2, order = full_scan(points, ids, q)
@@ -339,7 +348,7 @@ def test_padding_never_reaches_an_answer():
     # 5 points in buckets of 2 and 3: one padding row, never returned
     points = np.arange(10.0).reshape(5, 2)
     with mock.patch.object(index, "BUCKET", 3):
-        tree = build(points)
+        tree = KdTree(points)
     assert tree._pts.shape == (2, 3, 2)
     assert sorted(tree.within_radius(np.zeros(2), math.inf).ids) == [0, 1, 2, 3, 4]
     assert sorted(tree.top_k(np.zeros(2), 99).ids) == [0, 1, 2, 3, 4]
@@ -365,7 +374,7 @@ def test_box_bound_survives_rounding_at_huge_offsets():
     rng = np.random.default_rng(35)
     points = 1e8 + rng.integers(0, 50, size=(3000, 6)) * 1e-8
     ids = np.arange(3000)
-    tree = build(points, ids)
+    tree = KdTree(points, ids)
     for row in rng.choice(3000, size=20, replace=False):
         q = points[row] + 3e-9
         d2, order = full_scan(points, ids, q)
@@ -446,6 +455,25 @@ def test_corrupt_model_header_bytes_give_only_typed_errors(tmp_path):
             loads_or_corrupt(load_model, path, blob[:off] + bytes([value]) + blob[off + 1 :])
     for off in (4, 8, 12, second, second + 4):  # the low byte of each size word
         assert not loads_or_corrupt(load_model, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
+
+
+def test_non_finite_index_point_is_corrupt(tmp_path):
+    path, blob = small_index(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", blob, 16)
+    first_point = 20 + meta_len + 5 * 8  # after the header, the metadata and 5 ids
+    for bad in (np.nan, np.inf):
+        damaged = blob[:first_point] + struct.pack("<d", bad) + blob[first_point + 8 :]
+        assert not loads_or_corrupt(load_index, path, damaged)
+
+
+def test_non_finite_model_weight_is_corrupt(tmp_path):
+    path, blob = small_model(tmp_path)
+    first_weight = 16  # magic, layer count, then layer 0's rows and cols
+    last_bias = len(blob) - 8 - 8  # before the trailing seed
+    for off in (first_weight, last_bias):
+        for bad in (np.nan, -np.inf):
+            damaged = blob[:off] + struct.pack("<d", bad) + blob[off + 8 :]
+            assert not loads_or_corrupt(load_model, path, damaged)
 
 
 def test_bad_meta_json_is_corrupt(tmp_path):

@@ -1,0 +1,69 @@
+"""The benchmark under perfbench/ reaches into the program by name: the
+tracer wraps public functions for its per-layer metrics, and the workloads
+import the program's API. Renaming or deleting one of those names would drop
+a metric or break a workload without any other test failing.
+"""
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = sorted(PERFBENCH.glob("wl_*.py"))
+
+
+def test_tracer_finds_every_target():
+    # in a subprocess: `install` wraps the program's functions in place
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from tracer import Tracer\n"
+        "t = Tracer()\n"
+        "t.install()\n"
+        "print(json.dumps(sorted(t.missing)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(out.stdout) == []
+
+
+def corrspace_names(path):
+    """(module, name) for each `from corrspace... import name` in the file,
+    and each `alias.name` on a module a function binds with
+    `alias = importlib.import_module("corrspace...")`."""
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "corrspace":
+            names |= {(node.module, alias.name) for alias in node.names}
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        modules = {}
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "import_module"
+                and isinstance(node.value.args[0], ast.Constant)
+                and node.value.args[0].value.startswith("corrspace")
+            ):
+                modules[node.targets[0].id] = node.value.args[0].value
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                names.add((modules[node.value.id], node.attr))
+    return names
+
+
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.name)
+def test_workload_names_exist(path):
+    names = corrspace_names(path)
+    assert names  # the scan found the workload's imports
+    missing = [f"{mod}.{name}" for mod, name in sorted(names) if not hasattr(importlib.import_module(mod), name)]
+    assert missing == []

@@ -5,9 +5,9 @@ and the training loop contract.
 import numpy as np
 import pytest
 
-from corrspace.core import NormalizedSeries, TimeSeries, normalize
+from corrspace.core import TimeSeries, normalize
 from corrspace.datasets import Dataset, SplitDataset, gen_example1, split
-from corrspace.embed import NetworkParams, features, forward_batch
+from corrspace.embed import NetworkParams, features_matrix, forward_trace
 from corrspace.errors import InsufficientData
 from corrspace.train import (
     ADAM_EPS,
@@ -20,12 +20,9 @@ from corrspace.train import (
     adam_step,
     batch_loss,
     desk_config,
-    gradient,
     init_adam,
     init_params,
     loss_and_gradient,
-    loss_approximate,
-    loss_order,
     pair_batch_from,
     train,
     triple_batch_from,
@@ -37,6 +34,27 @@ rng_mod = np.random.default_rng(100)
 
 def norm_ts(values, rid=0):
     return normalize(TimeSeries(id=rid, values=np.asarray(values, dtype=np.float64)))
+
+
+def rows(*series):
+    """The normalized values of the given series, one row each."""
+    return np.vstack([s.values for s in series])
+
+
+def pair_loss(p, h, s, r):
+    """Approximate loss of the pair (h[s], h[r]) through the batch path."""
+    return batch_loss(p, pair_batch_from(h, features_matrix(h), [s], [r]))
+
+
+def triple_loss(p, h, s, r, u):
+    """Order loss of the triple (h[s], h[r], h[u]), h[r] the reference."""
+    return batch_loss(p, triple_batch_from(h, features_matrix(h), [s], [r], [u]))
+
+
+def smooth_forward(p, h):
+    """Embeddings of the rows of h with the smoothed normalization the losses
+    use, which a zero pre-normalization output does not make fail."""
+    return forward_trace(p, features_matrix(h))[3]
 
 
 def tiny_dataset(n=40, big_m=16, seed=0):
@@ -105,7 +123,7 @@ def test_desk_config_profile():
 def test_loss_approximate_identical_pair_is_zero():
     p = init_params(8, 8, 4, seed=0)
     s = norm_ts(np.random.default_rng(1).standard_normal(8))
-    assert loss_approximate(p, s, s) == 0.0
+    assert pair_loss(p, rows(s), 0, 0) == 0.0
 
 
 def test_loss_approximate_antipodal_plugin():
@@ -119,13 +137,10 @@ def test_loss_approximate_antipodal_plugin():
     raw = np.array([0.3, -1.2, 0.7, 0.4, -0.9, 1.5, 0.1, -0.8])
     s = norm_ts(raw)
     r = norm_ts(-raw, rid=1)
-    np.testing.assert_allclose(features(r), -features(s), atol=1e-12)
-    assert loss_approximate(p, s, r) == pytest.approx(4.0, abs=1e-9)
-
-
-def smooth_forward(p, x):
-    """Embedding with the smoothed normalization the losses use internally."""
-    return forward_batch(p, x[np.newaxis, :], smooth=True)[0]
+    h = rows(s, r)
+    f = features_matrix(h)[:, :4]  # the net reads the first 4 of the 8 features
+    np.testing.assert_allclose(f[1], -f[0], atol=1e-12)
+    assert batch_loss(p, pair_batch_from(h, f, [0], [1])) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_loss_approximate_matches_recomputation():
@@ -133,31 +148,31 @@ def test_loss_approximate_matches_recomputation():
     rng = np.random.default_rng(3)
     for trial in range(10):
         s, r = norm_ts(rng.standard_normal(8)), norm_ts(rng.standard_normal(8), 1)
-        y_s, y_r = smooth_forward(p, features(s)), smooth_forward(p, features(r))
+        y_s, y_r = smooth_forward(p, rows(s, r))
         corr = float(np.dot(s.values, r.values))
         want = abs(2.0 * np.sum((y_s - y_r) ** 2) - 2.0 * (1.0 - corr))
-        assert loss_approximate(p, s, r) == pytest.approx(want, abs=1e-9)
+        assert pair_loss(p, rows(s, r), 0, 1) == pytest.approx(want, abs=1e-9)
 
 
 def test_loss_approximate_symmetric():
     p = init_params(8, 6, 3, seed=4)
     rng = np.random.default_rng(5)
-    s, r = norm_ts(rng.standard_normal(8)), norm_ts(rng.standard_normal(8), 1)
-    assert loss_approximate(p, s, r) == pytest.approx(loss_approximate(p, r, s), abs=1e-12)
+    h = rows(norm_ts(rng.standard_normal(8)), norm_ts(rng.standard_normal(8), 1))
+    assert pair_loss(p, h, 0, 1) == pytest.approx(pair_loss(p, h, 1, 0), abs=1e-12)
 
 
 def test_loss_order_u_equals_s_is_zero():
     rng = np.random.default_rng(7)
     for seed in range(5):
         p = init_params(8, 6, 3, seed=seed)
-        s, r = norm_ts(rng.standard_normal(8)), norm_ts(rng.standard_normal(8), 1)
-        assert loss_order(p, s, r, s) == 0.0
+        h = rows(norm_ts(rng.standard_normal(8)), norm_ts(rng.standard_normal(8), 1))
+        assert triple_loss(p, h, 0, 1, 0) == 0.0
 
 
 def test_loss_order_all_identical_is_zero():
     p = init_params(8, 6, 3, seed=1)
     s = norm_ts(np.random.default_rng(9).standard_normal(8))
-    assert loss_order(p, s, s, s) == 0.0
+    assert triple_loss(p, rows(s), 0, 0, 0) == 0.0
 
 
 def test_loss_order_matches_recomputation():
@@ -167,29 +182,27 @@ def test_loss_order_matches_recomputation():
         s = norm_ts(rng.standard_normal(8))
         r = norm_ts(rng.standard_normal(8), 1)
         u = norm_ts(rng.standard_normal(8), 2)
-        y_s, y_r, y_u = (smooth_forward(p, features(x)) for x in (s, r, u))
+        y_s, y_r, y_u = smooth_forward(p, rows(s, r, u))
         gap_emb = np.sum((y_r - y_s) ** 2) - np.sum((y_r - y_u) ** 2)
         gap_corr = float(np.dot(r.values, u.values) - np.dot(r.values, s.values))
         want = abs(2.0 * gap_emb - 2.0 * gap_corr)
-        assert loss_order(p, s, r, u) == pytest.approx(want, abs=1e-9)
+        assert triple_loss(p, rows(s, r, u), 0, 1, 2) == pytest.approx(want, abs=1e-9)
 
 
 def test_loss_order_swap_symmetry():
     p = init_params(8, 6, 3, seed=8)
     rng = np.random.default_rng(13)
-    s = norm_ts(rng.standard_normal(8))
-    r = norm_ts(rng.standard_normal(8), 1)
-    u = norm_ts(rng.standard_normal(8), 2)
-    assert loss_order(p, s, r, u) == pytest.approx(loss_order(p, u, r, s), abs=1e-12)
+    h = rows(*(norm_ts(rng.standard_normal(8), i) for i in range(3)))
+    assert triple_loss(p, h, 0, 1, 2) == pytest.approx(triple_loss(p, h, 2, 1, 0), abs=1e-12)
 
 
 def test_losses_nonnegative():
     rng = np.random.default_rng(15)
     for seed in range(5):
         p = init_params(8, 4, 2, seed=seed)
-        s, r, u = (norm_ts(rng.standard_normal(8), i) for i in range(3))
-        assert loss_approximate(p, s, r) >= 0.0
-        assert loss_order(p, s, r, u) >= 0.0
+        h = rows(*(norm_ts(rng.standard_normal(8), i) for i in range(3)))
+        assert pair_loss(p, h, 0, 1) >= 0.0
+        assert triple_loss(p, h, 0, 1, 2) >= 0.0
 
 
 # ----------------------------------------------------------------- gradient
@@ -197,9 +210,9 @@ def test_losses_nonnegative():
 def test_gradient_zero_when_loss_zero():
     # identical pairs: distance 0, target 0, |0| with sign(0) = 0 subgradient
     p = init_params(8, 8, 4, seed=0)
-    f = features(norm_ts(np.random.default_rng(17).standard_normal(8)))[np.newaxis, :]
+    f = features_matrix(rows(norm_ts(np.random.default_rng(17).standard_normal(8))))
     batch = PairBatch(f_s=f, f_r=f, target=np.zeros(1))
-    for g in gradient(p, batch):
+    for g in loss_and_gradient(p, batch)[1]:
         assert np.all(g == 0.0)
 
 
@@ -207,12 +220,10 @@ def test_gradient_of_duplicated_batch_equals_single():
     p = init_params(8, 8, 4, seed=1)
     rng = np.random.default_rng(19)
     h = np.vstack([norm_ts(rng.standard_normal(8), i).values for i in range(2)])
-    from corrspace.embed import features_matrix
-
     f = features_matrix(h)
     single = pair_batch_from(h, f, np.array([0]), np.array([1]))
     double = pair_batch_from(h, f, np.array([0, 0]), np.array([1, 1]))
-    for a, b in zip(gradient(p, single), gradient(p, double)):
+    for a, b in zip(loss_and_gradient(p, single)[1], loss_and_gradient(p, double)[1]):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -223,11 +234,9 @@ def test_gradient_finite_at_degenerate_norm():
     p.weights[-1][:] = 0.0
     rng = np.random.default_rng(25)
     h = np.vstack([norm_ts(rng.standard_normal(8), i).values for i in range(4)])
-    from corrspace.embed import features_matrix
-
     f = features_matrix(h)
     batch = pair_batch_from(h, f, np.array([0, 2]), np.array([1, 3]))
-    for g in gradient(p, batch):
+    for g in loss_and_gradient(p, batch)[1]:
         assert np.all(np.isfinite(g))
 
 
@@ -237,14 +246,12 @@ def test_gradient_matches_finite_differences(loss_kind):
     for seed in range(4):
         p = init_params(8, 8, 4, seed=seed)
         h = np.vstack([norm_ts(rng.standard_normal(12), i).values for i in range(6)])
-        from corrspace.embed import features_matrix
-
         f = features_matrix(h)[:, :8]
         if loss_kind == APPROXIMATE:
             batch = pair_batch_from(h, f, np.array([0, 2, 4]), np.array([1, 3, 5]))
         else:
             batch = triple_batch_from(h, f, np.array([0, 3]), np.array([1, 4]), np.array([2, 5]))
-        analytic = flatten(gradient(p, batch))
+        analytic = flatten(loss_and_gradient(p, batch)[1])
         numeric = flatten(numeric_gradient(p, batch))
         denom = np.maximum(np.abs(numeric), 1e-8)
         rel = np.abs(analytic - numeric) / denom
@@ -255,8 +262,6 @@ def test_loss_and_gradient_consistent_with_batch_loss():
     p = init_params(8, 8, 4, seed=3)
     rng = np.random.default_rng(23)
     h = np.vstack([norm_ts(rng.standard_normal(8), i).values for i in range(4)])
-    from corrspace.embed import features_matrix
-
     f = features_matrix(h)
     batch = pair_batch_from(h, f, np.array([0, 2]), np.array([1, 3]))
     loss, _ = loss_and_gradient(p, batch)
@@ -403,11 +408,7 @@ def test_training_reduces_loss_on_example1():
     params = train(ds, sp, cfg)
     init = init_params(16, cfg.hidden_size, 4, cfg.seed)
     h = ds.normalized_matrix()
-    rows = ds.rows_for(sp.test_ids)
     rng = np.random.default_rng(0)
-    pick = rng.choice(rows, size=(2, 10), replace=False)
-    s_list = [NormalizedSeries(values=h[i], mean=0.0, stddev=1.0) for i in pick[0]]
-    r_list = [NormalizedSeries(values=h[i], mean=0.0, stddev=1.0) for i in pick[1]]
-    before = np.mean([loss_approximate(init, s, r) for s, r in zip(s_list, r_list)])
-    after = np.mean([loss_approximate(params, s, r) for s, r in zip(s_list, r_list)])
-    assert after < before
+    pick = rng.choice(ds.rows_for(sp.test_ids), size=(2, 10), replace=False)
+    batch = pair_batch_from(h, features_matrix(h), pick[0], pick[1])
+    assert batch_loss(params, batch) < batch_loss(init, batch)
