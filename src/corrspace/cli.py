@@ -277,12 +277,11 @@ def cmd_index(ns):
             raise UsageError("--partition must be train, val, test or all")
         rows = ds.rows_for(ids)
     else:
-        rows = np.arange(ds.n)
+        rows = slice(None)
     if p["method"] in ("dft", "downsample") and p["m"] is None:
         raise UsageError(f"method {p['method']} requires --m")
     embedder = _embedder_for(p["method"], p["m"], p["model"])
-    h = ds.normalized_matrix()[rows]
-    tree = KdTree(embedder.embed_matrix(h), ds.ids[rows])
+    tree = KdTree(embedder.embed_matrix(ds.normalized_matrix(rows)), ds.ids[rows])
     meta = {
         "method": p["method"],
         "m": int(embedder.m),
@@ -452,7 +451,7 @@ def cmd_bench(ns):
         p["n"], p["m"], p["k"], n_queries=p["queries"], seed=p["seed"],
         series_length=p["length"], hidden_size=p["hidden_size"], params=params,
     )
-    for key in ("q50_us", "q99_us", "embed_q50_us", "traverse_q50_us", "scanned_q50", "build_ms"):
+    for key in ("q50_us", "q99_us", "embed_q50_us", "traverse_q50_us", "scanned_q50", "refined_q50", "build_ms"):
         print(f"{key} = {stats[key]:.1f}")
     if p["report_out"]:
         with open(p["report_out"], "w") as fh:

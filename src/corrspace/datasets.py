@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TimeSeries
-from .errors import EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
+from .errors import ConstantSeries, EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
 
 log = logging.getLogger(__name__)
 
@@ -60,11 +60,26 @@ class Dataset:
         lookup = {int(rid): i for i, rid in enumerate(self.ids)}
         return np.array([lookup[int(r)] for r in ids], dtype=np.int64)
 
-    def normalized_matrix(self) -> np.ndarray:
-        """All series l2-normalized, as an (n, M) matrix."""
-        centered = self.values - self.values.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(centered, axis=1, keepdims=True)
-        return centered / norms
+    def normalized_matrix(self, rows=slice(None)) -> np.ndarray:
+        """The series at `rows` (all by default) l2-normalized, one per row.
+
+        Works through `_NORM_BLOCK` values at a time, so beyond its result
+        it holds no full-size temporary; each row's bits do not depend on
+        the block. Raises ConstantSeries, naming its id, for a series whose
+        values are all equal (`load_csv`'s rule): its correlation is undefined.
+        """
+        rows = np.arange(self.n)[rows]
+        out = np.empty((len(rows), self.length))
+        step = max(1, _NORM_BLOCK // self.length)
+        for lo in range(0, len(rows), step):
+            block = self.values[rows[lo : lo + step]]
+            constant = np.flatnonzero(block.max(axis=1) == block.min(axis=1))
+            if len(constant):
+                raise ConstantSeries(f"series {self.ids[rows[lo + constant[0]]]} is constant (stddev = 0)")
+            block -= block.mean(axis=1, keepdims=True)
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
+            out[lo : lo + step] = block
+        return out
 
 
 @dataclass
@@ -86,6 +101,7 @@ class SplitDataset:
             raise ValueError("split partitions overlap")
 
 
+_NORM_BLOCK = 2**16  # values per block of `Dataset.normalized_matrix`
 _DELIMITERS = {"csv": ",", "csv_id": ",", "ucr": "\t"}
 _INT64_BOUND = 2.0**63  # an id v becomes an int64 iff -2**63 <= v < 2**63
 

@@ -31,7 +31,8 @@ class InvalidM(CorrSpaceError):
 
 class DegenerateOutput(CorrSpaceError):
     """An embedding is unusable: the network's pre-normalization output has
-    (near-)zero norm, or a query vector holds a non-finite value."""
+    (near-)zero norm, or a query vector or a point to index holds a
+    non-finite value."""
 
     exit_code = 13
 

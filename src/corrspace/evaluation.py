@@ -51,10 +51,13 @@ def gap(fhat_ids, f_ids, ns, pool: Dataset, k=None) -> float:
         k = len(f_ids)
     if len(fhat_ids) != k or len(f_ids) != k:
         raise SizeMismatch(f"expected two id sets of size {k}, got {len(fhat_ids)}/{len(f_ids)}")
-    h = pool.normalized_matrix()
-    q = np.asarray(ns.values, dtype=np.float64)
-    d2 = lambda rows: 2.0 - 2.0 * (h[rows] @ q)
-    return float((d2(pool.rows_for(fhat_ids)).sum() - d2(pool.rows_for(f_ids)).sum()) / k)
+    d2 = 2.0 - 2.0 * (pool.normalized_matrix() @ np.asarray(ns.values, dtype=np.float64))
+    return float(_gap(d2, pool.rows_for(fhat_ids), pool.rows_for(f_ids), k))
+
+
+def _gap(d2, fhat_rows, f_rows, k):
+    """`gap` from one query's true distances² `d2` to every pool row."""
+    return (d2[fhat_rows].sum() - d2[f_rows].sum()) / k
 
 
 def pair_rows(ds: Dataset, ids, seed: int):
@@ -197,7 +200,7 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
                     f_cols = exact_order[i, :k]
                     fhat_cols = np.array([col_of[int(r)] for r in res.ids])
                     rho_sum += precision(res.ids, pool_ids[f_cols], k)
-                    delta_sum += (d2_true[i, fhat_cols].sum() - d2_true[i, f_cols].sum()) / k
+                    delta_sum += _gap(d2_true[i], fhat_cols, f_cols, k)
                 q50, q99 = (
                     (float(np.percentile(lat, 50)), float(np.percentile(lat, 99)))
                     if cfg.timing
@@ -241,8 +244,9 @@ def latency_benchmark(
 
     The network defaults to a fresh initialization: latency depends on the
     architecture, not on the trained weights. Times are microseconds;
-    `scanned_q50` is the median count of points whose distance² a query
-    computed, so a pruning regression shows without a profiler.
+    `scanned_q50` is the median count of points in the buckets a query
+    visited and `refined_q50` the median count whose exact distance² it
+    computed, so a pruning or prefilter regression shows without a profiler.
     """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n + n_queries, series_length))
@@ -256,7 +260,7 @@ def latency_benchmark(
     tree = KdTree(emb_pool, np.arange(n))
     build_ms = (time.perf_counter() - t0) * 1e3
 
-    embed_us, traverse_us, total_us, scanned = [], [], [], []
+    embed_us, traverse_us, total_us, scanned, refined = [], [], [], [], []
     for i in range(n, n + n_queries):
         row = h[i : i + 1]
         t0 = time.perf_counter()
@@ -265,6 +269,7 @@ def latency_benchmark(
         res = tree.top_k(q, k)
         t2 = time.perf_counter()
         scanned.append(res.scanned)
+        refined.append(res.refined)
         embed_us.append((t1 - t0) * 1e6)
         traverse_us.append((t2 - t1) * 1e6)
         total_us.append((t2 - t0) * 1e6)
@@ -281,6 +286,7 @@ def latency_benchmark(
         "traverse_q50_us": pct(traverse_us, 50),
         "traverse_q99_us": pct(traverse_us, 99),
         "scanned_q50": pct(scanned, 50),
+        "refined_q50": pct(refined, 50),
         "q50_us": pct(total_us, 50),
         "q99_us": pct(total_us, 99),
     }

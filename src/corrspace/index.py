@@ -14,11 +14,14 @@ gives `save_index` the input order back with one gather.
 A query is a few numpy passes. The squared distance from q to each box is
 a lower bound for every point in that bucket. `top_k` scans the buckets
 nearest q until they hold k points and takes the k-th d² as its bound;
-`within_radius` takes r². Every bucket whose lower bound is within the
-bound is then gathered, its d² computed, and the answer ordered by
-(d², id). Every d² comes from `_dist_sq`, so answers equal a brute-force
-scan with that kernel bit for bit, ties included; the only approximation
-in the pipeline lives in the embedding itself.
+`within_radius` takes r². The remaining buckets whose lower bound is
+within the bound are then gathered, and each of their points gets a cheap
+estimate ‖p‖² − 2⟨p, q⟩ from the stored squared norms and one
+matrix-vector product. Only the points whose estimate a proven rounding
+margin cannot rule out get their exact d², and the answer is ordered by
+(d², id). Every returned d² comes from `_dist_sq`, so answers equal a
+brute-force scan with that kernel bit for bit, ties included; the only
+approximation in the pipeline lives in the embedding itself.
 """
 
 import json
@@ -36,20 +39,26 @@ _HEADER = struct.Struct("<4sIIII")  # magic, version, n, m, meta length
 BUCKET = 128  # most points per bucket (README "Index" has the measurements)
 
 # Box bounds below this are set to 0, so the rounding argument in
-# `KdTree._box_bounds` never meets a subnormal product or sum.
+# `KdTree._box_bounds` never meets a subnormal product or sum; the
+# prefilter's margin adds it to absorb underflow (`KdTree._filtered_scan`).
 _TINY = 2.0**-900
+# The prefilter only drops points while ‖q‖² and the bound are at most this,
+# so no sum in the estimate or threshold of a point it must keep can overflow.
+_HUGE = 2.0**1000
 
 
 @dataclass(frozen=True)
 class QueryResult:
     """Matches ordered by ascending distance², ties by ascending id.
 
-    `scanned` counts the points whose distance² the query computed.
+    `scanned` counts the points of every bucket the query visited;
+    `refined` counts those whose exact distance² it computed.
     """
 
     ids: np.ndarray
     distances_sq: np.ndarray
     scanned: int = 0
+    refined: int = 0
 
     def __len__(self):
         return len(self.ids)
@@ -87,15 +96,27 @@ class KdTree:
         pts[slot] = points
         pad_ids = np.full(n_buckets * width, -1, dtype=np.int64)
         pad_ids[slot] = ids
+        # squared norms, NaN for padding; a non-finite coordinate makes one NaN or ∞
+        nn = np.einsum("ij,ij->i", pts, pts)
+        odd = ~np.isfinite(nn[slot])
+        if odd.any() and not np.isfinite(points[odd]).all():
+            raise DegenerateOutput("cannot index a non-finite point")
         self._pts = pts.reshape(n_buckets, width, m)
         self._ids = pad_ids.reshape(n_buckets, width)
         self._rows = slot
         self._sizes = sizes
         self._smallest = int(sizes.min())
-        self._lo = np.fmin.reduce(self._pts, axis=1)  # fmin/fmax skip the NaN padding
-        self._hi = np.fmax.reduce(self._pts, axis=1)
+        # fmin/fmax skip the NaN padding; a loop over slot columns beats a
+        # reduction over axis 1 by about 4 ms at 10⁵ points, paying for `_nn`
+        self._lo, self._hi = self._pts[:, 0].copy(), self._pts[:, 0].copy()
+        for j in range(1, width):
+            np.fmin(self._lo, self._pts[:, j], out=self._lo)
+            np.fmax(self._hi, self._pts[:, j], out=self._hi)
         # See `_box_bounds`: shrinking by 2(m+2)·2⁻⁵³ absorbs the rounding.
         self._shrink = 1.0 - 2 * (m + 2) * 2.0**-53
+        # See `_filtered_scan`.
+        self._nn = nn.reshape(n_buckets, width)
+        self._rel = 8 * (m + 4) * 2.0**-53
 
     @property
     def n(self):
@@ -144,6 +165,48 @@ class KdTree:
         """(d², ids) of every slot of the given buckets; padding gives NaN."""
         return _dist_sq(self._pts[buckets].reshape(-1, self.m), q), self._ids[buckets].ravel()
 
+    def _filtered_scan(self, buckets, q, bound):
+        """(d², ids) of the slots of `buckets` whose computed d² may be ≤ bound.
+
+        Each slot gets est = ‖p‖² + ⟨p, −2q⟩, its stored `_nn` plus one
+        matrix-vector product, and is dropped only if est > thr, where
+        thr = (bound − ‖q‖²) + 8(m + 4)·2⁻⁵³·(‖q‖² + bound) + 2⁻⁹⁰⁰, or +∞
+        when ‖q‖² or bound exceeds H = 2¹⁰⁰⁰. Kept slots get their d² from
+        `_dist_sq`. A NaN est (padding, or ∞ − ∞ past H) is never > thr, so
+        it is kept; padding then computes to NaN and `_ranked` drops it.
+
+        Proof that a point whose computed d² D is at most B = bound is kept.
+        Let u = 2⁻⁵³, γ_j = ju/(1 − ju), and P = ‖p‖², Q = ‖q‖², G = ⟨p, q⟩
+        and Δ = P + Q − 2G be exact. Past H, thr = +∞ drops nothing. Else:
+        a sum of m products, rounded in any order, with or without fused
+        multiply-adds, is within γ_m·Σ|product| of the exact sum, plus
+        m·2⁻¹⁰⁷⁴ for underflow (sums that land among the subnormals are
+        exact). `_dist_sq` also rounds each p_j − q_j, so
+        D ≥ (1 − γ_{m+2})Δ − m·2⁻¹⁰⁷⁴ and Δ ≤ (1 + 2γ_{m+2})B + 2m·2⁻¹⁰⁷⁴.
+        As √P ≤ √Q + √Δ, P ≤ 2Q + 2Δ: whatever the data's scale, such a
+        point has P below about 2¹⁰⁰³, so no sum below overflows.
+        Scaling q by −2 is exact and 2Σ|p_j q_j| ≤ P + Q, so
+        nn ≤ (1 + γ_m)P + m·2⁻¹⁰⁷⁴, ⟨p, −2q⟩ ≤ −2G + γ_m(P + Q) + m·2⁻¹⁰⁷⁴
+        and est ≤ Δ − Q + γ_{m+1}(2P + Q) + 3m·2⁻¹⁰⁷⁴; with the two bounds
+        above, est ≤ B − Q + 7γ_{m+2}(B + Q) + 6m·2⁻¹⁰⁷⁴. The computed ‖q‖²
+        is within γ_m·Q + m·2⁻¹⁰⁷⁴ of Q; it and the margin's own three
+        roundings shrink the margin by at most a factor 1 − γ_{m+3}, and the
+        two outer sums lose at most 3u(B + Q), so
+        thr ≥ B − Q + ((8m + 32)(1 − γ_{m+3}) − m − 3)·u·(B + Q)
+        + 2⁻⁹⁰⁰(1 − 3u) − (m + 2)·2⁻¹⁰⁷⁴. For m < 2²⁴ the factor on u(B + Q)
+        exceeds the 7m + 15 that 7γ_{m+2} needs, and 2⁻⁹⁰⁰ covers the
+        underflow terms, so est ≤ thr.
+        """
+        rows = self._pts[buckets].reshape(-1, self.m)
+        with np.errstate(over="ignore", invalid="ignore"):  # past H, est may be ±∞ or NaN
+            est = self._nn[buckets].ravel() + np.dot(rows, -2.0 * q)
+            qq = float(np.dot(q, q))
+        thr = np.inf
+        if qq <= _HUGE and bound <= _HUGE:
+            thr = (bound - qq) + (self._rel * (qq + bound) + _TINY)
+        keep = np.flatnonzero(~(est > thr))
+        return _dist_sq(rows[keep], q), self._ids[buckets].ravel()[keep]
+
     def top_k(self, q, k: int) -> QueryResult:
         """Exact k nearest neighbors (k capped at n), ties by ascending id."""
         q = self._check_query(q)
@@ -157,7 +220,7 @@ class KdTree:
         bound = np.partition(d2, k - 1)[k - 1]  # NaN padding sorts last
         cut = int(np.searchsorted(lb[near], bound, side="right"))
         if cut > first:
-            more_d2, more_ids = self._scan(near[first:cut], q)
+            more_d2, more_ids = self._filtered_scan(near[first:cut], q, bound)
             d2, ids = np.concatenate([d2, more_d2]), np.concatenate([ids, more_ids])
         return self._ranked(d2, ids, bound, near[: max(first, cut)], k)
 
@@ -167,14 +230,21 @@ class KdTree:
         if r_sq < 0:
             raise ValueError("radius² must be nonnegative")
         hits = np.flatnonzero(self._box_bounds(q) <= r_sq)
-        return self._ranked(*self._scan(hits, q), r_sq, hits)
+        return self._ranked(*self._filtered_scan(hits, q, r_sq), r_sq, hits)
 
     def _ranked(self, d2, ids, bound, buckets, k=None) -> QueryResult:
-        """Points of the scanned `buckets` with d² ≤ bound by (d², id), the first k if given."""
+        """Points among (d², ids) with d² ≤ bound by (d², id), the first k if given.
+
+        `buckets` are the buckets the query visited; d² is NaN exactly for
+        padding, so the non-NaN entries are the points refined.
+        """
+        refined = len(d2) - int(np.count_nonzero(np.isnan(d2)))
         keep = np.flatnonzero(d2 <= bound)  # NaN padding never passes
         d2, ids = d2[keep], ids[keep]
         order = np.lexsort((ids, d2))[:k]
-        return QueryResult(ids=ids[order], distances_sq=d2[order], scanned=int(self._sizes[buckets].sum()))
+        return QueryResult(
+            ids=ids[order], distances_sq=d2[order], scanned=int(self._sizes[buckets].sum()), refined=refined
+        )
 
 
 def _build_order(pts: np.ndarray, ids: np.ndarray, levels: int):
@@ -248,6 +318,7 @@ def load_index(path):
         raise CorruptArtifact(f"{path}: metadata is not a JSON object")
     ids = np.frombuffer(data, dtype="<i8", count=n, offset=off)
     pts = np.frombuffer(data, dtype="<f8", count=n * m, offset=off + 8 * n).reshape(n, m)
-    if not np.isfinite(pts).all():
+    try:
+        return KdTree(pts, ids), meta
+    except DegenerateOutput:  # the tree's own finite check
         raise CorruptArtifact(f"{path}: the index holds a non-finite point")
-    return KdTree(pts, ids), meta

@@ -500,8 +500,10 @@ def test_bench_prints_points_scanned(capsys, tmp_path):
     )
     assert code == 0
     printed = dict(line.split(" = ") for line in stdout.strip().splitlines())
-    assert float(printed["scanned_q50"]) == json.loads(report.read_text())["scanned_q50"]
-    assert 5 <= float(printed["scanned_q50"]) <= 300
+    stats = json.loads(report.read_text())
+    assert float(printed["scanned_q50"]) == stats["scanned_q50"]
+    assert float(printed["refined_q50"]) == stats["refined_q50"]
+    assert 5 <= float(printed["refined_q50"]) <= float(printed["scanned_q50"]) <= 300
 
 
 def test_bench_missing_model_exit_code(capsys, tmp_path):

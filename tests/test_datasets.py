@@ -20,7 +20,7 @@ from corrspace.datasets import (
     save_csv,
     split,
 )
-from corrspace.errors import CorrSpaceError, EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
+from corrspace.errors import ConstantSeries, CorrSpaceError, EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
 
 
 def write(path, text):
@@ -299,6 +299,35 @@ def test_split_too_small():
 def test_split_overlap_rejected():
     with pytest.raises(ValueError):
         SplitDataset(train_ids=np.array([1, 2]), val_ids=np.array([2]), test_ids=np.array([3]), seed=0)
+
+
+# ---------------------------------------------------------- normalization
+
+def test_normalized_matrix_bits_in_blocks_and_subsets():
+    # the reference is the one-pass formula; 1100 rows of 128 cross two block edges
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((1100, 128)) * rng.uniform(0.1, 1e3, size=(1100, 1)) + rng.uniform(-50, 50, size=(1100, 1))
+    ds = Dataset(ids=np.arange(1100) * 3, values=values)
+    centered = values - values.mean(axis=1, keepdims=True)
+    want = centered / np.linalg.norm(centered, axis=1, keepdims=True)
+    assert ds.normalized_matrix().tobytes() == want.tobytes()
+    rows = rng.permutation(1100)[:700]
+    assert ds.normalized_matrix(rows).tobytes() == want[rows].tobytes()
+    np.testing.assert_array_equal(ds.values, values)  # the dataset is left as it was
+
+
+@pytest.mark.parametrize("row", [[2.0] * 6, [0.1] * 6, [-3e-300] * 5])
+def test_normalized_matrix_constant_row_raises_naming_its_id(row):
+    # [0.1] * 6 has a mean that rounds away from 0.1, so its centered norm is not 0
+    values = np.zeros((600, len(row)))
+    values[:, 0] = 1.0
+    values[517] = row
+    ds = Dataset(ids=np.arange(600) + 1000, values=values)
+    with pytest.raises(ConstantSeries, match="series 1517 "):
+        ds.normalized_matrix()
+    with pytest.raises(ConstantSeries, match="series 1517 "):
+        ds.normalized_matrix(np.array([3, 517]))
+    assert ds.normalized_matrix(np.array([3, 516])).shape == (2, len(row))
 
 
 # ------------------------------------------------------------- gen_example1

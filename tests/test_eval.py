@@ -283,3 +283,4 @@ def test_latency_benchmark_smoke():
 def test_latency_benchmark_reports_points_scanned():
     stats = latency_benchmark(n=5000, m=4, k=5, n_queries=25, seed=0, series_length=32, hidden_size=16)
     assert 5 <= stats["scanned_q50"] < 5000  # at m=4 the box bounds prune most buckets
+    assert 5 <= stats["refined_q50"] <= stats["scanned_q50"]

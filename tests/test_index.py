@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrspace import index
-from corrspace.embed import load_model, save_model
+from corrspace.datasets import Dataset
+from corrspace.embed import DftTruncationEmbedder, load_model, save_model
 from corrspace.errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput
 from corrspace.index import (
     INDEX_MAGIC,
@@ -311,20 +312,25 @@ def assert_bitwise(res, ids, d2):
     assert res.distances_sq.tobytes() == d2.tobytes()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     n=st.integers(1, 3000),
     m=st.integers(1, 20),
     grid=st.booleans(),
     bucket=st.sampled_from([2, 3, 16, index.BUCKET]),
+    scale=st.sampled_from([1.0, 1.0, 1e-160, 1e150, 3e150, 1e155, 1e300]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_bucketed_search_equals_full_scan_bit_for_bit(n, m, grid, bucket, seed, data):
-    # integer-grid points tie heavily and sit on their buckets' box faces
+def test_bucketed_search_equals_full_scan_bit_for_bit(n, m, grid, bucket, scale, seed, data):
+    # integer-grid points tie heavily and sit on their buckets' box faces;
+    # scale 1 is listed twice to keep it the common case. At 1e-160 squares
+    # underflow, from 3e150 up ‖q‖² can pass the prefilter's range or
+    # overflows, and at 1e300 differences and d² overflow too
     rng = np.random.default_rng(seed)
     def draw(*shape):
-        return rng.integers(-2, 3, size=shape).astype(np.float64) if grid else rng.standard_normal(shape)
+        unit = rng.integers(-2, 3, size=shape).astype(np.float64) if grid else rng.standard_normal(shape)
+        return unit * scale
 
     points, ids = draw(n, m), rng.permutation(4 * n)[:n].astype(np.int64)
     with mock.patch.object(index, "BUCKET", bucket):
@@ -335,13 +341,13 @@ def test_bucketed_search_equals_full_scan_bit_for_bit(n, m, grid, bucket, seed, 
     top = order[:k]
     res = tree.top_k(q, k)
     assert_bitwise(res, ids[top], d2[top])
-    assert min(k, n) <= res.scanned <= n
+    assert min(k, n) <= res.refined <= res.scanned <= n
     kth = float(d2[top[-1]])
     for r2 in (0.0, kth, math.inf):
         hit = order[d2[order] <= r2]
         res = tree.within_radius(q, r2)
         assert_bitwise(res, ids[hit], d2[hit])
-        assert len(hit) <= res.scanned <= n
+        assert len(hit) <= res.refined <= res.scanned <= n
 
 
 def test_padding_never_reaches_an_answer():
@@ -381,6 +387,114 @@ def test_box_bound_survives_rounding_at_huge_offsets():
         assert_bitwise(tree.top_k(q, 25), ids[order[:25]], d2[order[:25]])
         hit = order[d2[order] <= d2[order[25]]]
         assert_bitwise(tree.within_radius(q, float(d2[order[25]])), ids[hit], d2[hit])
+
+
+# ---------------------------------------------------------------- prefilter
+
+def assert_matches_full_scan(tree, points, ids, q, ks):
+    """top_k at each k and within_radius at each k-th d² equal the full scan bit for bit."""
+    d2, order = full_scan(points, ids, q)
+    for k in ks:
+        top = order[:k]
+        assert_bitwise(tree.top_k(q, k), ids[top], d2[top])
+        hit = order[d2[order] <= d2[top[-1]]]
+        assert_bitwise(tree.within_radius(q, float(d2[top[-1]])), ids[hit], d2[hit])
+
+
+def test_prefilter_keeps_the_point_on_the_bound():
+    # within_radius at the k-th d² puts a point exactly on the bound on every
+    # call; twins reflected through q (p − q and p' − q exact negatives, so
+    # equal d²) put ties on the top-k bound in buckets the prefilter decides
+    rng = np.random.default_rng(41)
+    q = rng.integers(-4, 5, size=8) * 0.5
+    d = rng.integers(-(2**40), 2**40, size=(1500, 8)) * 2.0**-40
+    points = np.vstack([q + d, q - d])
+    ids = rng.permutation(len(points)).astype(np.int64)
+    tree = KdTree(points, ids)
+    assert_matches_full_scan(tree, points, ids, q, range(1, 200, 3))
+    unit = rng.standard_normal((5000, 16))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    tree = KdTree(unit, np.arange(5000))
+    for row in rng.choice(5000, size=40, replace=False):
+        assert_matches_full_scan(tree, unit, np.arange(5000), unit[row] + 0.01 * rng.standard_normal(16), (1, 10, 100))
+
+
+def test_prefilter_near_duplicates():
+    # d² near 1e-30 sits far below the rounding of ‖p‖² − 2⟨p, q⟩ near 1
+    rng = np.random.default_rng(43)
+    base = rng.standard_normal(6)
+    base /= np.linalg.norm(base)
+    points = np.vstack([base + rng.standard_normal((800, 6)) * 1e-15, rng.standard_normal((2000, 6))])
+    ids = np.arange(len(points))
+    tree = KdTree(points, ids)
+    for _ in range(20):
+        assert_matches_full_scan(tree, points, ids, base + rng.standard_normal(6) * 1e-15, (1, 5, 50, 400))
+
+
+@pytest.mark.parametrize("scale", [1e149, 1e150, 1e154, 1e155, 1e200, 1e307])
+def test_prefilter_near_overflow(scale):
+    # ‖p‖² passes 2¹⁰⁰⁰ from about 1e150 and overflows from about 1e154;
+    # at q = p both ‖p‖² and ⟨p, −2q⟩ overflow, so est = ∞ − ∞ is NaN and must be kept
+    rng = np.random.default_rng(47)
+    points = rng.standard_normal((2000, 5)) * scale
+    ids = np.arange(2000)
+    tree = KdTree(points, ids)
+    for row in rng.choice(2000, size=10, replace=False):
+        assert_matches_full_scan(tree, points, ids, points[row], (1, 7, 60))
+        assert list(tree.within_radius(points[row], 0.0).ids) == [row]
+    assert_matches_full_scan(tree, points, ids, np.full(5, -scale), (1, 60))
+    assert len(tree.within_radius(points[0], math.inf)) == 2000
+
+
+def test_prefilter_on_dft_embeddings():
+    # truncated-DFT points are not unit norm: their norms spread over (0, 1]
+    rng = np.random.default_rng(53)
+    h = Dataset(ids=np.arange(3100), values=rng.standard_normal((3100, 64))).normalized_matrix()
+    emb = DftTruncationEmbedder(6).embed_matrix(h)
+    norms = np.linalg.norm(emb, axis=1)
+    assert norms.max() < 1.0 and norms.min() < 0.5 * norms.max()
+    points, ids = emb[:3000], np.arange(3000)
+    tree = KdTree(points, ids)
+    for q in emb[3000:]:
+        assert_matches_full_scan(tree, points, ids, q, (1, 10, 100))
+
+
+def test_prefilter_in_one_dimension():
+    rng = np.random.default_rng(59)
+    points = np.round(rng.standard_normal((4000, 1)), 3)  # m = 1, with ties
+    ids = rng.permutation(4000).astype(np.int64)
+    tree = KdTree(points, ids)
+    for q in np.vstack([points[:10], rng.standard_normal((10, 1))]):
+        assert_matches_full_scan(tree, points, ids, q, (1, 3, 40, 4000))
+
+
+def test_prefilter_radius_zero_and_infinite():
+    rng = np.random.default_rng(61)
+    points = np.vstack([rng.standard_normal((3000, 8)), np.repeat(rng.standard_normal((1, 8)), 5, axis=0)])
+    tree = KdTree(points)
+    assert sorted(tree.within_radius(points[-1], 0.0).ids) == [3000, 3001, 3002, 3003, 3004]
+    res = tree.within_radius(points[-1], math.inf)
+    assert len(res) == res.refined == res.scanned == 3005
+
+
+def test_refined_counts_exact_work():
+    # at m = 16 on unit vectors the prefilter rules out most points the box bounds keep
+    rng = np.random.default_rng(67)
+    points = rng.standard_normal((20_000, 16))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    tree = KdTree(points)
+    res = tree.within_radius(points[0], 1.0)
+    assert len(res) <= res.refined < res.scanned // 2
+    res = tree.top_k(points[0], 100)
+    assert 100 <= res.refined < res.scanned // 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_degenerate(bad):
+    points = np.random.default_rng(71).standard_normal((300, 4))
+    points[123, 2] = bad
+    with pytest.raises(DegenerateOutput):
+        KdTree(points)
 
 
 def test_save_writes_input_order_from_the_bucket_layout(tmp_path):
