@@ -57,11 +57,9 @@ def _resolve(ns, defaults: dict) -> dict:
     """flags > config file > defaults, for every key in `defaults`."""
     from_file = {}
     if getattr(ns, "config", None):
-        try:
-            with open(ns.config) as fh:
-                from_file = json.load(fh)
-        except FileNotFoundError:
-            raise MissingArtifact(f"config file not found: {ns.config}")
+        from_file = _read_json(ns.config, "config file", UsageError)
+        if not isinstance(from_file, dict):
+            raise UsageError(f"config file {ns.config} does not hold a JSON object")
         unknown = set(from_file) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -108,19 +106,40 @@ def _save_split(splits: SplitDataset, path):
         fh.write("\n")
 
 
-def _load_split(path) -> SplitDataset:
+def _read_json(path, what, error):
+    """The JSON document at `path`; `error` (a CorrSpaceError class) when it is not JSON."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise MissingArtifact(f"split file not found: {path}")
-    return SplitDataset(
-        train_ids=np.array(doc["train_ids"], dtype=np.int64),
-        val_ids=np.array(doc["val_ids"], dtype=np.int64),
-        test_ids=np.array(doc["test_ids"], dtype=np.int64),
-        seed=doc["seed"],
-        ratios=tuple(doc["ratios"]),
-    )
+            return json.load(fh)
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifact(f"{what} not found: {path}")
+    except (ValueError, RecursionError) as exc:  # among them JSONDecodeError and UnicodeDecodeError
+        raise error(f"{what} {path} is not JSON: {exc}") from None
+
+
+def _is_int(value):
+    return type(value) is int  # not a bool, float or string
+
+
+def _load_split(path) -> SplitDataset:
+    doc = _read_json(path, "split file", CorruptArtifact)
+    keys = ("train_ids", "val_ids", "test_ids")
+    if not (
+        isinstance(doc, dict)
+        and {"seed", "ratios", *keys} <= doc.keys()
+        and _is_int(doc["seed"])
+        and isinstance(doc["ratios"], list)
+        and all(isinstance(doc[key], list) and all(map(_is_int, doc[key])) for key in keys)
+    ):
+        raise CorruptArtifact(
+            f"split file {path} is not an object of seed, ratios and the integer lists {', '.join(keys)}"
+        )
+    try:
+        return SplitDataset(
+            *(np.array(doc[key], dtype=np.int64) for key in keys), seed=doc["seed"], ratios=tuple(doc["ratios"])
+        )
+    except (OverflowError, ValueError) as exc:  # an id outside int64, or partitions that overlap
+        raise CorruptArtifact(f"split file {path}: {exc}") from None
 
 
 def _get_split(ds, params):

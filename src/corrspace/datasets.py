@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TimeSeries
-from .errors import ConstantSeries, EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
+from .core import TimeSeries, is_constant, normalize_rows
+from .errors import EmptyFile, InvalidM, MissingArtifact, ParseError, RaggedRows, TooSmall
 
 log = logging.getLogger(__name__)
 
@@ -56,30 +56,19 @@ class Dataset:
         return TimeSeries(id=int(self.ids[row]), values=self.values[row])
 
     def rows_for(self, ids) -> np.ndarray:
-        """Row indices for the given record ids, in the given order."""
+        """Row indices for the given record ids, in the given order.
+
+        Raises MissingArtifact naming the first id the dataset lacks.
+        """
         lookup = {int(rid): i for i, rid in enumerate(self.ids)}
-        return np.array([lookup[int(r)] for r in ids], dtype=np.int64)
+        try:
+            return np.array([lookup[int(r)] for r in ids], dtype=np.int64)
+        except KeyError as exc:
+            raise MissingArtifact(f"id {exc.args[0]} not in {self.provenance or 'the dataset'}") from None
 
     def normalized_matrix(self, rows=slice(None)) -> np.ndarray:
-        """The series at `rows` (all by default) l2-normalized, one per row.
-
-        Works through `_NORM_BLOCK` values at a time, so beyond its result
-        it holds no full-size temporary; each row's bits do not depend on
-        the block. Raises ConstantSeries, naming its id, for a series whose
-        values are all equal (`load_csv`'s rule): its correlation is undefined.
-        """
-        rows = np.arange(self.n)[rows]
-        out = np.empty((len(rows), self.length))
-        step = max(1, _NORM_BLOCK // self.length)
-        for lo in range(0, len(rows), step):
-            block = self.values[rows[lo : lo + step]]
-            constant = np.flatnonzero(block.max(axis=1) == block.min(axis=1))
-            if len(constant):
-                raise ConstantSeries(f"series {self.ids[rows[lo + constant[0]]]} is constant (stddev = 0)")
-            block -= block.mean(axis=1, keepdims=True)
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
-            out[lo : lo + step] = block
-        return out
+        """The series at `rows` (all by default) l2-normalized, one per row (`normalize_rows`)."""
+        return normalize_rows(self.values, self.ids, rows)
 
 
 @dataclass
@@ -101,7 +90,6 @@ class SplitDataset:
             raise ValueError("split partitions overlap")
 
 
-_NORM_BLOCK = 2**16  # values per block of `Dataset.normalized_matrix`
 _DELIMITERS = {"csv": ",", "csv_id": ",", "ucr": "\t"}
 _INT64_BOUND = 2.0**63  # an id v becomes an int64 iff -2**63 <= v < 2**63
 
@@ -162,7 +150,7 @@ def _vectorised_rows(path, fmt):
     values = table if fmt == "csv" else table[:, 1:]
     if values.shape[1] < 4:
         return None
-    keep = values.max(axis=1) != values.min(axis=1)
+    keep = ~is_constant(values.max(axis=1), values.min(axis=1))
     if len(np.unique(ids[keep])) < np.count_nonzero(keep):
         return None
     return ids[keep], values[keep], len(table) - int(np.count_nonzero(keep))
@@ -200,7 +188,7 @@ def _loop_rows(path, fmt):
             rid, vals = len(ids) + n_constant, nums
         if len(vals) < 4:
             raise ParseError(lineno, f"series length {len(vals)} < 4")
-        if max(vals) == min(vals):
+        if is_constant(max(vals), min(vals)):
             n_constant += 1
             continue
         if rid in line_of:

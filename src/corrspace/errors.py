@@ -30,9 +30,9 @@ class InvalidM(CorrSpaceError):
 
 
 class DegenerateOutput(CorrSpaceError):
-    """An embedding is unusable: the network's pre-normalization output has
-    (near-)zero norm, or a query vector or a point to index holds a
-    non-finite value."""
+    """An input or embedding is unusable: a series to normalize holds a
+    non-finite value, the network's pre-normalization output has (near-)zero
+    norm, or a query vector or a point to index holds a non-finite value."""
 
     exit_code = 13
 

@@ -3,18 +3,23 @@ replay. Everything runs in-process through main(argv) for speed; one
 subprocess smoke test covers the installed entry point.
 """
 
+import argparse
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrspace.cli import main, replay_manifest
+from corrspace.cli import GEN_DEFAULTS, _load_split, _resolve, main, replay_manifest
 from corrspace.core import normalize
 from corrspace.datasets import load_csv
 from corrspace.embed import load_model, save_model
-from corrspace.errors import MissingArtifact
+from corrspace.errors import CorrSpaceError, MissingArtifact
 from corrspace.evaluation import exact_top_k
 from corrspace.index import load_index, save_index
 from corrspace.train import desk_config, init_params
@@ -119,6 +124,56 @@ def test_split_writes_partition(capsys, tmp_path):
     assert len(doc["train_ids"]) == 80
     assert len(doc["val_ids"]) == len(doc["test_ids"]) == 10
     assert not set(doc["train_ids"]) & set(doc["test_ids"])
+
+
+def test_split_of_another_file_is_a_missing_id(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path, n=100)
+    other = gen_small(capsys, tmp_path, "other.csv", n=400)
+    split_path = tmp_path / "other.split.json"
+    run(capsys, "split", "--data", str(other), "--output", str(split_path))
+    missing = next(i for i in json.loads(split_path.read_text())["test_ids"] if i >= 100)
+    code, _, err = run(
+        capsys, "index", "--data", str(data), "--method", "dft", "--m", "4", "--split", str(split_path),
+        "--partition", "test", "--output", str(tmp_path / "x.idx"),
+    )
+    assert code == 23 and f"id {missing} not in" in err
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--split", str(split_path), "--m", "4", "--desk",
+        "--iterations", "10", "--model-out", str(tmp_path / "x.bin"),
+    )
+    assert code == 23 and "not in" in err
+
+
+@pytest.mark.parametrize("text", [
+    "not json {",
+    "\xff\xfe",
+    "7",
+    '{"seed": 0, "ratios": [0.8, 0.1, 0.1], "train_ids": [0, 1], "test_ids": [2]}',
+    '{"seed": 0, "ratios": [0.8, 0.1, 0.1], "train_ids": [0, 1], "val_ids": [1], "test_ids": [2]}',
+    '{"seed": 0, "ratios": [0.8, 0.1, 0.1], "train_ids": [0, "1"], "val_ids": [], "test_ids": [2]}',
+    '{"seed": 0, "ratios": [0.8, 0.1, 0.1], "train_ids": [0, 1e400], "val_ids": [], "test_ids": [2]}',
+    '{"seed": 0, "ratios": [0.8, 0.1, 0.1], "train_ids": [0, 1], "val_ids": [], "test_ids": [2, 99999999999999999999]}',
+], ids=["not-json", "not-utf8", "number", "missing-key", "overlap", "string-id", "float-id", "huge-id"])
+def test_malformed_split_file_is_corrupt(capsys, tmp_path, text):
+    data = gen_small(capsys, tmp_path)
+    bad = tmp_path / "split.json"
+    bad.write_bytes(text.encode("latin-1"))
+    code, _, err = run(
+        capsys, "index", "--data", str(data), "--method", "dft", "--m", "4", "--split", str(bad),
+        "--partition", "train", "--output", str(tmp_path / "x.idx"),
+    )
+    assert code == 24 and f"split file {bad}" in err
+
+
+def test_split_or_config_that_is_a_directory_is_missing(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    code, _, err = run(
+        capsys, "index", "--data", str(data), "--method", "dft", "--m", "4", "--split", str(tmp_path),
+        "--partition", "train", "--output", str(tmp_path / "x.idx"),
+    )
+    assert code == 23 and "split file not found" in err
+    code, _, err = run(capsys, "gen", "--family", "example1", "--config", str(tmp_path), "--output", str(tmp_path / "x.csv"))
+    assert code == 23 and "config file not found" in err
 
 
 # -------------------------------------------------------------------- train
@@ -283,6 +338,40 @@ def test_query_k_larger_than_pool_returns_everything(capsys, tmp_path):
     )
     assert code == 0
     assert len(parse_hits(stdout)) == 19  # all pool series minus the query itself
+
+
+def test_query_near_constant_series_by_id(capsys, tmp_path):
+    # the row is not constant under the one rule (max != min): it is indexed and can be queried
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((11, 32))
+    rows[5] = 1.0
+    rows[5, -1] = 1.000000000000001
+    data = tmp_path / "near.csv"
+    data.write_text("".join(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n" for i, row in enumerate(rows)))
+    idx = build_index(capsys, tmp_path, data, m="4")
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "5", "--k", "3")
+    assert code == 0, err
+    assert len(parse_hits(stdout)) == 3
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-170"])
+def test_query_series_at_extreme_magnitudes(capsys, tmp_path, scale):
+    # rows 0-5 scaled: their correlations, and so every answer, match the unscaled file's
+    data = gen_small(capsys, tmp_path, n=12)
+    ds = load_csv(str(data), "csv_id")
+    scaled = tmp_path / "scaled.csv"
+    values = ds.values.copy()
+    values[:6] *= float(scale)
+    scaled.write_text("".join(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n" for i, row in zip(ds.ids, values)))
+    answers = []
+    for path in (data, scaled):
+        for how in (("--exact",), ("--index", str(build_index(capsys, tmp_path, path)))):
+            code, stdout, err = run(capsys, "query", *how, "--data", str(path), "--query-id", "8", "--k", "11")
+            assert code == 0, err
+            answers.append(parse_hits(stdout))
+    for hits in answers[1:]:
+        assert [h[0] for h in hits] == [h[0] for h in answers[0]]
+        np.testing.assert_allclose([h[2] for h in hits], [h[2] for h in answers[0]], atol=1e-8)
 
 
 def test_query_file_input(capsys, tmp_path):
@@ -535,6 +624,38 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--family", "example1", "--config", str(cfg),
                        "--output", str(tmp_path / "x.csv"))
     assert code == 2 and "frobnicate" in err
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "{not json"])
+def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "gen", "--family", "example1", "--config", str(cfg),
+                       "--output", str(tmp_path / "x.csv"))
+    assert code == 2 and "config file" in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+_SPLIT_LIKE = st.fixed_dictionaries(
+    {key: _JSON | st.lists(st.integers(), max_size=4) for key in ("seed", "ratios", "train_ids", "val_ids", "test_ids")}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64) | (_JSON | _SPLIT_LIKE).map(lambda doc: json.dumps(doc).encode()))
+def test_split_and_config_loaders_raise_only_typed_errors(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(doc)
+        for load in (lambda: _load_split(path), lambda: _resolve(argparse.Namespace(config=path), GEN_DEFAULTS)):
+            try:
+                load()
+            except CorrSpaceError:
+                pass
 
 
 # ------------------------------------------------------------------- replay

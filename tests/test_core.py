@@ -36,7 +36,6 @@ def dft_direct(x):
 
 def test_normalize_ramp():
     ns = normalize(ts([1.0, 2.0, 3.0]))
-    assert ns.mean == pytest.approx(2.0)
     np.testing.assert_allclose(ns.values, np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0), atol=1e-15)
 
 
@@ -52,10 +51,6 @@ def test_normalize_invariants_random():
         ns = normalize(ts(raw, rid=trial))
         assert abs(np.linalg.norm(ns.values) - 1.0) <= 1e-9
         assert abs(ns.values.sum()) <= 1e-9
-        # reconstruction: raw = stddev * sqrt(M) * values + mean
-        np.testing.assert_allclose(
-            ns.stddev * np.sqrt(64) * ns.values + ns.mean, raw, atol=1e-9
-        )
 
 
 # ------------------------------------------------------------------ pearson

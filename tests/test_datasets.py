@@ -20,7 +20,17 @@ from corrspace.datasets import (
     save_csv,
     split,
 )
-from corrspace.errors import ConstantSeries, CorrSpaceError, EmptyFile, InvalidM, ParseError, RaggedRows, TooSmall
+from corrspace.errors import (
+    ConstantSeries,
+    CorrSpaceError,
+    DegenerateOutput,
+    EmptyFile,
+    InvalidM,
+    MissingArtifact,
+    ParseError,
+    RaggedRows,
+    TooSmall,
+)
 
 
 def write(path, text):
@@ -267,6 +277,12 @@ def test_rows_for_preserves_order():
     np.testing.assert_array_equal(ds.rows_for([9, 5]), [2, 0])
 
 
+def test_rows_for_names_the_first_missing_id():
+    ds = Dataset(ids=np.array([5, 3, 9]), values=np.arange(12.0).reshape(3, 4))
+    with pytest.raises(MissingArtifact, match="id 4 "):
+        ds.rows_for([9, 4, 7])
+
+
 # -------------------------------------------------------------------- split
 
 def test_split_exact_ratios():
@@ -304,16 +320,49 @@ def test_split_overlap_rejected():
 # ---------------------------------------------------------- normalization
 
 def test_normalized_matrix_bits_in_blocks_and_subsets():
-    # the reference is the one-pass formula; 1100 rows of 128 cross two block edges
+    # the reference is the one-pass formula; 2200 rows of 128 cross four block
+    # edges, and the one-row `normalize` of each series gives the same bits
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((1100, 128)) * rng.uniform(0.1, 1e3, size=(1100, 1)) + rng.uniform(-50, 50, size=(1100, 1))
-    ds = Dataset(ids=np.arange(1100) * 3, values=values)
+    values = rng.standard_normal((2200, 128)) * rng.uniform(0.1, 1e3, size=(2200, 1)) + rng.uniform(-50, 50, size=(2200, 1))
+    ds = Dataset(ids=np.arange(2200) * 3, values=values)
     centered = values - values.mean(axis=1, keepdims=True)
     want = centered / np.linalg.norm(centered, axis=1, keepdims=True)
     assert ds.normalized_matrix().tobytes() == want.tobytes()
-    rows = rng.permutation(1100)[:700]
+    rows = rng.permutation(2200)[:700]
     assert ds.normalized_matrix(rows).tobytes() == want[rows].tobytes()
+    assert np.vstack([normalize(ds.series(i)).values for i in range(ds.n)]).tobytes() == want.tobytes()
     np.testing.assert_array_equal(ds.values, values)  # the dataset is left as it was
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e-155, 1e154, 1e200, 1e306])
+def test_normalization_at_extreme_magnitudes(scale):
+    # rows 0-5 scaled, the rest ordinary; |values| stay below 8, so 1e306 does not overflow
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((12, 128)) + rng.uniform(-1, 1, size=(12, 1))
+    values = base.copy()
+    values[:6] *= scale
+    ds = Dataset(ids=np.arange(12), values=values)
+    want = Dataset(ids=np.arange(12), values=base).normalized_matrix()
+    h = ds.normalized_matrix()
+    one = np.vstack([normalize(ds.series(i)).values for i in range(ds.n)])
+    assert one.tobytes() == h.tobytes()
+    assert np.isfinite(h).all()
+    assert np.abs(np.linalg.norm(h, axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(h - want).max() <= 1e-15
+    assert h[6:].tobytes() == want[6:].tobytes()  # ordinary rows keep their bits
+    assert ds.normalized_matrix(np.array([7, 2])).tobytes() == h[[7, 2]].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalized_matrix_non_finite_row_is_degenerate(bad):
+    values = np.random.default_rng(2).standard_normal((600, 8))
+    values[517, 3] = bad
+    ds = Dataset(ids=np.arange(600) + 1000, values=values)
+    with pytest.raises(DegenerateOutput, match="series 1517 "):
+        ds.normalized_matrix()
+    with pytest.raises(DegenerateOutput, match="series 1517 "):
+        ds.normalized_matrix(np.array([3, 517]))
+    assert np.isfinite(ds.normalized_matrix(np.array([3, 516]))).all()
 
 
 @pytest.mark.parametrize("row", [[2.0] * 6, [0.1] * 6, [-3e-300] * 5])

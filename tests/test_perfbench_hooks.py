@@ -12,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import corrspace
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -67,3 +70,9 @@ def test_workload_names_exist(path):
     assert names  # the scan found the workload's imports
     missing = [f"{mod}.{name}" for mod, name in sorted(names) if not hasattr(importlib.import_module(mod), name)]
     assert missing == []
+
+
+def test_query_workload_reads_normalized_values():
+    # the `query` workload answers each op from `core.normalize(core.TimeSeries(...)).values`
+    values = corrspace.normalize(corrspace.TimeSeries(id=3, values=np.arange(8.0))).values
+    assert values.shape == (8,) and abs(float(values @ values) - 1.0) <= 1e-15

@@ -8,7 +8,7 @@ import pytest
 from corrspace.core import TimeSeries, normalize
 from corrspace.datasets import Dataset, SplitDataset, gen_example1, split
 from corrspace.embed import NetworkParams, features_matrix, forward_trace
-from corrspace.errors import InsufficientData
+from corrspace.errors import DegenerateOutput, InsufficientData
 from corrspace.train import (
     ADAM_EPS,
     APPROXIMATE,
@@ -374,6 +374,15 @@ def test_train_insufficient_data():
     )
     with pytest.raises(InsufficientData):
         train(ds, sp, desk_config(m=4))
+
+
+def test_train_rejects_non_finite_series():
+    # NaN in five training rows used to train to a model whose every embedding is NaN
+    ds, sp = tiny_dataset()
+    rows = ds.rows_for(sp.train_ids[:5])
+    ds.values[rows, 3] = np.nan
+    with pytest.raises(DegenerateOutput, match=f"series {ds.ids[rows.min()]} "):  # the first in row order
+        train(ds, sp, desk_config(m=4, iterations=300))
 
 
 def test_train_order_loss_ten_fold_reduction(tmp_path):
