@@ -8,6 +8,7 @@ bit-identically.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,10 +22,7 @@ from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, l
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
 from .evaluation import METHODS, EvalReport, SweepConfig, latency_benchmark, sweep
 from .index import KdTree, load_index, save_index, threshold_radius_sq
-from .train import APPROXIMATE, ORDER, TrainConfig, train
-
-FULL_PROFILE = {"learning_rate": 0.01, "batch_size": 256, "iterations": 10000, "hidden_size": 1024}
-DESK_PROFILE = {"learning_rate": 0.01, "batch_size": 64, "iterations": 2000, "hidden_size": 128}
+from .train import APPROXIMATE, ORDER, TrainConfig, desk_config, train
 
 
 def _sha256(path):
@@ -54,7 +52,8 @@ def _write_manifest(path, subcommand, params, inputs, outputs):
 
 
 def _resolve(ns, defaults: dict) -> dict:
-    """flags > config file > defaults, for every key in `defaults`."""
+    """flags > config file > defaults, for every key in `defaults`. A config
+    value gets its flag's checks (`_config_value`); a JSON null is absent."""
     from_file = {}
     if getattr(ns, "config", None):
         from_file = _read_json(ns.config, "config file", UsageError)
@@ -63,11 +62,29 @@ def _resolve(ns, defaults: dict) -> dict:
         unknown = set(from_file) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        # every key has a flag, and subcommands that share a destination agree on it (test_shared_flags_agree)
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for sp in sub.choices.values() for a in sp._actions}
+        from_file = {k: _config_value(ns.config, k, v, actions[k]) for k, v in from_file.items() if v is not None}
     params = {}
     for key, default in defaults.items():
         flag = getattr(ns, key, None)
         params[key] = flag if flag is not None else from_file.get(key, default)
     return params
+
+
+def _config_value(path, key, value, action):
+    """`value` of `key` in the config file at `path`, given its flag's checks:
+    its choices, and its type (bool for a --x/--no-x flag), which the value
+    must have as JSON gives it: "5" is no int, nor is 2.5, nor true."""
+    kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type
+    try:
+        typed = kind(value) if kind else value
+    except (TypeError, ValueError, OverflowError):
+        typed = None  # unequal to every value: nulls were dropped
+    if typed != value or (kind is bool) != isinstance(value, bool) or action.choices and typed not in action.choices:
+        raise UsageError(f"config file {path}: {key} = {json.dumps(value)} is not a valid --{key.replace('_', '-')}")
+    return typed
 
 
 def _parse_ratios(value):
@@ -156,11 +173,7 @@ def _embedder_for(method, m, model_path):
     if method in ("learned-approx", "learned-order"):
         if not model_path:
             raise MissingArtifact(f"method {method} requires --model")
-        try:
-            params = load_model(model_path)
-        except FileNotFoundError:
-            raise MissingArtifact(f"model file not found: {model_path}")
-        return LearnedEmbedder(params)
+        return LearnedEmbedder(load_model(model_path))
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -247,19 +260,17 @@ def cmd_train(ns):
         raise UsageError("--data and --model-out are required")
     if p["m"] is None:
         raise UsageError("--m is required")
-    profile = DESK_PROFILE if p["desk"] else FULL_PROFILE
-    for key, value in profile.items():
-        if p[key] is None:
-            p[key] = value
+    # the profile's values fill what no flag or config set, and the manifest records them
+    given = {f.name: p[f.name] for f in dataclasses.fields(TrainConfig) if p.get(f.name) is not None}
+    try:
+        cfg = (desk_config if p["desk"] else TrainConfig)(loss_kind=p["loss"], **given)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    p.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in p})
     if p["log_out"] is None:
         p["log_out"] = str(p["model_out"]) + ".log.csv"
     ds = load_csv(p["data"], p["format"])
     splits = _get_split(ds, p)
-    cfg = TrainConfig(
-        m=p["m"], loss_kind=p["loss"], learning_rate=p["learning_rate"],
-        batch_size=p["batch_size"], iterations=p["iterations"],
-        hidden_size=p["hidden_size"], seed=p["seed"],
-    )
     params = train(ds, splits, cfg, log_path=p["log_out"])
     save_model(params, p["model_out"])
     inputs = {"data": p["data"], "split": p["split"]}
@@ -291,10 +302,7 @@ def cmd_index(ns):
         if not p["split"]:
             raise UsageError("--partition needs --split")
         splits = _load_split(p["split"])
-        ids = getattr(splits, f"{p['partition']}_ids", None)
-        if ids is None:
-            raise UsageError("--partition must be train, val, test or all")
-        rows = ds.rows_for(ids)
+        rows = ds.rows_for(getattr(splits, f"{p['partition']}_ids"))
     else:
         rows = slice(None)
     if p["method"] in ("dft", "downsample") and p["m"] is None:
@@ -460,12 +468,7 @@ BENCH_DEFAULTS = {
 
 def cmd_bench(ns):
     p = _resolve(ns, BENCH_DEFAULTS)
-    params = None
-    if p["model"]:
-        try:
-            params = load_model(p["model"])
-        except FileNotFoundError:
-            raise MissingArtifact(f"model file not found: {p['model']}")
+    params = load_model(p["model"]) if p["model"] else None
     stats = latency_benchmark(
         p["n"], p["m"], p["k"], n_queries=p["queries"], seed=p["seed"],
         series_length=p["length"], hidden_size=p["hidden_size"], params=params,

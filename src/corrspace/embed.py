@@ -7,11 +7,11 @@ estimate 2 - 2*corr(s, r).
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
@@ -48,18 +48,33 @@ def features_matrix(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def layer_views(buf: np.ndarray, shapes) -> tuple:
+    """(blocks, weights, biases): views of the 1-d `buf` laid out [W0, b0, W1, b1, ...]
+    for layers of (fan_out, fan_in) `shapes`; blocks[i] is layer i's [W|b].
+    The one place that knows the layout (CHR1 stores each block in order)."""
+    blocks, off = [], 0
+    for rows, cols in shapes:
+        blocks.append(buf[off : off + rows * (cols + 1)])
+        off += rows * (cols + 1)
+    weights = [block[: rows * cols].reshape(rows, cols) for block, (rows, cols) in zip(blocks, shapes)]
+    biases = [block[rows * cols :] for block, (rows, cols) in zip(blocks, shapes)]
+    return blocks, weights, biases
+
+
 @dataclass
 class NetworkParams:
     """Dense-layer weights/biases plus the seed they were initialized from.
 
     weights[i] has shape (fan_out, fan_in); biases[i] has shape (fan_out,).
     Layer 0 is input->hidden (ReLU), the last layer is linear, and the final
-    output is projected onto the unit sphere.
+    output is projected onto the unit sphere. The arrays are copied into one
+    float64 buffer, `flat`, and `weights` and `biases` become views into it.
     """
 
     weights: list
     biases: list
     seed: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
@@ -70,6 +85,11 @@ class NetworkParams:
         for prev, nxt in zip(self.weights[:-1], self.weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise ValueError("layer shapes do not chain")
+        given = self.weights + self.biases
+        self.flat = np.empty(sum(a.size for a in given))
+        _, self.weights, self.biases = layer_views(self.flat, [w.shape for w in self.weights])
+        for view, array in zip(self.weights + self.biases, given):
+            view[...] = array
 
     @property
     def input_width(self):
@@ -167,28 +187,30 @@ def save_model(p: NetworkParams, path) -> None:
     """Write the CHR1 model file.
 
     Little-endian layout: magic "CHR1", u32 layer count, then per layer
-    u32 rows, u32 cols, rows*cols f64 row-major weights, rows f64 biases;
-    trailing u64 training seed. Round-trips bit-exactly.
+    u32 rows, u32 cols, its [W|b] block: rows*cols f64 row-major weights,
+    rows f64 biases; trailing u64 training seed. Round-trips bit-exactly.
     """
+    blocks, _, _ = layer_views(p.flat, [w.shape for w in p.weights])
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(p.weights)))
-        for w, b in zip(p.weights, p.biases):
-            rows, cols = w.shape
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(struct.pack("<I", len(blocks)))
+        for w, block in zip(p.weights, blocks):
+            fh.write(struct.pack("<II", *w.shape))
+            fh.write(block.astype("<f8", copy=False).tobytes())
         fh.write(struct.pack("<Q", p.seed))
 
 
 def load_model(path) -> NetworkParams:
     """Read a CHR1 model file written by `save_model`.
 
-    A file that is not a whole CHR1 model, or whose weights or biases are
-    not all finite, raises `CorruptArtifact`.
+    A missing file raises `MissingArtifact`; a file that is not a whole CHR1
+    model, or whose weights or biases are not all finite, `CorruptArtifact`.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifact(f"model file not found: {path}") from None
     if data[:4] != MODEL_MAGIC:
         raise CorruptArtifact(f"{path}: not a CHR1 model file")
     off = 4
@@ -206,14 +228,13 @@ def load_model(path) -> NetworkParams:
         rows, cols = struct.unpack_from("<II", data, off)
         off += 8
         need(8 * rows * (cols + 1))
-        w = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
-        off += 8 * rows * cols
-        b = np.frombuffer(data, dtype="<f8", count=rows, offset=off)
-        off += 8 * rows
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        block = np.frombuffer(data, dtype="<f8", count=rows * (cols + 1), offset=off)
+        off += block.nbytes
+        if not np.isfinite(block).all():
             raise CorruptArtifact(f"{path}: layer {len(weights)} holds a non-finite weight or bias")
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
+        _, (w,), (b,) = layer_views(block, [(rows, cols)])
+        weights.append(w)
+        biases.append(b)
     need(8)
     (seed,) = struct.unpack_from("<Q", data, off)
     off += 8
@@ -222,6 +243,6 @@ def load_model(path) -> NetworkParams:
     if n_layers == 0:
         raise CorruptArtifact(f"{path}: model has no layers")
     try:
-        return NetworkParams(weights=weights, biases=biases, seed=seed)
+        return NetworkParams(weights=weights, biases=biases, seed=seed)  # copies the blocks into `flat`
     except ValueError as exc:  # layer shapes that do not chain
         raise CorruptArtifact(f"{path}: {exc}")

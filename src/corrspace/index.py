@@ -306,6 +306,8 @@ def load_index(path):
     _, version, n, m, blob_len = _HEADER.unpack_from(data)
     if version != INDEX_VERSION:
         raise CorruptArtifact(f"{path}: unsupported index version {version}")
+    if n == 0 or m == 0:  # `save_index` writes neither: `KdTree` holds at least one point of width >= 1
+        raise CorruptArtifact(f"{path}: header describes {n} points of width {m}")
     off = _HEADER.size + blob_len
     want = off + 8 * n * (1 + m)
     if len(data) != want:

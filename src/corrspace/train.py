@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, SplitDataset
-from .embed import SMOOTH_EPS, NetworkParams, feature_width, features_matrix, forward_trace
+from .embed import SMOOTH_EPS, NetworkParams, feature_width, features_matrix, forward_trace, layer_views
 from .errors import InsufficientData
 
 APPROXIMATE = "approximate"
@@ -102,99 +102,81 @@ def triple_batch_from(h: np.ndarray, f: np.ndarray, idx_s, idx_r, idx_u) -> Trip
     return TripleBatch(f_s=f[idx_s], f_r=f[idx_r], f_u=f[idx_u], target=2.0 * (corr_ru - corr_rs))
 
 
-def _backward(p: NetworkParams, acts, v, n, y_bar):
-    """Parameter gradients in [W0, b0, W1, b1, ...] order given dL/dy."""
+def _backward(p: NetworkParams, acts, v, n, y_bar) -> np.ndarray:
+    """Parameter gradient given dL/dy, one array laid out like `p.flat`."""
     nn = n + SMOOTH_EPS
     proj = np.sum(y_bar * v, axis=1, keepdims=True)
     # clamp the assembled denominator, not n alone: nn^2 * tiny underflows
     delta = y_bar / nn - proj / np.maximum(nn * nn * n, 1e-300) * v
-    grads = [None] * (2 * len(p.weights))
+    grad = np.empty_like(p.flat)
+    _, g_w, g_b = layer_views(grad, [w.shape for w in p.weights])
     for i in range(len(p.weights) - 1, -1, -1):
-        grads[2 * i] = delta.T @ acts[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=g_w[i])
+        np.sum(delta, axis=0, out=g_b[i])
         if i:
             delta = (delta @ p.weights[i]) * (acts[i] > 0.0)  # ReLU(z) > 0 exactly when z > 0
-    return grads
+    return grad
 
 
-def _pair_pieces(p, batch):
+def _forward_loss(p: NetworkParams, batch):
+    """(acts, v, n, inner, y_bar) for a PairBatch or TripleBatch: the forward
+    trace of its stacked rows, each element's signed loss term and dL/dy."""
     b = batch.target.shape[0]
-    acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r]))
-    diff = y[:b] - y[b:]
-    inner = 2.0 * np.sum(diff * diff, axis=1) - batch.target
-    return acts, v, n, inner, diff, b
-
-
-def _triple_pieces(p, batch):
-    b = batch.target.shape[0]
+    if isinstance(batch, PairBatch):
+        acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r]))
+        diff = y[:b] - y[b:]
+        inner = 2.0 * np.sum(diff * diff, axis=1) - batch.target
+        g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
+        return acts, v, n, inner, np.vstack([g * diff, -g * diff])
     acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r, batch.f_u]))
     d_rs = y[b : 2 * b] - y[:b]
     d_ru = y[b : 2 * b] - y[2 * b :]
     inner = 2.0 * (np.sum(d_rs * d_rs, axis=1) - np.sum(d_ru * d_ru, axis=1)) - batch.target
-    return acts, v, n, inner, d_rs, d_ru, b
+    g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
+    return acts, v, n, inner, np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
 
 
 def batch_loss(p: NetworkParams, batch) -> float:
     """Mean per-element loss over the batch."""
-    if isinstance(batch, PairBatch):
-        inner = _pair_pieces(p, batch)[3]
-    else:
-        inner = _triple_pieces(p, batch)[3]
-    return float(np.mean(np.abs(inner)))
+    return float(np.mean(np.abs(_forward_loss(p, batch)[3])))
 
 
 def loss_and_gradient(p: NetworkParams, batch):
-    """(mean loss, parameter gradients) for a PairBatch or TripleBatch."""
-    if isinstance(batch, PairBatch):
-        acts, v, n, inner, diff, b = _pair_pieces(p, batch)
-        g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
-        y_bar = np.vstack([g * diff, -g * diff])
-    else:
-        acts, v, n, inner, d_rs, d_ru, b = _triple_pieces(p, batch)
-        g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
-        y_bar = np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
+    """(mean loss, parameter gradient laid out like `p.flat`) for a PairBatch or TripleBatch."""
+    acts, v, n, inner, y_bar = _forward_loss(p, batch)
     return float(np.mean(np.abs(inner))), _backward(p, acts, v, n, y_bar)
-
-
-def _param_slots(p: NetworkParams) -> list:
-    slots = []
-    for w, b in zip(p.weights, p.biases):
-        slots.extend([w, b])
-    return slots
 
 
 @dataclass
 class AdamState:
-    m1: list
-    m2: list
+    m1: np.ndarray  # first and second moment estimates, laid out like `p.flat`
+    m2: np.ndarray
     t: int = 0
 
 
 def init_adam(p: NetworkParams) -> AdamState:
-    slots = _param_slots(p)
-    return AdamState(m1=[np.zeros_like(s) for s in slots], m2=[np.zeros_like(s) for s in slots])
+    return AdamState(m1=np.zeros_like(p.flat), m2=np.zeros_like(p.flat))
 
 
-def adam_step(p: NetworkParams, grads, state: AdamState, lr: float) -> NetworkParams:
-    """One in-place ADAM update with bias correction."""
+def adam_step(p: NetworkParams, grad: np.ndarray, state: AdamState, lr: float) -> NetworkParams:
+    """One in-place ADAM update with bias correction of all of `p.flat`,
+    given the gradient laid out like it."""
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    for slot, g, m1, m2 in zip(_param_slots(p), grads, state.m1, state.m2):
-        m1 *= ADAM_BETA1
-        m1 += (1.0 - ADAM_BETA1) * g
-        m2 *= ADAM_BETA2
-        m2 += (1.0 - ADAM_BETA2) * g * g
-        slot -= lr * (m1 / c1) / (np.sqrt(m2 / c2) + ADAM_EPS)
+    state.m1 *= ADAM_BETA1
+    state.m1 += (1.0 - ADAM_BETA1) * grad
+    state.m2 *= ADAM_BETA2
+    state.m2 += (1.0 - ADAM_BETA2) * grad * grad
+    p.flat -= lr * (state.m1 / c1) / (np.sqrt(state.m2 / c2) + ADAM_EPS)
     return p
 
 
-def _sample_batch(rng, loss_kind, n, batch_size, h, f):
-    if loss_kind == APPROXIMATE:
-        idx = rng.integers(0, n, size=(2, batch_size))
-        return pair_batch_from(h, f, idx[0], idx[1])
-    idx = rng.integers(0, n, size=(3, batch_size))
-    return triple_batch_from(h, f, idx[0], idx[1], idx[2])
+def _sample_batch(rng, loss_kind, rows, batch_size, h, f):
+    """A pair or triple batch of `rows` of h and f, drawn uniformly with replacement."""
+    pair = loss_kind == APPROXIMATE
+    idx = rows[rng.integers(0, len(rows), size=(2 if pair else 3, batch_size))]
+    return pair_batch_from(h, f, *idx) if pair else triple_batch_from(h, f, *idx)
 
 
 def train(ds: Dataset, splits: SplitDataset, cfg: TrainConfig, log_path=None) -> NetworkParams:
@@ -208,23 +190,14 @@ def train(ds: Dataset, splits: SplitDataset, cfg: TrainConfig, log_path=None) ->
     train_rows = ds.rows_for(splits.train_ids)
     if len(train_rows) < 3:
         raise InsufficientData(f"need at least 3 training series, got {len(train_rows)}")
-    h_all = ds.normalized_matrix()
-    f_all = features_matrix(h_all)
-
-    h, f = h_all[train_rows], f_all[train_rows]
+    h = ds.normalized_matrix()
+    f = features_matrix(h)
     params = init_params(feature_width(ds.length), cfg.hidden_size, cfg.m, cfg.seed)
     rng = np.random.default_rng((cfg.seed, 0))
 
     val_rows = ds.rows_for(splits.val_ids)
-    val_batch = None
-    if len(val_rows):
-        val_rng = np.random.default_rng((cfg.seed, 1))
-        n_draw = 2 if cfg.loss_kind == APPROXIMATE else 3
-        vidx = val_rows[val_rng.integers(0, len(val_rows), size=(n_draw, _VAL_SET_SIZE))]
-        if cfg.loss_kind == APPROXIMATE:
-            val_batch = pair_batch_from(h_all, f_all, vidx[0], vidx[1])
-        else:
-            val_batch = triple_batch_from(h_all, f_all, vidx[0], vidx[1], vidx[2])
+    val_rng = np.random.default_rng((cfg.seed, 1))
+    val_batch = _sample_batch(val_rng, cfg.loss_kind, val_rows, _VAL_SET_SIZE, h, f) if len(val_rows) else None
 
     state = init_adam(params)
     t0 = time.perf_counter()
@@ -235,13 +208,13 @@ def train(ds: Dataset, splits: SplitDataset, cfg: TrainConfig, log_path=None) ->
         log_rows.append((it, train_loss, val_loss, (time.perf_counter() - t0) * 1e3))
 
     if log_path is not None:
-        batch0 = _sample_batch(np.random.default_rng((cfg.seed, 2)), cfg.loss_kind, len(train_rows), cfg.batch_size, h, f)
+        batch0 = _sample_batch(np.random.default_rng((cfg.seed, 2)), cfg.loss_kind, train_rows, cfg.batch_size, h, f)
         record(0, batch_loss(params, batch0))
 
     for it in range(1, cfg.iterations + 1):
-        batch = _sample_batch(rng, cfg.loss_kind, len(train_rows), cfg.batch_size, h, f)
-        loss, grads = loss_and_gradient(params, batch)
-        adam_step(params, grads, state, cfg.learning_rate)
+        batch = _sample_batch(rng, cfg.loss_kind, train_rows, cfg.batch_size, h, f)
+        loss, grad = loss_and_gradient(params, batch)
+        adam_step(params, grad, state, cfg.learning_rate)
         if log_path is not None and (it % VAL_EVERY == 0 or it == cfg.iterations):
             record(it, loss)
 

@@ -248,29 +248,23 @@ def _loss_with_kink_diag(params, batch):
 def _fd_gradient_check(params, batch, step=1e-5, kink_margin=1e-7):
     base, m_base = _loss_with_kink_diag(params, batch)
     assert base == pytest.approx(batch_loss(params, batch), abs=1e-12)
-    analytic = np.concatenate([g.ravel() for g in loss_and_gradient(params, batch)[1]])
-    slots = []
-    for w, b in zip(params.weights, params.biases):
-        slots.extend([w, b])
+    analytic = loss_and_gradient(params, batch)[1]
+    flat = params.flat
     rel_errs, excluded = [], 0
-    j = 0
-    for slot in slots:
-        flat = slot.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up, m_up = _loss_with_kink_diag(params, batch)
-            flat[i] = keep - step
-            down, m_down = _loss_with_kink_diag(params, batch)
-            flat[i] = keep
-            # the secant is only a derivative estimate when the whole
-            # interval, center included, stays clear of every kink
-            if min(m_base, m_up, m_down) <= kink_margin:
-                excluded += 1
-            else:
-                fd = (up - down) / (2 * step)
-                rel_errs.append(abs(analytic[j] - fd) / max(abs(fd), 1e-8))
-            j += 1
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + step
+        up, m_up = _loss_with_kink_diag(params, batch)
+        flat[i] = keep - step
+        down, m_down = _loss_with_kink_diag(params, batch)
+        flat[i] = keep
+        # the secant is only a derivative estimate when the whole
+        # interval, center included, stays clear of every kink
+        if min(m_base, m_up, m_down) <= kink_margin:
+            excluded += 1
+        else:
+            fd = (up - down) / (2 * step)
+            rel_errs.append(abs(analytic[i] - fd) / max(abs(fd), 1e-8))
     return max(rel_errs, default=0.0), excluded, len(rel_errs)
 
 

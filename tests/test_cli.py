@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrspace.cli import GEN_DEFAULTS, _load_split, _resolve, main, replay_manifest
+from corrspace.cli import GEN_DEFAULTS, _load_split, _resolve, build_parser, main, replay_manifest
 from corrspace.core import normalize
 from corrspace.datasets import load_csv
-from corrspace.embed import load_model, save_model
+from corrspace.embed import NetworkParams, load_model, save_model
 from corrspace.errors import CorrSpaceError, MissingArtifact
 from corrspace.evaluation import exact_top_k
 from corrspace.index import load_index, save_index
@@ -600,6 +600,86 @@ def test_bench_missing_model_exit_code(capsys, tmp_path):
     assert code == 23
 
 
+def test_model_that_is_a_directory_is_missing(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    code, _, err = run(
+        capsys, "index", "--data", str(data), "--method", "learned-order", "--model", str(tmp_path),
+        "--output", str(tmp_path / "x"),
+    )
+    assert code == 23 and "model file not found" in err
+
+
+# ------------------------------------------------------------ exit codes
+# One test per README exit code that a CLI input reaches and no test above
+# checks. 10 (constant series) is not reachable: `load_csv` drops constant
+# rows by the same rule that raises it. Nor is 22: only the metrics raise it.
+
+def test_invalid_m_exit_code(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    code, _, err = run(capsys, "index", "--data", str(data), "--method", "dft", "--m", "3", "--output", str(tmp_path / "x"))
+    assert code == 12 and "m=3" in err
+
+
+def test_degenerate_network_output_exit_code(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "zero.chr1"  # every output is the origin
+    save_model(NetworkParams(weights=[np.zeros((4, 16)), np.zeros((4, 4))], biases=[np.zeros(4), np.zeros(4)], seed=0), model)
+    code, _, err = run(
+        capsys, "index", "--data", str(data), "--method", "learned-order", "--model", str(model),
+        "--output", str(tmp_path / "x"),
+    )
+    assert code == 13 and "near-zero norm" in err
+
+
+def test_empty_partition_exit_code(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    splits = tmp_path / "split.json"
+    code, _, _ = run(capsys, "split", "--data", str(data), "--ratios", "1,0,0", "--output", str(splits))
+    assert code == 0
+    code, _, err = run(
+        capsys, "index", "--data", str(data), "--split", str(splits), "--partition", "val",
+        "--m", "4", "--output", str(tmp_path / "x"),
+    )
+    assert code == 15 and "zero points" in err
+
+
+def test_empty_file_exit_code(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code, _, err = run(capsys, "ingest", "--input", str(empty), "--output", str(tmp_path / "out.csv"))
+    assert code == 18 and "no data rows" in err
+
+
+def test_too_small_to_split_exit_code(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path, n=5)
+    code, _, err = run(capsys, "split", "--data", str(data), "--output", str(tmp_path / "split.json"))
+    assert code == 19 and "got 5" in err
+
+
+def test_too_few_training_rows_exit_code(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--ratios", "0.02,0.49,0.49", "--m", "4", "--desk",
+        "--model-out", str(tmp_path / "m.chr1"),
+    )
+    assert code == 20 and "training series" in err
+
+
+def test_k_larger_than_eval_pool_exit_code(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    code, _, err = run(
+        capsys, "eval", "--data", str(data), "--methods", "dft", "--m-values", "4", "--k-values", "500",
+        "--no-timing", "--report-out", str(tmp_path / "r.csv"),
+    )
+    assert code == 21 and "k=500" in err
+
+
+def test_train_config_out_of_range_is_a_usage_error(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    code, _, err = run(capsys, "train", "--data", str(data), "--m", "0", "--desk", "--model-out", str(tmp_path / "m"))
+    assert code == 2 and "must be positive" in err
+
+
 # ------------------------------------------------------------ config file
 
 def test_config_file_precedence(capsys, tmp_path):
@@ -633,6 +713,53 @@ def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path, text):
     code, _, err = run(capsys, "gen", "--family", "example1", "--config", str(cfg),
                        "--output", str(tmp_path / "x.csv"))
     assert code == 2 and "config file" in err
+
+
+_GEN = ("gen", "--family", "example1", "--output", "{tmp}/out.csv")
+_QUERY = ("query", "--exact", "--data", "{data}", "--query-id", "3")
+_TRAIN = ("train", "--data", "{data}", "--m", "4", "--model-out", "{tmp}/m.chr1")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (_GEN, {"n": "5"}),  # a string where the flag parses an int
+    (_GEN, {"n": True}),
+    (_GEN, {"eps": [0.1]}),
+    (_QUERY, {"k": "ten"}),
+    (_QUERY, {"k": 2.5}),
+    (_TRAIN, {"desk": "yes"}),  # a --desk/--no-desk flag takes a bool
+    (_TRAIN, {"loss": "hinge"}),  # outside the flag's choices
+])
+def test_config_values_get_the_checks_flags_get(capsys, tmp_path, argv, doc):
+    data = gen_small(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [arg.format(tmp=tmp_path, data=data) for arg in argv]
+    code, stdout, err = run(capsys, *argv, "--config", str(cfg))
+    key = next(iter(doc))
+    assert code == 2 and stdout == "" and f"{key} = {json.dumps(doc[key])} is not a valid" in err
+
+
+def test_config_values_of_the_flags_type_are_kept(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"desk": True, "iterations": 0, "learning_rate": 0.5, "loss": "order", "seed": None}))
+    model = tmp_path / "m.chr1"
+    code, _, err = run(capsys, "train", "--data", str(data), "--m", "4", "--config", str(cfg), "--model-out", str(model))
+    assert code == 0, err
+    params = json.loads((tmp_path / "m.chr1.manifest.json").read_text())["params"]
+    assert (params["desk"], params["iterations"], params["learning_rate"], params["loss"]) == (True, 0, 0.5, "order")
+    assert params["seed"] == 0  # null counts as absent
+
+
+def test_shared_flags_agree():
+    # config values are checked against the action of their destination in
+    # any subcommand, so a destination that subcommands share must agree
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for parser in sub.choices.values():
+        for action in parser._actions:
+            kind = (type(action), action.type, action.choices)
+            assert seen.setdefault(action.dest, kind) == kind, action.dest
 
 
 _JSON = st.recursive(

@@ -5,7 +5,8 @@ queries, and the on-disk format.
 import json
 import math
 import struct
-
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from corrspace import index
 from corrspace.datasets import Dataset
-from corrspace.embed import DftTruncationEmbedder, load_model, save_model
+from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
 from corrspace.errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput
 from corrspace.index import (
     INDEX_MAGIC,
@@ -569,6 +570,73 @@ def test_corrupt_model_header_bytes_give_only_typed_errors(tmp_path):
             loads_or_corrupt(load_model, path, blob[:off] + bytes([value]) + blob[off + 1 :])
     for off in (4, 8, 12, second, second + 4):  # the low byte of each size word
         assert not loads_or_corrupt(load_model, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
+
+
+def damage(data, blob, fields):
+    """`blob` cut short, with one bit flipped, or with one of the u32 header
+    words at byte offsets `fields` rewritten (often to a small value)."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "field"]))
+    if kind == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        return blob[: bit // 8] + bytes([blob[bit // 8] ^ 1 << bit % 8]) + blob[bit // 8 + 1 :]
+    off = data.draw(st.sampled_from(fields))
+    word = data.draw(st.integers(0, 8) | st.integers(0, 2**32 - 1))
+    return blob[:off] + struct.pack("<I", word) + blob[off + 4 :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_model_fuzz_round_trip_and_damage(widths, seed, data):
+    # 1-3 chained layers: save -> load -> save is byte-identical, the loaded
+    # layers are views into one buffer, and damage raises only CorruptArtifact
+    rng = np.random.default_rng(seed)
+    shapes = list(zip(widths[1:], widths[:-1]))
+    p = NetworkParams([rng.standard_normal(s) for s in shapes], [rng.standard_normal(s[0]) for s in shapes], seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.chr1"
+        save_model(p, path)
+        blob = path.read_bytes()
+        q = load_model(path)
+        assert q.seed == seed and q.flat.tobytes() == p.flat.tobytes()
+        assert all(np.shares_memory(a, q.flat) for a in q.weights + q.biases)
+        save_model(q, path)
+        assert path.read_bytes() == blob
+        fields, off = [4], 8  # the layer count, then each layer's rows and cols
+        for rows, cols in shapes:
+            fields += [off, off + 4]
+            off += 8 + 8 * rows * (cols + 1)
+        loads_or_corrupt(load_model, path, damage(data, blob, fields))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_index_fuzz_round_trip_and_damage(n, m, seed, data):
+    tree, _, _ = random_tree(n, m, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "idx.cix1"
+        save_index(tree, str(path), meta={"method": "dft", "m": m})
+        blob = path.read_bytes()
+        loaded, meta = load_index(str(path))
+        save_index(loaded, str(path), meta)
+        assert path.read_bytes() == blob
+        bad = damage(data, blob, [4, 8, 12, 16])  # version, n, m, metadata length
+        _, _, n2, m2, meta_len = struct.unpack_from("<4sIIII", bad.ljust(20, b"\0"))
+        size = 20 + meta_len + 8 * n2 * (1 + m2)
+        if size <= 1 << 20 and data.draw(st.booleans()):  # the size the header describes
+            bad = bad[:size].ljust(size, b"\0")
+        loads_or_corrupt(load_index, path, bad)
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (5, 0)])
+def test_index_header_of_no_points_or_no_width_is_corrupt(tmp_path, n, m):
+    # a header that describes its own (empty) payload exactly: no size check catches it
+    path, blob = small_index(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", blob, 16)
+    size = 20 + meta_len + 8 * n * (1 + m)
+    bad = (blob[:8] + struct.pack("<II", n, m) + blob[16:])[:size].ljust(size, b"\0")
+    assert not loads_or_corrupt(load_index, path, bad)
 
 
 def test_non_finite_index_point_is_corrupt(tmp_path):

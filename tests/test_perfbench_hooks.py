@@ -37,6 +37,33 @@ def test_tracer_finds_every_target():
     assert json.loads(out.stdout) == []
 
 
+def test_traced_train_records_every_training_span():
+    # the per-layer training metrics are medians over these spans; a target
+    # the training loop stops calling by its traced name would zero a metric
+    # without `missing` naming it. Order loss, as the `train` workload runs it.
+    code = (
+        "import collections, json, sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from tracer import Tracer\n"
+        "t = Tracer()\n"
+        "t.install()\n"
+        "from corrspace import gen_example1, split\n"
+        "from corrspace.train import ORDER, desk_config, train\n"
+        "ds = gen_example1(40, 16, seed=0)\n"
+        f"train(ds, split(ds, seed=0), desk_config(m=4, loss_kind=ORDER, iterations=3), log_path={str(os.devnull)!r})\n"
+        "top = [i for i, s in enumerate(t.spans) if s[0] == 'train.train']\n"
+        "inside = collections.Counter(s[0] for s in t.spans if s[3] in top)\n"
+        "print(json.dumps([len(top), inside]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    n_train, inside = json.loads(out.stdout)
+    assert n_train == 1
+    assert inside["train.loss_and_gradient"] == inside["train.adam_step"] == 3  # one per iteration
+    assert inside["train.sample_batch"] == 3 + 2  # and the validation batch and the log's batch 0
+    assert inside["train.validation"] == 3  # validation loss at iterations 0 and 3, batch 0's loss
+
+
 def corrspace_names(path):
     """(module, name) for each `from corrspace... import name` in the file,
     and each `alias.name` on a module a function binds with

@@ -62,31 +62,19 @@ def tiny_dataset(n=40, big_m=16, seed=0):
     return ds, split(ds, seed=seed)
 
 
-def flatten(grads):
-    return np.concatenate([g.ravel() for g in grads])
-
-
 def numeric_gradient(params, batch, step=1e-5):
-    """Central finite differences over every parameter coordinate."""
-    slots = []
-    for w, b in zip(params.weights, params.biases):
-        slots.extend([w, b])
-    out = []
-    for slot in slots:
-        g = np.zeros_like(slot)
-        it = np.nditer(slot, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            keep = slot[idx]
-            slot[idx] = keep + step
-            up = batch_loss(params, batch)
-            slot[idx] = keep - step
-            down = batch_loss(params, batch)
-            slot[idx] = keep
-            g[idx] = (up - down) / (2 * step)
-            it.iternext()
-        out.append(g)
-    return out
+    """Central finite differences over every coordinate of `params.flat`."""
+    flat = params.flat
+    g = np.zeros_like(flat)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + step
+        up = batch_loss(params, batch)
+        flat[i] = keep - step
+        down = batch_loss(params, batch)
+        flat[i] = keep
+        g[i] = (up - down) / (2 * step)
+    return g
 
 
 # ----------------------------------------------------------------- configs
@@ -212,8 +200,7 @@ def test_gradient_zero_when_loss_zero():
     p = init_params(8, 8, 4, seed=0)
     f = features_matrix(rows(norm_ts(np.random.default_rng(17).standard_normal(8))))
     batch = PairBatch(f_s=f, f_r=f, target=np.zeros(1))
-    for g in loss_and_gradient(p, batch)[1]:
-        assert np.all(g == 0.0)
+    assert np.all(loss_and_gradient(p, batch)[1] == 0.0)
 
 
 def test_gradient_of_duplicated_batch_equals_single():
@@ -223,8 +210,7 @@ def test_gradient_of_duplicated_batch_equals_single():
     f = features_matrix(h)
     single = pair_batch_from(h, f, np.array([0]), np.array([1]))
     double = pair_batch_from(h, f, np.array([0, 0]), np.array([1, 1]))
-    for a, b in zip(loss_and_gradient(p, single)[1], loss_and_gradient(p, double)[1]):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(loss_and_gradient(p, single)[1], loss_and_gradient(p, double)[1], rtol=0, atol=1e-12)
 
 
 def test_gradient_finite_at_degenerate_norm():
@@ -236,8 +222,7 @@ def test_gradient_finite_at_degenerate_norm():
     h = np.vstack([norm_ts(rng.standard_normal(8), i).values for i in range(4)])
     f = features_matrix(h)
     batch = pair_batch_from(h, f, np.array([0, 2]), np.array([1, 3]))
-    for g in loss_and_gradient(p, batch)[1]:
-        assert np.all(np.isfinite(g))
+    assert np.all(np.isfinite(loss_and_gradient(p, batch)[1]))
 
 
 @pytest.mark.parametrize("loss_kind", [APPROXIMATE, ORDER])
@@ -251,8 +236,8 @@ def test_gradient_matches_finite_differences(loss_kind):
             batch = pair_batch_from(h, f, np.array([0, 2, 4]), np.array([1, 3, 5]))
         else:
             batch = triple_batch_from(h, f, np.array([0, 3]), np.array([1, 4]), np.array([2, 5]))
-        analytic = flatten(loss_and_gradient(p, batch)[1])
-        numeric = flatten(numeric_gradient(p, batch))
+        analytic = loss_and_gradient(p, batch)[1]
+        numeric = numeric_gradient(p, batch)
         denom = np.maximum(np.abs(numeric), 1e-8)
         rel = np.abs(analytic - numeric) / denom
         assert rel.max() <= 1e-5, f"seed {seed}: max rel err {rel.max():.3g}"
@@ -270,31 +255,35 @@ def test_loss_and_gradient_consistent_with_batch_loss():
 
 # --------------------------------------------------------------------- adam
 
+def scalar_net():
+    """A 1 -> 1 -> 1 network whose first weight, p.flat[0], starts at 0."""
+    return NetworkParams(weights=[np.zeros((1, 1)), np.ones((1, 1))], biases=[np.zeros(1), np.zeros(1)], seed=0)
+
+
 def test_adam_zero_gradient_keeps_params():
     p = init_params(4, 3, 2, seed=0)
-    before = [w.copy() for w in p.weights]
+    before = p.flat.copy()
     state = init_adam(p)
-    grads = [np.zeros_like(w) for w in (p.weights[0], p.biases[0], p.weights[1], p.biases[1])]
-    adam_step(p, grads, state, lr=0.5)
-    for a, b in zip(before, p.weights):
-        np.testing.assert_array_equal(a, b)
+    adam_step(p, np.zeros_like(p.flat), state, lr=0.5)
+    np.testing.assert_array_equal(before, p.flat)
     assert state.t == 1
 
 
 def test_adam_first_step_magnitude():
     # bias-corrected first step: delta = lr * g / (|g| + eps)
-    p = NetworkParams(weights=[np.zeros((1, 1)), np.ones((1, 1))], biases=[np.zeros(1), np.zeros(1)], seed=0)
+    p = scalar_net()
     state = init_adam(p)
     g = 0.37
-    grads = [np.array([[g]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1)]
-    adam_step(p, grads, state, lr=0.01)
+    grad = np.zeros_like(p.flat)
+    grad[0] = g
+    adam_step(p, grad, state, lr=0.01)
     want = -0.01 * g / (abs(g) + ADAM_EPS)
     assert p.weights[0][0, 0] == pytest.approx(want, rel=1e-9)
 
 
 def test_adam_two_hand_steps():
     # two updates on a scalar, recomputed by hand with the standard recursion
-    p = NetworkParams(weights=[np.zeros((1, 1)), np.ones((1, 1))], biases=[np.zeros(1), np.zeros(1)], seed=0)
+    p = scalar_net()
     state = init_adam(p)
     lr, b1, b2 = 0.1, 0.9, 0.999
     g1, g2 = 0.5, -0.2
@@ -305,8 +294,9 @@ def test_adam_two_hand_steps():
         v = b2 * v + (1 - b2) * g * g
         x -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + ADAM_EPS)
     for g in (g1, g2):
-        grads = [np.array([[g]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1)]
-        adam_step(p, grads, state, lr=lr)
+        grad = np.zeros_like(p.flat)
+        grad[0] = g
+        adam_step(p, grad, state, lr=lr)
     assert p.weights[0][0, 0] == pytest.approx(x, rel=1e-12)
     assert state.t == 2
 
@@ -315,7 +305,7 @@ def test_adam_state_shapes():
     p = init_params(6, 5, 3, seed=0)
     state = init_adam(p)
     assert isinstance(state, AdamState)
-    assert len(state.m1) == len(state.m2) == 4
+    assert state.m1.shape == state.m2.shape == p.flat.shape == (5 * 7 + 3 * 6,)
 
 
 # ------------------------------------------------------------------- xavier
