@@ -11,12 +11,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .core import normalize
+from .core import normalize_rows
 from .datasets import Dataset, SplitDataset, gen_example1, gen_example2, load_csv, save_csv, split
 from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, load_model, save_model
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
@@ -73,30 +74,60 @@ def _resolve(ns, defaults: dict) -> dict:
     return params
 
 
+# flags without a `type` whose value the subcommand parses as a list
+_LIST_KEYS = ("ratios", "m_values", "k_values", "methods")
+
+
 def _config_value(path, key, value, action):
     """`value` of `key` in the config file at `path`, given its flag's checks:
     its choices, and its type (bool for a --x/--no-x flag), which the value
-    must have as JSON gives it: "5" is no int, nor is 2.5, nor true."""
+    must have as JSON gives it: "5" is no int, nor is 2.5, nor true. A flag
+    without a type takes a string, or a list where the code parses lists."""
     kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type
     try:
         typed = kind(value) if kind else value
     except (TypeError, ValueError, OverflowError):
         typed = None  # unequal to every value: nulls were dropped
-    if typed != value or (kind is bool) != isinstance(value, bool) or action.choices and typed not in action.choices:
+    untyped_ok = kind or isinstance(value, str) or key in _LIST_KEYS and isinstance(value, list)
+    if (
+        typed != value or not untyped_ok or (kind is bool) != isinstance(value, bool)
+        or action.choices and typed not in action.choices
+    ):
         raise UsageError(f"config file {path}: {key} = {json.dumps(value)} is not a valid --{key.replace('_', '-')}")
     return typed
 
 
+def _parse_items(value, convert):
+    """The items of a comma-separated string or a JSON list, each through
+    `convert`; UsageError for an item it does not take."""
+    items = value.split(",") if isinstance(value, str) else value
+    try:
+        return [convert(x) for x in items]
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"cannot read {json.dumps(value)} as a list of {convert.__name__} values") from None
+
+
+def _number(x):
+    if isinstance(x, bool):
+        raise TypeError("a bool is no number")
+    return float(x)
+
+
+def _integer(x):
+    if not isinstance(x, str) and type(x) is not int:  # "4" and 4, not 4.5 or true
+        raise TypeError("not an integer")
+    return int(x)
+
+
 def _parse_ratios(value):
-    parts = [float(x) for x in value.split(",")] if isinstance(value, str) else [float(x) for x in value]
-    if len(parts) != 3:
-        raise UsageError("ratios must be three comma-separated numbers")
+    parts = _parse_items(value, _number)
+    if len(parts) != 3 or not (min(parts) >= 0 and abs(sum(parts) - 1.0) <= 1e-9):  # NaN fails too
+        raise UsageError("ratios must be three comma-separated nonnegative numbers summing to 1")
     return tuple(parts)
 
 
 def _parse_int_list(value):
-    items = value.split(",") if isinstance(value, str) else value
-    out = [int(x) for x in items]
+    out = _parse_items(value, _integer)
     if not out:
         raise UsageError("expected a non-empty comma-separated list")
     return out
@@ -200,6 +231,7 @@ def cmd_gen(ns):
         raise UsageError("--family must be example1 or example2")
     if not p["output"]:
         raise UsageError("--output is required")
+    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
     if p["family"] == "example1":
         ds = gen_example1(p["n"], p["length"], p["seed"])
     else:
@@ -217,6 +249,7 @@ def cmd_ingest(ns):
     p = _resolve(ns, INGEST_DEFAULTS)
     if not p["input"] or not p["output"]:
         raise UsageError("--input and --output are required")
+    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
     ds = load_csv(p["input"], p["format"])
     save_csv(ds, p["output"])
     _write_manifest(_manifest_path(p, p["output"]), "ingest", p, {"raw": p["input"]}, {"data": p["output"]})
@@ -235,8 +268,10 @@ def cmd_split(ns):
     p = _resolve(ns, SPLIT_DEFAULTS)
     if not p["data"] or not p["output"]:
         raise UsageError("--data and --output are required")
+    ratios = _parse_ratios(p["ratios"])
+    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
     ds = load_csv(p["data"], p["format"])
-    splits = split(ds, _parse_ratios(p["ratios"]), p["seed"])
+    splits = split(ds, ratios, p["seed"])
     _save_split(splits, p["output"])
     _write_manifest(_manifest_path(p, p["output"]), "split", p, {"data": p["data"]}, {"split": p["output"]})
     print(
@@ -269,6 +304,7 @@ def cmd_train(ns):
     p.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in p})
     if p["log_out"] is None:
         p["log_out"] = str(p["model_out"]) + ".log.csv"
+    _require_output_dirs(p["model_out"], p["log_out"], _manifest_path(p, p["model_out"]))
     ds = load_csv(p["data"], p["format"])
     splits = _get_split(ds, p)
     params = train(ds, splits, cfg, log_path=p["log_out"])
@@ -297,6 +333,7 @@ def cmd_index(ns):
     p = _resolve(ns, INDEX_DEFAULTS)
     if not p["data"] or not p["output"]:
         raise UsageError("--data and --output are required")
+    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
     ds = load_csv(p["data"], p["format"])
     if p["partition"] != "all":
         if not p["split"]:
@@ -345,20 +382,26 @@ def cmd_query(ns):
 
 
 def _query_series(p, ds):
-    """(label, normalized values, excluded id) per query, in input order."""
+    """(label, normalized values, excluded id) per query, in input order;
+    `ds` is the --data dataset, which --query-id reads its row from."""
     if p["query_id"] is not None:
-        if ds is None:
-            raise UsageError("--query-id requires --data")
         rows = np.flatnonzero(ds.ids == p["query_id"])
         if len(rows) == 0:
             raise MissingArtifact(f"id {p['query_id']} not in {p['data']}")
-        ns = normalize(ds.series(int(rows[0])))
-        return [(f"id {p['query_id']}", ns.values, int(p["query_id"]))]
+        return [(f"id {p['query_id']}", ds.normalized_matrix(rows[:1])[0], int(p["query_id"]))]
     qds = load_csv(p["query_file"], "csv")
-    out = []
-    for i in range(qds.n):  # labelled by data row: dropped constant rows keep their numbers
-        out.append((f"{p['query_file']}[{qds.ids[i]}]", normalize(qds.series(i)).values, None))
-    return out
+    # one call for all rows: `normalize_rows` gives each row the bits it has alone
+    values = normalize_rows(qds.values, qds.ids)
+    # labelled by data row: dropped constant rows keep their numbers
+    return [(f"{p['query_file']}[{rid}]", row, None) for rid, row in zip(qds.ids, values)]
+
+
+def _require_output_dirs(*paths):
+    """MissingArtifact for an output path whose directory does not exist,
+    checked before any input is read."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(str(path)) or "."):
+            raise MissingArtifact(f"output directory not found: {path}")
 
 
 def _print_hits(ids, d2, corr):
@@ -390,27 +433,27 @@ def _query_exact(p):
 
 
 def _query_index(p):
+    """Answer from the index. An id the index holds is queried at its stored
+    point, so neither --data is read nor the query embedded; other queries
+    are series, normalized and embedded one row per call."""
     if not p["index"]:
         raise UsageError("--index is required (or pass --exact)")
-    try:
-        tree, meta = load_index(p["index"])
-    except FileNotFoundError:
-        raise MissingArtifact(f"index file not found: {p['index']}")
+    tree, meta = load_index(p["index"])
     if not {"method", "m"} <= meta.keys():
         raise CorruptArtifact(f"{p['index']}: index metadata lacks method or m")
     model_path = p["model"] or meta.get("model")
-    embedder = _embedder_for(meta["method"], meta.get("m"), model_path)
-    ds = load_csv(p["data"], p["format"]) if p["data"] else None
-    queries = _query_series(p, ds)
-    length = meta.get("series_length")
-    for label, q_values, _ in queries:  # all checked before any answer is printed
-        if length is not None and len(q_values) != length:
-            raise LengthMismatch(
-                f"query {label} has length {len(q_values)}, the index holds series of length {length}"
-            )
-    for label, q_values, self_id in queries:
-        # one row per call: a query's bits do not depend on the other rows of --query-file
-        q = embedder.embed_matrix(q_values[np.newaxis])[0]
+    embedder = _embedder_for(meta["method"], meta.get("m"), model_path)  # loaded even when unused: its errors show
+    stored = tree.point(p["query_id"]) if p["query_id"] is not None else None
+    if p["query_id"] is not None and stored is None:
+        if not p["data"]:
+            raise UsageError(f"the index does not hold id {p['query_id']}: pass --data to embed its series")
+    elif p["data"] and not os.path.isfile(p["data"]):  # not read, but naming no file is still an error
+        raise MissingArtifact(f"data file not found: {p['data']}")
+    if stored is not None:
+        queries = [(f"id {p['query_id']}", stored, int(p["query_id"]))]
+    else:
+        queries = _embedded_queries(p, embedder, meta.get("series_length"))
+    for label, q, self_id in queries:
         if p["threshold"] is not None:
             res = tree.within_radius(q, threshold_radius_sq(p["threshold"], p["slack"]))
             ids, d2 = res.ids, res.distances_sq
@@ -425,6 +468,20 @@ def _query_index(p):
         print(f"# query {label} (method={meta['method']}, m={meta['m']})")
         _print_hits(ids, d2, np.clip(1.0 - d2, -1.0, 1.0))
     return 0
+
+
+def _embedded_queries(p, embedder, length):
+    """(label, embedded point, excluded id) of each query series, all checked
+    against the index's series `length` before any is embedded."""
+    ds = load_csv(p["data"], p["format"]) if p["query_id"] is not None else None
+    queries = _query_series(p, ds)
+    for label, q_values, _ in queries:
+        if length is not None and len(q_values) != length:
+            raise LengthMismatch(
+                f"query {label} has length {len(q_values)}, the index holds series of length {length}"
+            )
+    # one row per call: a query's bits do not depend on the other rows of --query-file
+    return [(label, embedder.embed_matrix(q_values[np.newaxis])[0], self_id) for label, q_values, self_id in queries]
 
 
 EVAL_DEFAULTS = {
@@ -444,13 +501,15 @@ def cmd_eval(ns):
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
-    ds = load_csv(p["data"], p["format"])
+    m_values, k_values = _parse_int_list(p["m_values"]), _parse_int_list(p["k_values"])
     cfg = SweepConfig(
         seed=p["seed"], ratios=_parse_ratios(p["ratios"]),
         profile="desk" if p["desk"] else "full",
         max_queries=p["max_queries"], timing=bool(p["timing"]),
     )
-    report = sweep(ds, methods, _parse_int_list(p["m_values"]), _parse_int_list(p["k_values"]), cfg)
+    _require_output_dirs(p["report_out"], _manifest_path(p, p["report_out"]))
+    ds = load_csv(p["data"], p["format"])
+    report = sweep(ds, methods, m_values, k_values, cfg)
     report.save_csv(p["report_out"])
     _write_manifest(
         _manifest_path(p, p["report_out"]), "eval", p, {"data": p["data"]}, {"report": p["report_out"]}
@@ -468,6 +527,7 @@ BENCH_DEFAULTS = {
 
 def cmd_bench(ns):
     p = _resolve(ns, BENCH_DEFAULTS)
+    _require_output_dirs(p["report_out"], _manifest_path(p, p["report_out"]))
     params = load_model(p["model"]) if p["model"] else None
     stats = latency_benchmark(
         p["n"], p["m"], p["k"], n_queries=p["queries"], seed=p["seed"],

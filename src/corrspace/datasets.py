@@ -96,9 +96,9 @@ _INT64_BOUND = 2.0**63  # an id v becomes an int64 iff -2**63 <= v < 2**63
 
 def _parse_rows(path, delimiter):
     try:
-        fh = open(path, "r", newline="")
-    except FileNotFoundError:
-        raise ParseError(0, f"cannot open {path}")
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifact(f"data file not found: {path}") from None
     rows, lineno = [], 0
     with fh:
         try:
@@ -107,7 +107,20 @@ def _parse_rows(path, delimiter):
                     rows.append((lineno, row))
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise ParseError(lineno + 1, str(exc))
+        except UnicodeDecodeError as exc:  # raised for a whole decoded chunk, so the line is found apart
+            raise ParseError(_first_line_not_utf8(path), f"not UTF-8 text ({exc.reason})") from None
     return rows
+
+
+def _first_line_not_utf8(path) -> int:
+    """The 1-based number of the first line of `path` that does not decode as UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):  # b"\n" never falls inside a UTF-8 sequence
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0  # the file changed while it was read
 
 
 def _has_long_line(path) -> bool:
@@ -134,7 +147,7 @@ def _vectorised_rows(path, fmt):
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy only warns on a file with no data rows
-            with open(path, "r") as fh:  # decoded as `_parse_rows` decodes it
+            with open(path, "r", encoding="utf-8") as fh:  # decoded as `_parse_rows` decodes it
                 table = np.loadtxt(fh, delimiter=_DELIMITERS[fmt], comments=None, ndmin=2, dtype=np.float64)
     except (OSError, ValueError, Warning):
         return None
@@ -206,9 +219,10 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
     fmt "csv_id": like "csv" with a leading integer id column.
     fmt "ucr":    tab-separated UCR style; the leading class label is dropped.
 
-    Constant rows are rejected with a warning and counted in
-    `n_constant_dropped`; they would make the correlation undefined. A
-    non-finite value anywhere is a `ParseError`.
+    The file is read as UTF-8. A missing path, or a directory, raises
+    `MissingArtifact`. Constant rows are rejected with a warning and counted
+    in `n_constant_dropped`; they would make the correlation undefined. A
+    non-finite value anywhere, or a line that is not UTF-8, is a `ParseError`.
 
     The file is parsed in one vectorised pass. A file that pass cannot take
     or that breaks a row rule is read again line by line, which gives the

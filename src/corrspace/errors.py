@@ -96,7 +96,7 @@ class SizeMismatch(CorrSpaceError):
 
 
 class MissingArtifact(CorrSpaceError):
-    """A required model / index / dataset file does not exist."""
+    """A required model / index / dataset file, or an output's directory, does not exist."""
 
     exit_code = 23
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact
 
 INDEX_MAGIC = b"CIX1"
 INDEX_VERSION = 1
@@ -130,6 +130,12 @@ class KdTree:
     def height(self):
         """Levels of the median-split tree, the bucket level included."""
         return self._levels + 1
+
+    def point(self, record_id):
+        """A copy of the point stored for `record_id` (the first, if ids
+        repeat), or None when the index does not hold that id."""
+        hits = np.flatnonzero(self._ids.ravel()[self._rows] == record_id)  # input order: no padding
+        return self._pts.reshape(-1, self.m)[self._rows[hits[0]]].copy() if len(hits) else None
 
     def _check_query(self, q):
         q = np.asarray(q, dtype=np.float64)
@@ -294,11 +300,15 @@ def save_index(tree: KdTree, path, meta: dict | None = None) -> None:
 def load_index(path):
     """Load a dump written by `save_index`; returns (KdTree, meta).
 
-    A file that is not a whole `CIX1` dump, or whose points are not all
-    finite, raises `CorruptArtifact`.
+    A missing path, or a directory, raises `MissingArtifact`; a file that is
+    not a whole `CIX1` dump, or whose points are not all finite, raises
+    `CorruptArtifact`.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifact(f"index file not found: {path}") from None
     if data[:4] != INDEX_MAGIC:
         raise CorruptArtifact(f"{path}: not an index file")
     if len(data) < _HEADER.size:

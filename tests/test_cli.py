@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from corrspace.cli import GEN_DEFAULTS, _load_split, _resolve, build_parser, main, replay_manifest
 from corrspace.core import normalize
 from corrspace.datasets import load_csv
-from corrspace.embed import NetworkParams, load_model, save_model
+from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
 from corrspace.errors import CorrSpaceError, MissingArtifact
 from corrspace.evaluation import exact_top_k
 from corrspace.index import load_index, save_index
@@ -110,7 +110,7 @@ def test_ingest_non_finite_value_exit_code(capsys, tmp_path):
 
 def test_ingest_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "ingest", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "x.csv"))
-    assert code == 16
+    assert code == 23 and "data file not found" in err
 
 
 # -------------------------------------------------------------------- split
@@ -214,7 +214,7 @@ def test_train_missing_data_exit_code(capsys, tmp_path):
         capsys, "train", "--data", str(tmp_path / "ghost.csv"), "--m", "4",
         "--model-out", str(tmp_path / "m.bin"),
     )
-    assert code == 16
+    assert code == 23
 
 
 def test_train_requires_m(capsys, tmp_path):
@@ -509,6 +509,118 @@ def test_non_finite_model_weight_exit_code(capsys, tmp_path):
     assert err.startswith(f"error: {model}: ") and "non-finite" in err
 
 
+def learned_index(capsys, tmp_path, data):
+    model = tmp_path / "model.chr1"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "20",
+        "--model-out", str(model), "--log-out", str(tmp_path / "log.csv"),
+    )
+    assert code == 0, err
+    return build_index(capsys, tmp_path, data, method="learned-order", m="4", extra=("--model", str(model)))
+
+
+@pytest.mark.parametrize("method", ["dft", "learned-order"])
+@pytest.mark.parametrize("how", [("--k", "5"), ("--threshold", "0.2")])
+def test_query_id_the_index_holds_answers_alike_without_data(capsys, tmp_path, method, how):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data) if method == "dft" else learned_index(capsys, tmp_path, data)
+    tree, _ = load_index(str(idx))
+    outputs = []
+    for source in (("--data", str(data)), ()):
+        code, stdout, err = run(capsys, "query", "--index", str(idx), *source, "--query-id", "7", *how)
+        assert code == 0, err
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+    # the query point is the stored one: the answer is the tree's own, less the id itself
+    q = tree.point(7)
+    want = tree.top_k(q, 6).ids if how[0] == "--k" else tree.within_radius(q, 1.0 - 0.2).ids
+    want = [i for i in want if i != 7][:5] if how[0] == "--k" else [i for i in want if i != 7]
+    assert want and [h[0] for h in parse_hits(outputs[0])] == want
+
+
+def test_query_id_the_index_holds_does_not_read_data(capsys, tmp_path, monkeypatch):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_csv called")
+
+    monkeypatch.setattr("corrspace.cli.load_csv", refuse)
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "4")
+    assert code == 0, err
+    assert len(parse_hits(stdout)) == 4
+    # --data is not read, but one that names no file is still an error
+    for ghost in (tmp_path / "ghost.csv", tmp_path):
+        code, stdout, err = run(capsys, "query", "--index", str(idx), "--data", str(ghost), "--query-id", "3")
+        assert code == 23 and stdout == "" and "data file not found" in err
+
+
+def test_query_id_the_index_lacks_answers_from_data(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    split_path = tmp_path / "split.json"
+    run(capsys, "split", "--data", str(data), "--output", str(split_path))
+    idx = build_index(capsys, tmp_path, data, extra=("--split", str(split_path), "--partition", "train"))
+    test_id = json.loads(split_path.read_text())["test_ids"][0]
+    tree, _ = load_index(str(idx))
+    assert tree.point(test_id) is None
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", str(test_id), "--k", "5")
+    assert code == 0, err
+    ds = load_csv(str(data), "csv_id")
+    q = DftTruncationEmbedder(8).embed_matrix(ds.normalized_matrix(ds.rows_for([test_id])))[0]
+    assert [h[0] for h in parse_hits(stdout)] == list(tree.top_k(q, 5).ids)
+    # neither --data nor the id in the index
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", str(test_id))
+    assert code == 2 and stdout == "" and f"does not hold id {test_id}" in err
+
+
+def test_query_file_rows_answer_as_they_would_alone(capsys, tmp_path):
+    # all rows are normalized in one call; each keeps the bits it has alone
+    data = gen_small(capsys, tmp_path)
+    idx = learned_index(capsys, tmp_path, data)
+    ds = load_csv(str(data), "csv_id")
+    rows = [ds.values[i] * scale for i, scale in ((2, 1.0), (5, 1e-3), (11, 7e5))]
+    lines = [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
+    together = tmp_path / "all.csv"
+    together.write_text("".join(lines))
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-file", str(together), "--k", "6")
+    assert code == 0, err
+    blocks = stdout.split("# query ")[1:]
+    for i, line in enumerate(lines):
+        alone = tmp_path / f"one{i}.csv"
+        alone.write_text(line)
+        code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-file", str(alone), "--k", "6")
+        assert code == 0, err
+        assert stdout.split("\n", 1)[1] == blocks[i].split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "--index", "{tmp}", "--query-id", "1"),
+    ("query", "--index", "{idx}", "--query-file", "{tmp}"),
+    ("index", "--data", "{tmp}", "--m", "4", "--output", "{tmp}/x.idx"),
+    ("ingest", "--input", "{tmp}", "--output", "{tmp}/x.csv"),
+])
+def test_directory_given_for_a_file_is_missing(capsys, tmp_path, argv):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    code, stdout, err = run(capsys, *(arg.format(tmp=tmp_path, idx=idx) for arg in argv))
+    assert code == 23 and stdout == "" and "not found" in err
+
+
+def test_output_in_a_missing_directory_fails_before_reading(capsys, tmp_path, monkeypatch):
+    data = gen_small(capsys, tmp_path)
+    monkeypatch.setattr("corrspace.cli.load_csv", lambda *a, **k: pytest.fail("input read"))
+    for argv in (
+        ("ingest", "--input", str(data), "--output", str(tmp_path / "nodir" / "x.csv")),
+        ("split", "--data", str(data), "--output", str(tmp_path / "nodir" / "s.json")),
+        ("index", "--data", str(data), "--m", "4", "--output", str(tmp_path / "nodir" / "x.idx")),
+        ("train", "--data", str(data), "--m", "4", "--model-out", str(tmp_path / "nodir" / "m.chr1")),
+        ("eval", "--data", str(data), "--methods", "dft", "--report-out", str(tmp_path / "nodir" / "r.csv")),
+        ("ingest", "--input", str(data), "--output", str(tmp_path / "x.csv"), "--manifest", str(tmp_path / "nodir" / "m.json")),
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 23 and stdout == "" and "output directory not found" in err, argv
+
+
 def test_index_rejects_series_longer_than_the_model(capsys, tmp_path):
     # a model trained on length-16 series does not embed length-32 series
     model = tmp_path / "model.chr1"
@@ -718,6 +830,8 @@ def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path, text):
 _GEN = ("gen", "--family", "example1", "--output", "{tmp}/out.csv")
 _QUERY = ("query", "--exact", "--data", "{data}", "--query-id", "3")
 _TRAIN = ("train", "--data", "{data}", "--m", "4", "--model-out", "{tmp}/m.chr1")
+_SPLIT = ("split", "--output", "{tmp}/s.json")
+_EVAL = ("eval", "--data", "{data}", "--report-out", "{tmp}/r.csv")
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -728,6 +842,10 @@ _TRAIN = ("train", "--data", "{data}", "--m", "4", "--model-out", "{tmp}/m.chr1"
     (_QUERY, {"k": 2.5}),
     (_TRAIN, {"desk": "yes"}),  # a --desk/--no-desk flag takes a bool
     (_TRAIN, {"loss": "hinge"}),  # outside the flag's choices
+    (_SPLIT, {"data": 5}),  # a flag without a type takes a string: open(5) would read descriptor 5
+    (_TRAIN, {"model_out": ["m.chr1"]}),  # a list where the code reads no list
+    (_SPLIT, {"ratios": 0.5}),  # nor a string or a list where the code reads a list
+    (_EVAL, {"methods": {"dft": 1}}),
 ])
 def test_config_values_get_the_checks_flags_get(capsys, tmp_path, argv, doc):
     data = gen_small(capsys, tmp_path)
@@ -749,6 +867,40 @@ def test_config_values_of_the_flags_type_are_kept(capsys, tmp_path):
     params = json.loads((tmp_path / "m.chr1.manifest.json").read_text())["params"]
     assert (params["desk"], params["iterations"], params["learning_rate"], params["loss"]) == (True, 0, 0.5, "order")
     assert params["seed"] == 0  # null counts as absent
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (_SPLIT, {"ratios": [0.8, "x", 0.1]}),
+    (_SPLIT, {"ratios": [0.8, True, 0.1]}),
+    (_SPLIT, {"ratios": [0.5, 0.5, 0.5]}),  # not summing to 1
+    (_EVAL, {"methods": "dft", "m_values": [4.5]}),
+    (_EVAL, {"methods": "dft", "k_values": ["ten"]}),
+])
+def test_config_list_items_get_checked(capsys, tmp_path, argv, doc):
+    data = gen_small(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data), **doc}))
+    code, stdout, err = run(capsys, *(arg.format(tmp=tmp_path, data=data) for arg in argv), "--config", str(cfg))
+    assert code == 2 and stdout == "" and "error:" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--ratios", "a,b,c"), ("--ratios", "0.9,0.2,nan"), ("--m-values", "x")])
+def test_list_flags_that_do_not_parse_are_usage_errors(capsys, tmp_path, flag, value):
+    data = gen_small(capsys, tmp_path)
+    argv = ("eval", "--data", str(data), "--methods", "dft", "--report-out", str(tmp_path / "r.csv"), flag, value)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and "error:" in err
+
+
+def test_config_lists_read_as_their_flags_do(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data), "ratios": [0.6, 0.2, 0.2]}))
+    code, _, err = run(capsys, "split", "--config", str(cfg), "--output", str(tmp_path / "a.json"))
+    assert code == 0, err
+    code, _, err = run(capsys, "split", "--data", str(data), "--ratios", "0.6,0.2,0.2", "--output", str(tmp_path / "b.json"))
+    assert code == 0, err
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_shared_flags_agree():

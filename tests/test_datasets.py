@@ -83,8 +83,13 @@ def test_load_csv_empty(tmp_path):
 
 
 def test_load_csv_missing_file(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(MissingArtifact):
         load_csv(tmp_path / "absent.csv", "csv")
+
+
+def test_load_csv_directory_is_missing(tmp_path):
+    with pytest.raises(MissingArtifact, match="data file not found"):
+        load_csv(tmp_path, "csv")
 
 
 def test_load_csv_short_series(tmp_path):
@@ -256,6 +261,36 @@ def test_field_past_the_csv_limit_is_a_parse_error(tmp_path, loader, field):
     with pytest.raises(ParseError) as exc:
         loader(p, "csv")
     assert exc.value.line == 2 and "field larger than field limit" in str(exc.value)
+
+
+@pytest.mark.parametrize("loader", [load_csv, load_by_loop])
+@pytest.mark.parametrize("fmt", ["csv", "csv_id", "ucr"])
+def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_line(tmp_path, loader, fmt):
+    sep = "\t" if fmt == "ucr" else ","
+    good = "".join(sep.join(str(i + j) for j in range(6)) + "\n" for i in range(3000))  # past one decoded chunk
+    p = tmp_path / "d.csv"
+    p.write_bytes(good.encode() + sep.join(["1", "2", "\xff\xfe", "4", "5", "6"]).encode("latin-1") + b"\n")
+    with pytest.raises(ParseError) as exc:
+        loader(str(p), fmt)
+    assert type(exc.value) is ParseError and exc.value.line == 3001 and "not UTF-8" in str(exc.value)
+
+
+# random bytes, and files near the formats' grammar with bytes that break it
+_CSV_PIECES = [b"1", b"-2.5", b",", b"\t", b"\n", b"\r", b'"', b"\xff", b"\xc3", b"\x00", b"nan", b"e9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=200) | st.lists(st.sampled_from(_CSV_PIECES), max_size=60).map(b"".join))
+def test_random_bytes_give_only_typed_errors(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        p.write_bytes(blob)
+        for fmt in ("csv", "csv_id", "ucr"):
+            for loader in (load_csv, load_by_loop):
+                try:
+                    loader(str(p), fmt)
+                except CorrSpaceError:
+                    pass
 
 
 def test_long_lines_of_short_fields_still_load(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from corrspace import index
 from corrspace.datasets import Dataset
 from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
-from corrspace.errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput
+from corrspace.errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact
 from corrspace.index import (
     INDEX_MAGIC,
     KdTree,
@@ -271,6 +271,12 @@ def test_index_file_layout(tmp_path):
     np.testing.assert_array_equal(got_pts, points)
 
 
+def test_missing_index_file_is_a_missing_artifact(tmp_path):
+    for path in (tmp_path / "absent.idx", tmp_path):
+        with pytest.raises(MissingArtifact, match="index file not found"):
+            load_index(str(path))
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -359,6 +365,27 @@ def test_padding_never_reaches_an_answer():
     assert tree._pts.shape == (2, 3, 2)
     assert sorted(tree.within_radius(np.zeros(2), math.inf).ids) == [0, 1, 2, 3, 4]
     assert sorted(tree.top_k(np.zeros(2), 99).ids) == [0, 1, 2, 3, 4]
+
+
+def test_point_is_a_copy_of_the_stored_point():
+    tree, points, ids = random_tree(1000, 16, seed=7)
+    for row in (0, 1, 517, 999):
+        got = tree.point(ids[row])
+        np.testing.assert_array_equal(got, points[row])
+        got[:] = np.nan  # a copy: the tree keeps its point
+        np.testing.assert_array_equal(tree.point(ids[row]), points[row])
+    assert tree.point(1000) is None and tree.point(-1) is None and tree.point(2**70) is None
+
+
+def test_point_skips_padding_ids():
+    # padding slots carry id -1, which a dataset may also use
+    points = np.arange(10.0).reshape(5, 2)
+    with mock.patch.object(index, "BUCKET", 3):
+        tree = KdTree(points, ids=[3, 9, 4, 0, 1])
+        assert tree.point(-1) is None
+        tree = KdTree(points, ids=[3, 9, -1, 0, 1])
+    assert tree._pts.shape == (2, 3, 2)
+    np.testing.assert_array_equal(tree.point(-1), points[2])
 
 
 def test_buckets_differ_in_size_by_at_most_one():
