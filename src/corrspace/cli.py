@@ -22,7 +22,7 @@ from .datasets import Dataset, SplitDataset, gen_example1, gen_example2, load_cs
 from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, load_model, save_model
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
 from .evaluation import METHODS, EvalReport, SweepConfig, latency_benchmark, sweep
-from .index import KdTree, load_index, save_index, threshold_radius_sq
+from .index import KdTree, load_index, rank, save_index, threshold_radius_sq
 from .train import APPROXIMATE, ORDER, TrainConfig, desk_config, train
 
 
@@ -416,19 +416,15 @@ def _query_exact(p):
     ds = load_csv(p["data"], p["format"])
     h = ds.normalized_matrix()
     for label, q, self_id in _query_series(p, ds):
-        corr = np.clip(h @ q, -1.0, 1.0)
-        d2 = 2.0 - 2.0 * corr
-        keep = np.ones(ds.n, dtype=bool)
-        if self_id is not None:
-            keep &= ds.ids != self_id
-        order = np.lexsort((ds.ids, d2))
-        order = order[keep[order]]
+        corr = h @ q
+        clipped = np.clip(corr, -1.0, 1.0)  # printed; ranked by the unclipped d², as `eval` ranks
+        cand = np.arange(ds.n) if self_id is None else np.flatnonzero(ds.ids != self_id)
+        k = p["k"]
         if p["threshold"] is not None:
-            order = order[corr[order] >= p["threshold"]]
-        else:
-            order = order[: p["k"]]
+            cand, k = cand[clipped[cand] >= p["threshold"]], None
+        cand = cand[rank(2.0 - 2.0 * corr[cand], ds.ids[cand], k)]
         print(f"# query {label} (exact)")
-        _print_hits(ds.ids[order], d2[order], corr[order])
+        _print_hits(ds.ids[cand], 2.0 - 2.0 * clipped[cand], clipped[cand])
     return 0
 
 

@@ -107,6 +107,12 @@ class CorruptArtifact(CorrSpaceError, ValueError):
     exit_code = 24
 
 
+class RepeatedId(CorrSpaceError):
+    """Two points given to one index share an id."""
+
+    exit_code = 25
+
+
 class UsageError(CorrSpaceError):
     """Invalid command-line arguments."""
 

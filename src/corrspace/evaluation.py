@@ -16,11 +16,21 @@ from . import train as _train
 from .datasets import Dataset, split
 from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, feature_width
 from .errors import KTooLarge, SizeMismatch
-from .index import KdTree
+from .index import KdTree, rank
 
 METHODS = ("exact", "dft", "downsample", "learned-approx", "learned-order")
 
 _LOSS_OF = {"learned-approx": _train.APPROXIMATE, "learned-order": _train.ORDER}
+
+# Query rows per oracle GEMM. On OpenBLAS a block this tall gives each row the
+# bits of one GEMM over all queries (but in the last pool-size % 8 columns),
+# and a lone row does not; so `_oracle_rows` makes no short block.
+ORACLE_BLOCK = 64
+
+
+def _true_d2(q_h, pool_h):
+    """True distances² 2 - 2*corr from each normalized query row to each pool row."""
+    return 2.0 - 2.0 * (q_h @ pool_h.T)
 
 
 def exact_top_k(ns, pool: Dataset, k: int) -> np.ndarray:
@@ -29,10 +39,8 @@ def exact_top_k(ns, pool: Dataset, k: int) -> np.ndarray:
         raise ValueError("k must be at least 1")
     if k > pool.n:
         raise KTooLarge(f"k={k} exceeds pool size {pool.n}")
-    h = pool.normalized_matrix()
-    d2 = 2.0 - 2.0 * (h @ np.asarray(ns.values, dtype=np.float64))
-    order = np.lexsort((pool.ids, d2))
-    return pool.ids[order[:k]].copy()
+    d2 = _true_d2(np.asarray(ns.values, dtype=np.float64)[np.newaxis], pool.normalized_matrix())[0]
+    return pool.ids[rank(d2, pool.ids, k)]
 
 
 def precision(fhat_ids, f_ids, k=None) -> float:
@@ -51,7 +59,7 @@ def gap(fhat_ids, f_ids, ns, pool: Dataset, k=None) -> float:
         k = len(f_ids)
     if len(fhat_ids) != k or len(f_ids) != k:
         raise SizeMismatch(f"expected two id sets of size {k}, got {len(fhat_ids)}/{len(f_ids)}")
-    d2 = 2.0 - 2.0 * (pool.normalized_matrix() @ np.asarray(ns.values, dtype=np.float64))
+    d2 = _true_d2(np.asarray(ns.values, dtype=np.float64)[np.newaxis], pool.normalized_matrix())[0]
     return float(_gap(d2, pool.rows_for(fhat_ids), pool.rows_for(f_ids), k))
 
 
@@ -154,7 +162,10 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
 
     The candidate pool is the training partition and each test series is one
     query, so a query never matches itself. The "exact" pseudo-method feeds
-    the oracle to itself (rho=1, delta=0 rows; reported with m=0).
+    the oracle to itself (rho=1, delta=0 rows; reported with m=0); its
+    latency is the time `rank` takes to order one query's exact top-k. Every
+    cell's answers are collected first, then scored in one pass of the
+    blocked oracle (`_oracle_rows`).
     """
     for method in methods:
         if method not in METHODS:
@@ -168,66 +179,65 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
     pool_h, pool_ids = h[train_rows], ds.ids[train_rows]
     q_h = h[test_rows]
     n_pool, n_q = len(train_rows), len(test_rows)
-
-    d2_true = 2.0 - 2.0 * (q_h @ pool_h.T)  # (n_q, n_pool) exact distances
-    exact_order = np.vstack([np.lexsort((pool_ids, d2_true[i])) for i in range(n_q)])
-    col_of = {int(r): c for c, r in enumerate(pool_ids)}
+    for k in k_values:
+        if k > n_pool:
+            raise KTooLarge(f"k={k} exceeds pool size {n_pool}")
 
     pair_s, pair_r = pair_rows(ds, splits.test_ids, cfg.seed)
-
-    report = EvalReport()
+    by_id = np.argsort(pool_ids)  # pool column of each answer id, by `searchsorted`
+    rank_lat = {k: [] for k in k_values}
+    # (method, m, k, approx_loss, embed_us, latencies, each query's top-k as pool columns or None for "exact")
+    cells = []
     for method in methods:
-        for m in m_values if method != "exact" else (0,):
-            for k in k_values:
-                if k > n_pool:
-                    raise KTooLarge(f"k={k} exceeds pool size {n_pool}")
-            if method == "exact":
-                report.rows.extend(_exact_rows(d2_true, pool_ids, k_values, cfg))
-                continue
+        if method == "exact":
+            cells += [("exact", 0, k, 0.0, 0.0, rank_lat[k], None) for k in k_values]
+            continue
+        for m in m_values:
             embedder = build_embedder(method, m, ds, splits, cfg)
             t0 = time.perf_counter()
             emb_q = embedder.embed_matrix(q_h)
             embed_us = (time.perf_counter() - t0) / n_q * 1e6 if cfg.timing else float("nan")
-            emb_pool = embedder.embed_matrix(pool_h)
-            tree = KdTree(emb_pool, pool_ids)
+            tree = KdTree(embedder.embed_matrix(pool_h), pool_ids)
             approx = approximation_loss(embedder, h[pair_s], h[pair_r])
             for k in k_values:
-                rho_sum, delta_sum, lat = 0.0, 0.0, []
+                top, lat = np.empty((n_q, k), dtype=np.int64), []
                 for i in range(n_q):
                     t0 = time.perf_counter()
-                    res = tree.top_k(emb_q[i], k)
+                    top[i] = tree.top_k(emb_q[i], k).ids
                     lat.append((time.perf_counter() - t0) * 1e6)
-                    f_cols = exact_order[i, :k]
-                    fhat_cols = np.array([col_of[int(r)] for r in res.ids])
-                    rho_sum += precision(res.ids, pool_ids[f_cols], k)
-                    delta_sum += _gap(d2_true[i], fhat_cols, f_cols, k)
-                q50, q99 = (
-                    (float(np.percentile(lat, 50)), float(np.percentile(lat, 99)))
-                    if cfg.timing
-                    else (float("nan"), float("nan"))
-                )
-                report.rows.append(
-                    ReportRow(method, m, k, rho_sum / n_q, delta_sum / n_q, approx, q50, q99, embed_us)
-                )
-    return report
+                cells.append((method, m, k, approx, embed_us, lat, by_id[np.searchsorted(pool_ids, top, sorter=by_id)]))
 
-
-def _exact_rows(d2_true, pool_ids, k_values, cfg):
-    n_q = d2_true.shape[0]
-    rows = []
-    for k in k_values:
-        lat = []
-        for i in range(n_q):
+    rho_sum, delta_sum = [0.0] * len(cells), [0.0] * len(cells)
+    for i, d2 in _oracle_rows(q_h, pool_h):
+        for k, lat in rank_lat.items():
             t0 = time.perf_counter()
-            order = np.lexsort((pool_ids, d2_true[i]))[:k]
+            f_cols = rank(d2, pool_ids, k)
             lat.append((time.perf_counter() - t0) * 1e6)
-        q50, q99 = (
-            (float(np.percentile(lat, 50)), float(np.percentile(lat, 99)))
-            if cfg.timing
-            else (float("nan"), float("nan"))
-        )
-        rows.append(ReportRow("exact", 0, k, 1.0, 0.0, 0.0, q50, q99, 0.0))
-    return rows
+            for c, (_, _, cell_k, _, _, _, top) in enumerate(cells):
+                if cell_k == k and top is not None:
+                    rho_sum[c] += precision(top[i], f_cols, k)
+                    delta_sum[c] += _gap(d2, top[i], f_cols, k)
+    return EvalReport([
+        ReportRow(method, m, k, 1.0 if top is None else rho_sum[c] / n_q, delta_sum[c] / n_q, approx,
+                  *_percentiles(lat, cfg), embed_us)
+        for c, (method, m, k, approx, embed_us, lat, top) in enumerate(cells)
+    ])
+
+
+def _oracle_rows(q_h, pool_h):
+    """(i, true d² row of query i) for every query in order, `ORACLE_BLOCK`
+    queries to a GEMM. The last block reaches back over rows already given,
+    so that it is full too."""
+    for lo in range(0, len(q_h), ORACLE_BLOCK):
+        start = max(min(lo, len(q_h) - ORACLE_BLOCK), 0)
+        yield from enumerate(_true_d2(q_h[start : lo + ORACLE_BLOCK], pool_h)[lo - start :], lo)
+
+
+def _percentiles(lat, cfg):
+    """(q50, q99) of latencies in µs, NaN when timing is off."""
+    if not cfg.timing:
+        return float("nan"), float("nan")
+    return float(np.percentile(lat, 50)), float(np.percentile(lat, 99))
 
 
 def latency_benchmark(

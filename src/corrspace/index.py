@@ -18,7 +18,7 @@ nearest q until they hold k points and takes the k-th d² as its bound;
 within the bound are then gathered, and each of their points gets a cheap
 estimate ‖p‖² − 2⟨p, q⟩ from the stored squared norms and one
 matrix-vector product. Only the points whose estimate a proven rounding
-margin cannot rule out get their exact d², and the answer is ordered by
+margin cannot rule out get their exact d², and `rank` orders the answer by
 (d², id). Every returned d² comes from `_dist_sq`, so answers equal a
 brute-force scan with that kernel bit for bit, ties included; the only
 approximation in the pipeline lives in the embedding itself.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact, RepeatedId
 
 INDEX_MAGIC = b"CIX1"
 INDEX_VERSION = 1
@@ -70,6 +70,23 @@ def _dist_sq(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def rank(d2: np.ndarray, ids: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Positions of `d2` in ascending (d², id) order, only the first k if given.
+
+    `d2` holds no NaN and `ids` no repeats, so the order is total. Takes the
+    entries up to the k-th d² (`np.partition`) and sorts them by d², or by
+    (d², id) when two tie; so the first sort need not be stable.
+    """
+    cand = np.arange(len(d2))
+    if k is not None and k < len(d2):
+        cand = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+    sel = d2[cand]
+    order = np.argsort(sel)
+    if (sel[order[1:]] == sel[order[:-1]]).any():
+        order = np.lexsort((ids[cand], sel))
+    return cand[order[:k]]
+
+
 class KdTree:
     def __init__(self, points: np.ndarray, ids=None):
         points = np.asarray(points, dtype=np.float64)
@@ -83,6 +100,9 @@ class KdTree:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape[0] != n:
             raise DimensionMismatch("ids/points row counts differ")
+        if not np.diff(np.sort(ids)).all():  # (d², id) orders points only when ids are unique
+            values, counts = np.unique(ids, return_counts=True)
+            raise RepeatedId(f"id {values[counts > 1][0]} repeats")
         self._levels = 0
         while -(-n // 2**self._levels) > BUCKET:
             self._levels += 1
@@ -132,8 +152,8 @@ class KdTree:
         return self._levels + 1
 
     def point(self, record_id):
-        """A copy of the point stored for `record_id` (the first, if ids
-        repeat), or None when the index does not hold that id."""
+        """A copy of the point stored for `record_id`, or None when the index
+        does not hold that id."""
         hits = np.flatnonzero(self._ids.ravel()[self._rows] == record_id)  # input order: no padding
         return self._pts.reshape(-1, self.m)[self._rows[hits[0]]].copy() if len(hits) else None
 
@@ -247,7 +267,7 @@ class KdTree:
         refined = len(d2) - int(np.count_nonzero(np.isnan(d2)))
         keep = np.flatnonzero(d2 <= bound)  # NaN padding never passes
         d2, ids = d2[keep], ids[keep]
-        order = np.lexsort((ids, d2))[:k]
+        order = rank(d2, ids, k)
         return QueryResult(
             ids=ids[order], distances_sq=d2[order], scanned=int(self._sizes[buckets].sum()), refined=refined
         )
@@ -301,8 +321,8 @@ def load_index(path):
     """Load a dump written by `save_index`; returns (KdTree, meta).
 
     A missing path, or a directory, raises `MissingArtifact`; a file that is
-    not a whole `CIX1` dump, or whose points are not all finite, raises
-    `CorruptArtifact`.
+    not a whole `CIX1` dump, whose points are not all finite or whose ids
+    repeat, raises `CorruptArtifact`.
     """
     try:
         with open(path, "rb") as fh:
@@ -332,5 +352,5 @@ def load_index(path):
     pts = np.frombuffer(data, dtype="<f8", count=n * m, offset=off + 8 * n).reshape(n, m)
     try:
         return KdTree(pts, ids), meta
-    except DegenerateOutput:  # the tree's own finite check
-        raise CorruptArtifact(f"{path}: the index holds a non-finite point")
+    except (DegenerateOutput, RepeatedId) as exc:  # the tree's own checks: finite points, unique ids
+        raise CorruptArtifact(f"{path}: {exc}")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from corrspace.cli import GEN_DEFAULTS, _load_split, _resolve, build_parser, main, replay_manifest
 from corrspace.core import normalize
-from corrspace.datasets import load_csv
+from corrspace.datasets import Dataset, load_csv, save_csv
 from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
 from corrspace.errors import CorrSpaceError, MissingArtifact
 from corrspace.evaluation import exact_top_k
@@ -294,6 +294,23 @@ def test_query_exact_self_excluded(capsys, tmp_path):
     hits = parse_hits(stdout)
     assert [h[0] for h in hits] == oracle_ids(data, 7, 3)
     assert all(h[0] != 7 for h in hits)
+
+
+def test_query_exact_ranks_by_unclipped_distance(capsys, tmp_path):
+    # near-duplicates of one series: the computed correlation of id 5 with
+    # the query is 1 + 2⁻⁵², of ids 0 and 2 exactly 1. All three print as
+    # corr 1 and d² 0, but they rank by the unclipped d² = 2 − 2·corr, as
+    # `eval`'s oracle ranks, so id 5 comes first
+    v = np.random.default_rng(0).standard_normal(16)
+    ds = Dataset(ids=np.array([0, 1, 2, 5]), values=np.array([v, 17.28 * v + 1.86, 10.88 * v + 1.5, 0.66 * v - 3.65]))
+    path = tmp_path / "dup.csv"
+    save_csv(ds, path)
+    h = load_csv(str(path), "csv_id").normalized_matrix()
+    assert (h @ h[1]).tolist() == [1.0, 1.0 + 2.0**-52, 1.0, 1.0 + 2.0**-52]  # ids 0, 1 (the query), 2, 5
+    for how in (("--k", "3"), ("--threshold", "0.5")):
+        code, stdout, _ = run(capsys, "query", "--exact", "--data", str(path), "--query-id", "1", *how)
+        assert code == 0
+        assert stdout.splitlines()[1:] == ["id dist2 corr_est", "5 0 1", "0 0 1", "2 0 1"]
 
 
 def test_query_index_matches_oracle_on_exact_family(capsys, tmp_path):

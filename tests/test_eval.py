@@ -2,6 +2,8 @@
 loss, the comparison sweep, and the latency benchmark.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,15 @@ from corrspace.core import TimeSeries, dft, normalize, pearson, truncated_distan
 from corrspace.datasets import Dataset, gen_example1, split
 from corrspace.embed import DftTruncationEmbedder, DownSampleEmbedder
 from corrspace.errors import KTooLarge, SizeMismatch
+from corrspace.index import KdTree
 from corrspace.evaluation import (
     EvalReport,
     ReportRow,
     SweepConfig,
+    _oracle_rows,
+    _true_d2,
     approximation_loss,
+    build_embedder,
     exact_top_k,
     gap,
     latency_benchmark,
@@ -232,6 +238,81 @@ def test_sweep_max_queries_limits_work():
     ds = random_dataset(60, 16, seed=16)
     rep = sweep(ds, ["dft"], [4], [2], SweepConfig(timing=False, max_queries=2))
     assert len(rep.rows) == 1  # still one row; just fewer queries averaged
+
+
+def reference_sweep(ds, methods, m_values, k_values, cfg):
+    """(method, m, k, rho, delta, approx_loss) rows the direct way: every
+    query's true d² to the whole pool in one matrix, ranked by a full lexsort."""
+    splits = split(ds, cfg.ratios, cfg.seed)
+    h = ds.normalized_matrix()
+    train_rows, test_rows = ds.rows_for(splits.train_ids), ds.rows_for(splits.test_ids)[: cfg.max_queries]
+    pool_h, pool_ids, q_h = h[train_rows], ds.ids[train_rows], h[test_rows]
+    d2_true = 2.0 - 2.0 * (q_h @ pool_h.T)
+    exact_order = np.vstack([np.lexsort((pool_ids, row)) for row in d2_true])
+    col_of = {int(r): c for c, r in enumerate(pool_ids)}
+    pair_s, pair_r = pair_rows(ds, splits.test_ids, cfg.seed)
+    rows = []
+    for method in methods:
+        if method == "exact":
+            rows += [("exact", 0, k, 1.0, 0.0, 0.0) for k in k_values]
+            continue
+        for m in m_values:
+            embedder = build_embedder(method, m, ds, splits, cfg)
+            emb_q = embedder.embed_matrix(q_h)
+            tree = KdTree(embedder.embed_matrix(pool_h), pool_ids)
+            approx = approximation_loss(embedder, h[pair_s], h[pair_r])
+            for k in k_values:
+                rho_sum, delta_sum = 0.0, 0.0
+                for i in range(len(q_h)):
+                    res = tree.top_k(emb_q[i], k)
+                    f_cols = exact_order[i, :k]
+                    fhat_cols = np.array([col_of[int(r)] for r in res.ids])
+                    rho_sum += precision(res.ids, pool_ids[f_cols], k)
+                    delta_sum += (d2_true[i][fhat_cols].sum() - d2_true[i][f_cols].sum()) / k
+                rows.append((method, m, k, rho_sum / len(q_h), delta_sum / len(q_h), approx))
+    return rows
+
+
+@pytest.mark.parametrize("n_q", [1, 7, 63, 64, 65, 130])
+def test_sweep_equals_full_matrix_reference(n_q):
+    # whole oracle blocks, a lone short block, and a last block that reaches
+    # back over rows already scored; ids out of row order, and exact copies
+    # of series so the true d² ties
+    rng = np.random.default_rng(23)
+    vals = rng.standard_normal((1400, 16))
+    vals[1000:1200] = vals[:200]
+    ds = Dataset(ids=rng.permutation(5000)[:1400].astype(np.int64), values=vals)
+    cfg = SweepConfig(timing=False, max_queries=n_q)
+    methods, m_values, k_values = ["exact", "dft", "downsample"], [4], [1, 10]
+    rep = sweep(ds, methods, m_values, k_values, cfg)
+    want = reference_sweep(ds, methods, m_values, k_values, cfg)
+    assert [(r.method, r.m, r.k, r.rho, r.delta, r.approx_loss) for r in rep.rows] == want
+    # each oracle row has the bits of one product over all queries: a lone
+    # row would take another BLAS path, so the last block reaches back.
+    # (OpenBLAS gives the last pool-size % 8 columns other bits in blocks of
+    # other heights; this pool is 1 120 columns.)
+    splits = split(ds, cfg.ratios, cfg.seed)
+    h = ds.normalized_matrix()
+    q_h, pool_h = h[ds.rows_for(splits.test_ids)[:n_q]], h[ds.rows_for(splits.train_ids)]
+    rows = list(_oracle_rows(q_h, pool_h))
+    assert [i for i, _ in rows] == list(range(n_q))
+    assert np.array_equal(np.array([row for _, row in rows]), _true_d2(q_h, pool_h))
+
+
+def test_sweep_memory_does_not_grow_with_queries_times_pool():
+    # one n_q x n_pool float64 array of true d² and one int64 array of their
+    # order would take 104 MB here; the blocked oracle holds 64 rows at a time
+    ds = random_dataset(9000, 16, seed=24)
+    splits = split(ds, seed=0)
+    full = 2 * 8 * len(splits.train_ids) * len(splits.test_ids)
+    assert full >= 100e6
+    tracemalloc.start()
+    try:
+        sweep(ds, ["exact", "dft"], [4], [10], SweepConfig(timing=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 4
 
 
 def test_report_csv_schema():

@@ -17,11 +17,19 @@ from hypothesis import strategies as st
 from corrspace import index
 from corrspace.datasets import Dataset
 from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
-from corrspace.errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact
+from corrspace.errors import (
+    CorruptArtifact,
+    DegenerateOutput,
+    DimensionMismatch,
+    EmptyInput,
+    MissingArtifact,
+    RepeatedId,
+)
 from corrspace.index import (
     INDEX_MAGIC,
     KdTree,
     load_index,
+    rank,
     save_index,
     threshold_radius_sq,
 )
@@ -156,6 +164,28 @@ def test_duplicate_points_tie_break_by_id():
     tree = KdTree(points, ids)
     res = tree.top_k(np.array([1.0, 0.0]), 3)
     assert list(res.ids) == [3, 7, 42]
+
+
+def test_repeated_id_is_rejected():
+    # (d², id) is a total order only over unique ids
+    with pytest.raises(RepeatedId, match="id 5"):
+        KdTree(np.arange(6.0).reshape(3, 2), ids=[5, 7, 5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_rank_equals_lexsort(n, seed, data):
+    # mostly few distinct d² (negative ones and -0.0 among them, as an
+    # unclipped 2 − 2·corr can give), so ties are the rule; ids are a
+    # shuffled sample, not in input order
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans()):
+        d2 = rng.choice(np.array([-2.0**-51, -0.0, 0.0, 0.25, 1.0, 4.0])[: data.draw(st.integers(1, 6))], n)
+    else:
+        d2 = rng.standard_normal(n)
+    ids = rng.choice(10 * n, size=n, replace=False)
+    k = data.draw(st.sampled_from([1, n - 1, n, None]))
+    np.testing.assert_array_equal(rank(d2, ids, k), np.lexsort((ids, d2))[:k])
 
 
 def test_query_result_len():
@@ -673,6 +703,16 @@ def test_non_finite_index_point_is_corrupt(tmp_path):
     for bad in (np.nan, np.inf):
         damaged = blob[:first_point] + struct.pack("<d", bad) + blob[first_point + 8 :]
         assert not loads_or_corrupt(load_index, path, damaged)
+
+
+def test_index_that_repeats_an_id_is_corrupt(tmp_path):
+    path, blob = small_index(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", blob, 16)
+    ids_at = 20 + meta_len  # after the header and the metadata
+    repeated = blob[: ids_at + 8] + blob[ids_at : ids_at + 8] + blob[ids_at + 16 :]  # id 1 := id 0
+    assert not loads_or_corrupt(load_index, path, repeated)
+    with pytest.raises(CorruptArtifact, match="repeats"):
+        load_index(str(path))
 
 
 def test_non_finite_model_weight_is_corrupt(tmp_path):
