@@ -498,11 +498,14 @@ def cmd_eval(ns):
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     m_values, k_values = _parse_int_list(p["m_values"]), _parse_int_list(p["k_values"])
-    cfg = SweepConfig(
-        seed=p["seed"], ratios=_parse_ratios(p["ratios"]),
-        profile="desk" if p["desk"] else "full",
-        max_queries=p["max_queries"], timing=bool(p["timing"]),
-    )
+    ratios = _parse_ratios(p["ratios"])
+    try:
+        cfg = SweepConfig(
+            seed=p["seed"], ratios=ratios, profile="desk" if p["desk"] else "full",
+            max_queries=p["max_queries"], timing=bool(p["timing"]),
+        )
+    except ValueError as exc:  # --max-queries below 1
+        raise UsageError(str(exc)) from None
     _require_output_dirs(p["report_out"], _manifest_path(p, p["report_out"]))
     ds = load_csv(p["data"], p["format"])
     report = sweep(ds, methods, m_values, k_values, cfg)

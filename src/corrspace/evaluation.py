@@ -137,6 +137,10 @@ class SweepConfig:
     max_queries: int | None = None
     timing: bool = True
 
+    def __post_init__(self):
+        if self.max_queries is not None and self.max_queries < 1:
+            raise ValueError(f"max_queries must be at least 1, got {self.max_queries}")
+
 
 def _train_config(method, m, cfg):
     kind = _LOSS_OF[method]

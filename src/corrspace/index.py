@@ -8,8 +8,10 @@ They all sit at the same depth and differ in size by at most one.
 Layout: the points live once, bucket by bucket, in a (buckets, width, m)
 array padded with NaN rows to a common width, so any set of buckets is one
 fancy index. Beside it sit the ids (padding -1), the bucket sizes, each
-bucket's bounding box, and `_rows`, the flat slot of each input row, which
-gives `save_index` the input order back with one gather.
+bucket's bounding box, and `_slots`, the flat slot of each tree position.
+The bucket edges in tree order depend on n alone, so `save_index` writes
+the rows in tree order (one gather through `_slots`) and `load_index` lays
+them out again without sorting anything.
 
 A query is a few numpy passes. The squared distance from q to each box is
 a lower bound for every point in that bucket. `top_k` scans the buckets
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact, RepeatedId
 
 INDEX_MAGIC = b"CIX1"
-INDEX_VERSION = 1
+INDEX_VERSION = 2  # 1: rows in input order, still read by rebuilding the tree
 _HEADER = struct.Struct("<4sIIII")  # magic, version, n, m, meta length
 
 BUCKET = 128  # most points per bucket (README "Index" has the measurements)
@@ -92,7 +94,7 @@ class KdTree:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] == 0:
             raise DimensionMismatch(f"points must be (n, m) with m >= 1, got shape {points.shape}")
-        n, m = points.shape
+        n = points.shape[0]
         if n == 0:
             raise EmptyInput("cannot index zero points")
         if ids is None:
@@ -100,18 +102,31 @@ class KdTree:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape[0] != n:
             raise DimensionMismatch("ids/points row counts differ")
+        order = _build_order(points, ids, _levels(n))
+        self._lay_out(points[order], ids[order])
+
+    @classmethod
+    def _from_tree_order(cls, points: np.ndarray, ids: np.ndarray):
+        """The tree whose rows, in tree order, are (points, ids): what
+        `save_index` writes. Any order searches exactly (boxes and norms are
+        computed from the rows), so a wrong one can only make queries slower."""
+        tree = cls.__new__(cls)
+        tree._lay_out(points, ids)
+        return tree
+
+    def _lay_out(self, points, ids):
+        """Lay out (n, m) points and their ids, given in tree order, bucket by
+        bucket: the bucket edges follow from n alone (`_bucket_edges`)."""
+        n, m = points.shape
         if not np.diff(np.sort(ids)).all():  # (d², id) orders points only when ids are unique
             values, counts = np.unique(ids, return_counts=True)
             raise RepeatedId(f"id {values[counts > 1][0]} repeats")
-        self._levels = 0
-        while -(-n // 2**self._levels) > BUCKET:
-            self._levels += 1
-        order, bounds = _build_order(points, ids, self._levels)
+        self._levels = _levels(n)
+        bounds = _bucket_edges(n, self._levels)
         sizes = np.diff(bounds)
         n_buckets, width = len(sizes), int(sizes.max())
         # tree position t in bucket b goes to flat slot b·width + (t − bounds[b])
-        slot = np.empty(n, dtype=np.int64)
-        slot[order] = np.repeat(np.arange(n_buckets) * width - bounds[:-1], sizes) + np.arange(n)
+        slot = np.repeat(np.arange(n_buckets) * width - bounds[:-1], sizes) + np.arange(n)
         pts = np.full((n_buckets * width, m), np.nan)
         pts[slot] = points
         pad_ids = np.full(n_buckets * width, -1, dtype=np.int64)
@@ -123,7 +138,7 @@ class KdTree:
             raise DegenerateOutput("cannot index a non-finite point")
         self._pts = pts.reshape(n_buckets, width, m)
         self._ids = pad_ids.reshape(n_buckets, width)
-        self._rows = slot
+        self._slots = slot
         self._sizes = sizes
         self._smallest = int(sizes.min())
         # fmin/fmax skip the NaN padding; a loop over slot columns beats a
@@ -140,7 +155,7 @@ class KdTree:
 
     @property
     def n(self):
-        return len(self._rows)
+        return len(self._slots)
 
     @property
     def m(self):
@@ -154,8 +169,8 @@ class KdTree:
     def point(self, record_id):
         """A copy of the point stored for `record_id`, or None when the index
         does not hold that id."""
-        hits = np.flatnonzero(self._ids.ravel()[self._rows] == record_id)  # input order: no padding
-        return self._pts.reshape(-1, self.m)[self._rows[hits[0]]].copy() if len(hits) else None
+        hits = np.flatnonzero(self._ids.ravel()[self._slots] == record_id)  # tree order: no padding
+        return self._pts.reshape(-1, self.m)[self._slots[hits[0]]].copy() if len(hits) else None
 
     def _check_query(self, q):
         q = np.asarray(q, dtype=np.float64)
@@ -273,8 +288,32 @@ class KdTree:
         )
 
 
+def _levels(n):
+    """Halvings of n points until every node holds at most `BUCKET`."""
+    levels = 0
+    while -(-n // 2**levels) > BUCKET:
+        levels += 1
+    return levels
+
+
+def _halve(bounds):
+    """Node edges one level down: each node [lo, hi) splits at (lo + hi) // 2."""
+    edges = np.empty(2 * len(bounds) - 1, dtype=np.int64)
+    edges[::2] = bounds
+    edges[1::2] = (bounds[:-1] + bounds[1:]) // 2
+    return edges
+
+
+def _bucket_edges(n, levels):
+    """Edges of the buckets in tree order: [0, n] halved `levels` times."""
+    bounds = np.array([0, n])
+    for _ in range(levels):
+        bounds = _halve(bounds)
+    return bounds
+
+
 def _build_order(pts: np.ndarray, ids: np.ndarray, levels: int):
-    """(order, bounds): input rows in tree order, and the bucket edges in it.
+    """Input rows in tree order; the buckets are `_bucket_edges(n, levels)`.
 
     Each of the `levels` rounds sorts every node by (coordinate depth % m,
     id) and splits it at its midpoint. A node without ties in that
@@ -282,20 +321,18 @@ def _build_order(pts: np.ndarray, ids: np.ndarray, levels: int):
     """
     n, m = pts.shape
     order = np.arange(n)
-    bounds = [0, n]
+    bounds = np.array([0, n])
     for depth in range(levels):
         axis = depth % m
-        edges = [0]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             idx = order[lo:hi]
             col = pts[idx, axis]
             sub = np.argsort(col)
             if not (col[sub[1:]] > col[sub[:-1]]).all():  # a tie (or NaN): order it by id
                 sub = np.lexsort((ids[idx], col))
             order[lo:hi] = idx[sub]
-            edges += [(lo + hi) // 2, hi]
-        bounds = edges
-    return order, np.array(bounds)
+        bounds = _halve(bounds)
+    return order
 
 
 def threshold_radius_sq(eta: float, slack: float = 1.0) -> float:
@@ -308,19 +345,22 @@ def threshold_radius_sq(eta: float, slack: float = 1.0) -> float:
 
 
 def save_index(tree: KdTree, path, meta: dict | None = None) -> None:
-    """Versioned dump of ids + points (input order); the tree rebuilds on load."""
+    """Versioned dump of ids + points in tree order, which `load_index` lays
+    out again without rebuilding the tree."""
     blob = json.dumps(meta or {}, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, tree.n, tree.m, len(blob)))
         fh.write(blob)
-        fh.write(tree._ids.ravel()[tree._rows].astype("<i8", copy=False).tobytes())
-        fh.write(tree._pts.reshape(-1, tree.m)[tree._rows].astype("<f8", copy=False).tobytes())
+        fh.write(tree._ids.ravel()[tree._slots].astype("<i8", copy=False).tobytes())
+        fh.write(tree._pts.reshape(-1, tree.m)[tree._slots].astype("<f8", copy=False).tobytes())
 
 
 def load_index(path):
     """Load a dump written by `save_index`; returns (KdTree, meta).
 
-    A missing path, or a directory, raises `MissingArtifact`; a file that is
+    Version 2 holds the rows in tree order, so they are only laid out again;
+    a version-1 dump holds them in input order and rebuilds the tree. A
+    missing path, or a directory, raises `MissingArtifact`; a file that is
     not a whole `CIX1` dump, whose points are not all finite or whose ids
     repeat, raises `CorruptArtifact`.
     """
@@ -334,7 +374,7 @@ def load_index(path):
     if len(data) < _HEADER.size:
         raise CorruptArtifact(f"{path}: {len(data)} bytes, shorter than the {_HEADER.size}-byte header")
     _, version, n, m, blob_len = _HEADER.unpack_from(data)
-    if version != INDEX_VERSION:
+    if version not in (1, INDEX_VERSION):
         raise CorruptArtifact(f"{path}: unsupported index version {version}")
     if n == 0 or m == 0:  # `save_index` writes neither: `KdTree` holds at least one point of width >= 1
         raise CorruptArtifact(f"{path}: header describes {n} points of width {m}")
@@ -351,6 +391,6 @@ def load_index(path):
     ids = np.frombuffer(data, dtype="<i8", count=n, offset=off)
     pts = np.frombuffer(data, dtype="<f8", count=n * m, offset=off + 8 * n).reshape(n, m)
     try:
-        return KdTree(pts, ids), meta
+        return (KdTree(pts, ids) if version == 1 else KdTree._from_tree_order(pts, ids)), meta
     except (DegenerateOutput, RepeatedId) as exc:  # the tree's own checks: finite points, unique ids
         raise CorruptArtifact(f"{path}: {exc}")

@@ -151,24 +151,36 @@ def loss_and_gradient(p: NetworkParams, batch):
 class AdamState:
     m1: np.ndarray  # first and second moment estimates, laid out like `p.flat`
     m2: np.ndarray
+    work: np.ndarray  # (2, len(p.flat)) scratch for `adam_step`
     t: int = 0
 
 
 def init_adam(p: NetworkParams) -> AdamState:
-    return AdamState(m1=np.zeros_like(p.flat), m2=np.zeros_like(p.flat))
+    return AdamState(m1=np.zeros_like(p.flat), m2=np.zeros_like(p.flat), work=np.empty((2, p.flat.size)))
 
 
 def adam_step(p: NetworkParams, grad: np.ndarray, state: AdamState, lr: float) -> NetworkParams:
     """One in-place ADAM update with bias correction of all of `p.flat`,
-    given the gradient laid out like it."""
+    given the gradient laid out like it.
+
+    p -= lr·(m1/c1) / (√(m2/c2) + ε), each operation in that order, written
+    into `state.work` so that a step allocates nothing.
+    """
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
+    step, root = state.work
     state.m1 *= ADAM_BETA1
-    state.m1 += (1.0 - ADAM_BETA1) * grad
+    state.m1 += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
     state.m2 *= ADAM_BETA2
-    state.m2 += (1.0 - ADAM_BETA2) * grad * grad
-    p.flat -= lr * (state.m1 / c1) / (np.sqrt(state.m2 / c2) + ADAM_EPS)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+    state.m2 += np.multiply(step, grad, out=step)
+    np.divide(state.m1, c1, out=step)
+    step *= lr
+    np.divide(state.m2, c2, out=root)
+    np.sqrt(root, out=root)
+    root += ADAM_EPS
+    p.flat -= np.divide(step, root, out=step)
     return p
 
 

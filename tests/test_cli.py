@@ -695,6 +695,18 @@ def test_eval_rejects_bad_methods(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_eval_max_queries_below_one_is_a_usage_error(capsys, tmp_path, count):
+    # as a slice bound, 0 would leave no query to score and -1 would drop the last one
+    report = tmp_path / "r.csv"
+    code, stdout, err = run(
+        capsys, "eval", "--data", str(tmp_path / "absent.csv"), "--methods", "dft", "--max-queries", count,
+        "--report-out", str(report),
+    )
+    assert code == 2 and stdout == "" and f"max_queries must be at least 1, got {count}" in err
+    assert not report.exists()
+
+
 # --------------------------------------------------------------------- bench
 
 def test_bench_smoke_and_report(capsys, tmp_path):

@@ -238,6 +238,9 @@ def test_sweep_max_queries_limits_work():
     ds = random_dataset(60, 16, seed=16)
     rep = sweep(ds, ["dft"], [4], [2], SweepConfig(timing=False, max_queries=2))
     assert len(rep.rows) == 1  # still one row; just fewer queries averaged
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            SweepConfig(max_queries=bad)
 
 
 def reference_sweep(ds, methods, m_values, k_values, cfg):

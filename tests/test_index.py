@@ -284,21 +284,33 @@ def test_save_load_empty_meta(tmp_path):
 
 
 def test_index_file_layout(tmp_path):
-    tree, points, ids = random_tree(12, 3, seed=29)
+    # buckets of at most 3: 11 points split by axis 0 at 5, then each half
+    # by axis 1 at its midpoint (ties by id), so the payload holds the rows
+    # in that order and the buckets hold 2, 3, 3 and 3 of them
+    rng = np.random.default_rng(29)
+    points, ids = rng.standard_normal((11, 3)), rng.permutation(11).astype(np.int64)
+    with mock.patch.object(index, "BUCKET", 3):
+        tree = KdTree(points, ids)
     path = tmp_path / "idx.bin"
     save_index(tree, str(path), meta={"k": 1})
     blob = path.read_bytes()
     assert blob[:4] == INDEX_MAGIC
     version, n, m = struct.unpack_from("<III", blob, 4)
-    assert (version, n, m) == (1, 12, 3)
+    assert (version, n, m) == (2, 11, 3)
     (meta_len,) = struct.unpack_from("<I", blob, 16)
     meta = json.loads(blob[20 : 20 + meta_len].decode("utf-8"))
     assert meta == {"k": 1}
     rest = blob[20 + meta_len :]
-    got_ids = np.frombuffer(rest[: 12 * 8], dtype="<i8")
-    got_pts = np.frombuffer(rest[12 * 8 :], dtype="<f8").reshape(12, 3)
-    np.testing.assert_array_equal(got_ids, ids)
-    np.testing.assert_array_equal(got_pts, points)
+    assert len(rest) == 11 * 8 * (1 + 3)
+    by_x = np.lexsort((ids, points[:, 0]))
+    order = np.concatenate([half[np.lexsort((ids[half], points[half, 1]))] for half in (by_x[:5], by_x[5:])])
+    got_ids = np.frombuffer(rest[: 11 * 8], dtype="<i8")
+    got_pts = np.frombuffer(rest[11 * 8 :], dtype="<f8").reshape(11, 3)
+    np.testing.assert_array_equal(got_ids, ids[order])
+    np.testing.assert_array_equal(got_pts, points[order])
+    np.testing.assert_array_equal(tree._sizes, [2, 3, 3, 3])
+    for b, (lo, hi) in enumerate([(0, 2), (2, 5), (5, 8), (8, 11)]):
+        np.testing.assert_array_equal(tree._ids[b, : hi - lo], got_ids[lo:hi])
 
 
 def test_missing_index_file_is_a_missing_artifact(tmp_path):
@@ -555,7 +567,7 @@ def test_non_finite_point_is_degenerate(bad):
         KdTree(points)
 
 
-def test_save_writes_input_order_from_the_bucket_layout(tmp_path):
+def test_save_writes_tree_order_from_the_bucket_layout(tmp_path):
     tree, points, ids = random_tree(1000, 5, seed=37)
     held = sum(v.nbytes for v in vars(tree).values() if isinstance(v, np.ndarray))
     assert held < 2 * points.nbytes  # one copy of the points, not two
@@ -564,8 +576,62 @@ def test_save_writes_input_order_from_the_bucket_layout(tmp_path):
     blob = path.read_bytes()
     (meta_len,) = struct.unpack_from("<I", blob, 16)
     rest = blob[20 + meta_len :]
-    np.testing.assert_array_equal(np.frombuffer(rest[: 1000 * 8], dtype="<i8"), ids)
-    np.testing.assert_array_equal(np.frombuffer(rest[1000 * 8 :], dtype="<f8").reshape(1000, 5), points)
+    got_ids = np.frombuffer(rest[: 1000 * 8], dtype="<i8")
+    got_pts = np.frombuffer(rest[1000 * 8 :], dtype="<f8").reshape(1000, 5)
+    # bucket after bucket, each without its padding
+    np.testing.assert_array_equal(got_ids, np.concatenate([b[:s] for b, s in zip(tree._ids, tree._sizes)]))
+    np.testing.assert_array_equal(got_pts, np.concatenate([b[:s] for b, s in zip(tree._pts, tree._sizes)]))
+    by_id = np.argsort(got_ids)  # the same rows as the input
+    np.testing.assert_array_equal(got_ids[by_id], np.sort(ids))
+    np.testing.assert_array_equal(got_pts[by_id], points[np.argsort(ids)])
+
+
+def layout(tree):
+    """Every array and number a tree holds, as bytes where it is an array."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(tree).items()}
+
+
+B = index.BUCKET
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 4 * B - 1, 4 * B + 1, 8 * B + 1])
+@pytest.mark.parametrize("grid", [False, True])
+def test_loaded_layout_equals_the_built_one(tmp_path, n, grid):
+    # a version-2 load lays out the stored rows without sorting, and gets
+    # the built tree's arrays bit for bit; integer-grid points repeat
+    # coordinates, so the build breaks ties by id
+    tree, points, ids = random_tree(n, 3, seed=n, integer=grid)
+    path = tmp_path / "idx.bin"
+    save_index(tree, str(path))
+    with mock.patch.object(index, "_build_order", side_effect=AssertionError("rebuilt")):
+        loaded, _ = load_index(str(path))
+    assert layout(loaded) == layout(tree)
+
+
+def write_version_1(path, points, ids, meta):
+    """A version-1 dump: the same header and sizes, rows in input order."""
+    blob = json.dumps(meta, sort_keys=True).encode()
+    n, m = points.shape
+    head = struct.pack("<4sIIII", INDEX_MAGIC, 1, n, m, len(blob))
+    path.write_bytes(head + blob + ids.astype("<i8").tobytes() + points.astype("<f8").tobytes())
+
+
+def test_version_1_file_loads_by_rebuilding(tmp_path):
+    tree, points, ids = random_tree(700, 4, seed=43, integer=True)
+    old, new, ref = tmp_path / "v1.bin", tmp_path / "v2.bin", tmp_path / "ref.bin"
+    write_version_1(old, points, ids, {"method": "dft", "m": 4})
+    loaded, meta = load_index(str(old))
+    assert meta == {"method": "dft", "m": 4}
+    assert layout(loaded) == layout(tree)
+    q = np.random.default_rng(44).standard_normal(4)
+    for k in (1, 10, 700):
+        assert_bitwise(loaded.top_k(q, k), tree.top_k(q, k).ids, tree.top_k(q, k).distances_sq)
+    res = tree.within_radius(q, 2.0)
+    assert_bitwise(loaded.within_radius(q, 2.0), res.ids, res.distances_sq)
+    save_index(loaded, str(new), meta)
+    save_index(tree, str(ref), meta)
+    assert new.read_bytes() == ref.read_bytes()
+    assert struct.unpack_from("<I", new.read_bytes(), 4) == (2,)
 
 
 # ------------------------------------------------------------- artifact fuzz
@@ -670,6 +736,9 @@ def test_model_fuzz_round_trip_and_damage(widths, seed, data):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 300), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_index_fuzz_round_trip_and_damage(n, m, seed, data):
+    # save -> load -> save is byte-identical; damage raises only
+    # CorruptArtifact, and a damaged file that still loads (its rows in any
+    # order, or read as version 1) answers exactly like a scan of its rows
     tree, _, _ = random_tree(n, m, seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "idx.cix1"
@@ -683,7 +752,18 @@ def test_index_fuzz_round_trip_and_damage(n, m, seed, data):
         size = 20 + meta_len + 8 * n2 * (1 + m2)
         if size <= 1 << 20 and data.draw(st.booleans()):  # the size the header describes
             bad = bad[:size].ljust(size, b"\0")
-        loads_or_corrupt(load_index, path, bad)
+        if not loads_or_corrupt(load_index, path, bad):
+            return
+        loaded, _ = load_index(str(path))
+    rows = loaded._pts.reshape(-1, loaded.m)[loaded._slots]
+    ids = loaded._ids.ravel()[loaded._slots]
+    q = rows[data.draw(st.integers(0, len(rows) - 1))] if data.draw(st.booleans()) else np.full(loaded.m, 0.5)
+    d2, order = full_scan(rows, ids, q)
+    k = data.draw(st.integers(1, len(rows)))
+    assert_bitwise(loaded.top_k(q, k), ids[order[:k]], d2[order[:k]])
+    r2 = float(d2[order[k - 1]])
+    hit = order[d2[order] <= r2]
+    assert_bitwise(loaded.within_radius(q, r2), ids[hit], d2[hit])
 
 
 @pytest.mark.parametrize("n, m", [(0, 3), (5, 0)])

@@ -301,6 +301,23 @@ def test_adam_two_hand_steps():
     assert state.t == 2
 
 
+def test_adam_step_keeps_the_bits_of_the_plain_expression():
+    # the in-place update keeps the bits of the plain textbook expression,
+    # over steps with gradients of very different scales
+    p = init_params(6, 5, 3, seed=0)
+    want, m1, m2 = p.flat.copy(), np.zeros_like(p.flat), np.zeros_like(p.flat)
+    state = init_adam(p)
+    rng = np.random.default_rng(9)
+    for t in range(1, 8):
+        grad = rng.standard_normal(p.flat.shape) * 10.0 ** rng.integers(-9, 4, size=p.flat.shape)
+        adam_step(p, grad, state, lr=0.01)
+        m1 = m1 * 0.9 + (1.0 - 0.9) * grad
+        m2 = m2 * 0.999 + (1.0 - 0.999) * grad * grad
+        want -= 0.01 * (m1 / (1.0 - 0.9**t)) / (np.sqrt(m2 / (1.0 - 0.999**t)) + ADAM_EPS)
+        assert p.flat.tobytes() == want.tobytes(), t
+        assert state.m1.tobytes() == m1.tobytes() and state.m2.tobytes() == m2.tobytes()
+
+
 def test_adam_state_shapes():
     p = init_params(6, 5, 3, seed=0)
     state = init_adam(p)
