@@ -1,10 +1,10 @@
 """Command-line front end: gen/ingest/split/train/index/query/eval/bench.
 
 Config precedence is flags > --config JSON file > built-in defaults (the
-full-scale training profile). Every run writes a manifest JSON recording the
-subcommand, fully resolved parameters and SHA-256 hashes of inputs/outputs;
-`replay_manifest` reruns a manifest and must reproduce binary artifacts
-bit-identically.
+full-scale training profile). Every run that writes an artifact writes a
+manifest JSON recording the subcommand, fully resolved parameters and
+SHA-256 hashes of inputs/outputs; `replay_manifest` reruns a manifest and
+must reproduce binary artifacts bit-identically.
 """
 
 import argparse
@@ -53,37 +53,36 @@ def _write_manifest(path, subcommand, params, inputs, outputs):
 
 
 def _resolve(ns, defaults: dict) -> dict:
-    """flags > config file > defaults, for every key in `defaults`. A config
-    value gets its flag's checks (`_config_value`); a JSON null is absent."""
+    """flags > config file > defaults, for every key in `defaults`."""
     from_file = {}
     if getattr(ns, "config", None):
-        from_file = _read_json(ns.config, "config file", UsageError)
-        if not isinstance(from_file, dict):
-            raise UsageError(f"config file {ns.config} does not hold a JSON object")
-        unknown = set(from_file) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        # every key has a flag, and subcommands that share a destination agree on it (test_shared_flags_agree)
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for sp in sub.choices.values() for a in sp._actions}
-        from_file = {k: _config_value(ns.config, k, v, actions[k]) for k, v in from_file.items() if v is not None}
-    params = {}
-    for key, default in defaults.items():
-        flag = getattr(ns, key, None)
-        params[key] = flag if flag is not None else from_file.get(key, default)
-    return params
+        from_file = _checked(_read_json(ns.config, "config file", UsageError), f"config file {ns.config}", defaults)
+    flags = {key: getattr(ns, key) for key in defaults if getattr(ns, key, None) is not None}
+    return {**defaults, **from_file, **flags}
+
+
+def _checked(doc, source, defaults: dict) -> dict:
+    """The values of `doc`, a config file's object or a manifest's params,
+    each given its flag's checks (`_config_value`); a JSON null is absent."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{source} does not hold a JSON object")
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise UsageError(f"{source}: unknown keys {sorted(unknown)}")
+    return {key: _config_value(source, key, value) for key, value in doc.items() if value is not None}
 
 
 # flags without a `type` whose value the subcommand parses as a list
 _LIST_KEYS = ("ratios", "m_values", "k_values", "methods")
 
 
-def _config_value(path, key, value, action):
-    """`value` of `key` in the config file at `path`, given its flag's checks:
-    its choices, and its type (bool for a --x/--no-x flag), which the value
+def _config_value(source, key, value):
+    """`value` of `key` in `source`, given its flag's checks in `FLAGS`: its
+    choices, and its type (bool for a --x/--no-x flag), which the value
     must have as JSON gives it: "5" is no int, nor is 2.5, nor true. A flag
     without a type takes a string, or a list where the code parses lists."""
-    kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type
+    flag = FLAGS[key]
+    kind = bool if flag.get("action") is argparse.BooleanOptionalAction else flag.get("type")
     try:
         typed = kind(value) if kind else value
     except (TypeError, ValueError, OverflowError):
@@ -91,9 +90,9 @@ def _config_value(path, key, value, action):
     untyped_ok = kind or isinstance(value, str) or key in _LIST_KEYS and isinstance(value, list)
     if (
         typed != value or not untyped_ok or (kind is bool) != isinstance(value, bool)
-        or action.choices and typed not in action.choices
+        or flag.get("choices") and typed not in flag["choices"]
     ):
-        raise UsageError(f"config file {path}: {key} = {json.dumps(value)} is not a valid --{key.replace('_', '-')}")
+        raise UsageError(f"{source}: {key} = {json.dumps(value)} is not a valid --{key.replace('_', '-')}")
     return typed
 
 
@@ -225,8 +224,7 @@ GEN_DEFAULTS = {
 }
 
 
-def cmd_gen(ns):
-    p = _resolve(ns, GEN_DEFAULTS)
+def cmd_gen(p):
     if p["family"] not in ("example1", "example2"):
         raise UsageError("--family must be example1 or example2")
     if not p["output"]:
@@ -245,8 +243,7 @@ def cmd_gen(ns):
 INGEST_DEFAULTS = {"input": None, "format": "csv", "output": None, "manifest": None}
 
 
-def cmd_ingest(ns):
-    p = _resolve(ns, INGEST_DEFAULTS)
+def cmd_ingest(p):
     if not p["input"] or not p["output"]:
         raise UsageError("--input and --output are required")
     _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
@@ -264,8 +261,7 @@ SPLIT_DEFAULTS = {
 }
 
 
-def cmd_split(ns):
-    p = _resolve(ns, SPLIT_DEFAULTS)
+def cmd_split(p):
     if not p["data"] or not p["output"]:
         raise UsageError("--data and --output are required")
     ratios = _parse_ratios(p["ratios"])
@@ -289,8 +285,7 @@ TRAIN_DEFAULTS = {
 }
 
 
-def cmd_train(ns):
-    p = _resolve(ns, TRAIN_DEFAULTS)
+def cmd_train(p):
     if not p["data"] or not p["model_out"]:
         raise UsageError("--data and --model-out are required")
     if p["m"] is None:
@@ -329,8 +324,7 @@ INDEX_DEFAULTS = {
 }
 
 
-def cmd_index(ns):
-    p = _resolve(ns, INDEX_DEFAULTS)
+def cmd_index(p):
     if not p["data"] or not p["output"]:
         raise UsageError("--data and --output are required")
     _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
@@ -362,12 +356,11 @@ def cmd_index(ns):
 QUERY_DEFAULTS = {
     "index": None, "model": None, "data": None, "format": "csv_id",
     "query_id": None, "query_file": None, "k": 10, "threshold": None, "slack": 1.0,
-    "exact": False, "manifest": None,
+    "exact": False,
 }
 
 
-def cmd_query(ns):
-    p = _resolve(ns, QUERY_DEFAULTS)
+def cmd_query(p):
     if (p["query_id"] is None) == (p["query_file"] is None):
         raise UsageError("exactly one of --query-id / --query-file is required")
     if p["k"] < 1:
@@ -487,8 +480,7 @@ EVAL_DEFAULTS = {
 }
 
 
-def cmd_eval(ns):
-    p = _resolve(ns, EVAL_DEFAULTS)
+def cmd_eval(p):
     if not p["data"] or not p["report_out"]:
         raise UsageError("--data and --report-out are required")
     if not p["methods"]:
@@ -524,8 +516,9 @@ BENCH_DEFAULTS = {
 }
 
 
-def cmd_bench(ns):
-    p = _resolve(ns, BENCH_DEFAULTS)
+def cmd_bench(p):
+    if p["manifest"] and not p["report_out"]:
+        raise UsageError("--manifest needs --report-out: without a report bench writes no artifact")
     _require_output_dirs(p["report_out"], _manifest_path(p, p["report_out"]))
     params = load_model(p["model"]) if p["model"] else None
     stats = latency_benchmark(
@@ -547,9 +540,63 @@ def cmd_bench(ns):
 
 # ------------------------------------------------------------------- plumbing
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file of parameter defaults")
-    sp.add_argument("--manifest", help="manifest output path")
+# argparse keywords of each flag, by parameter key; a flag without a type
+# takes a string. `build_parser` adds the flags and `_config_value` checks
+# config and manifest values by this one table.
+_BOOL = argparse.BooleanOptionalAction
+FLAGS = {
+    "config": {"help": "JSON file of parameter defaults"},
+    "family": {"choices": ["example1", "example2"]},
+    "n": {"type": int},
+    "length": {"type": int, "help": "series length M"},
+    "m": {"type": int, "help": "embedding dimension (gen: low-noise coefficient count of example2)"},
+    "eps": {"type": float},
+    "seed": {"type": int},
+    "output": {},
+    "manifest": {"help": "manifest output path"},
+    "input": {},
+    "format": {"choices": ["csv", "csv_id", "ucr"]},
+    "data": {"help": "dataset (query: for --query-id and --exact)"},
+    "ratios": {"help": "train,val,test fractions (train: used when no --split is given)"},
+    "split": {"help": "split JSON from the split subcommand"},
+    "loss": {"choices": [APPROXIMATE, ORDER]},
+    "desk": {"action": _BOOL, "help": "small CI-scale training profile"},
+    "learning_rate": {"type": float},
+    "batch_size": {"type": int},
+    "iterations": {"type": int},
+    "hidden_size": {"type": int},
+    "model_out": {},
+    "log_out": {},
+    "partition": {"choices": ["train", "val", "test", "all"]},
+    "method": {"choices": [m for m in METHODS if m != "exact"]},
+    "model": {"help": "CHR1 model file (learned methods)"},
+    "index": {},
+    "query_id": {"type": int},
+    "query_file": {"help": "CSV of query series (no id column)"},
+    "k": {"type": int},
+    "threshold": {"type": float, "help": "minimum correlation eta"},
+    "slack": {"type": float, "help": "radius multiplier for --threshold"},
+    "exact": {"action": _BOOL, "help": "brute-force oracle"},
+    "methods": {"help": f"comma-separated from: {', '.join(METHODS)}"},
+    "m_values": {},
+    "k_values": {},
+    "max_queries": {"type": int},
+    "timing": {"action": _BOOL, "help": "--no-timing writes nan latencies for bit-reproducible reports"},
+    "report_out": {},
+    "queries": {"type": int},
+}
+
+# name -> (parameter defaults, help); the command is `cmd_<name>`
+SUBCOMMANDS = {
+    "gen": (GEN_DEFAULTS, "generate a synthetic dataset"),
+    "ingest": (INGEST_DEFAULTS, "validate and canonicalize a dataset"),
+    "split": (SPLIT_DEFAULTS, "write a train/val/test id partition"),
+    "train": (TRAIN_DEFAULTS, "train a learned embedder"),
+    "index": (INDEX_DEFAULTS, "embed a dataset and build the k-d tree"),
+    "query": (QUERY_DEFAULTS, "top-k or threshold search against an index"),
+    "eval": (EVAL_DEFAULTS, "precision/gap/latency sweep over methods"),
+    "bench": (BENCH_DEFAULTS, "query latency benchmark"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,144 +606,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"corrspace {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("gen", help="generate a synthetic dataset")
-    sp.add_argument("--family", choices=["example1", "example2"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--length", type=int, help="series length M")
-    sp.add_argument("--m", type=int, help="low-noise coefficient count (example2)")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--output")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gen)
-
-    sp = sub.add_parser("ingest", help="validate and canonicalize a dataset")
-    sp.add_argument("--input")
-    sp.add_argument("--format", choices=["csv", "csv_id", "ucr"])
-    sp.add_argument("--output")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ingest)
-
-    sp = sub.add_parser("split", help="write a train/val/test id partition")
-    sp.add_argument("--data")
-    sp.add_argument("--format", choices=["csv", "csv_id", "ucr"])
-    sp.add_argument("--ratios")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--output")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_split)
-
-    sp = sub.add_parser("train", help="train a learned embedder")
-    sp.add_argument("--data")
-    sp.add_argument("--format", choices=["csv", "csv_id", "ucr"])
-    sp.add_argument("--split", help="split JSON from the split subcommand")
-    sp.add_argument("--ratios", help="used when no --split is given")
-    sp.add_argument("--loss", choices=[APPROXIMATE, ORDER])
-    sp.add_argument("--m", type=int, help="embedding dimension")
-    sp.add_argument("--desk", action=argparse.BooleanOptionalAction, help="small CI-scale profile")
-    sp.add_argument("--learning-rate", type=float)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--iterations", type=int)
-    sp.add_argument("--hidden-size", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--model-out")
-    sp.add_argument("--log-out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("index", help="embed a dataset and build the k-d tree")
-    sp.add_argument("--data")
-    sp.add_argument("--format", choices=["csv", "csv_id", "ucr"])
-    sp.add_argument("--split")
-    sp.add_argument("--partition", choices=["train", "val", "test", "all"])
-    sp.add_argument("--method", choices=[m for m in METHODS if m != "exact"])
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--model", help="CHR1 model file (learned methods)")
-    sp.add_argument("--output")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_index)
-
-    sp = sub.add_parser("query", help="top-k or threshold search against an index")
-    sp.add_argument("--index")
-    sp.add_argument("--model")
-    sp.add_argument("--data", help="dataset (for --query-id and --exact)")
-    sp.add_argument("--format", choices=["csv", "csv_id", "ucr"])
-    sp.add_argument("--query-id", type=int)
-    sp.add_argument("--query-file", help="CSV of query series (no id column)")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--threshold", type=float, help="minimum correlation eta")
-    sp.add_argument("--slack", type=float, help="radius multiplier for --threshold")
-    sp.add_argument("--exact", action=argparse.BooleanOptionalAction, help="brute-force oracle")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_query)
-
-    sp = sub.add_parser("eval", help="precision/gap/latency sweep over methods")
-    sp.add_argument("--data")
-    sp.add_argument("--format", choices=["csv", "csv_id", "ucr"])
-    sp.add_argument("--methods", help=f"comma-separated from: {', '.join(METHODS)}")
-    sp.add_argument("--m-values")
-    sp.add_argument("--k-values")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--ratios")
-    sp.add_argument("--desk", action=argparse.BooleanOptionalAction, help="desk-profile training")
-    sp.add_argument("--max-queries", type=int)
-    sp.add_argument("--timing", action=argparse.BooleanOptionalAction,
-                    help="--no-timing writes nan latencies for bit-reproducible reports")
-    sp.add_argument("--report-out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("bench", help="query latency benchmark")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--queries", type=int)
-    sp.add_argument("--length", type=int)
-    sp.add_argument("--hidden-size", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--model")
-    sp.add_argument("--report-out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_bench)
-
+    for name, (defaults, help_line) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for key in ("config", *defaults):
+            sp.add_argument("--" + key.replace("_", "-"), **FLAGS[key])
     return ap
 
 
+def _command(name):
+    # looked up when it runs, not bound at import: a wrapper installed on
+    # the module later (perfbench's tracer) must see the call
+    return globals()[f"cmd_{name}"]
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        return _command(ns.subcommand)(_resolve(ns, SUBCOMMANDS[ns.subcommand][0]))
     except CorrSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 
 
-def _argv_from_params(subcommand, params) -> list:
-    argv = [subcommand]
-    for key, value in params.items():
-        if value is None or key == "manifest" and not value:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            argv.append(flag if value else f"--no-{flag[2:]}")
-        elif isinstance(value, (list, tuple)):
-            argv.extend([flag, ",".join(str(v) for v in value)])
-        else:
-            argv.extend([flag, str(value)])
-    return argv
-
-
 def replay_manifest(manifest_path, check_inputs=True) -> int:
-    """Rerun a recorded run; binary outputs must come out bit-identical."""
-    with open(manifest_path) as fh:
-        doc = json.load(fh)
+    """Rerun a recorded run; binary outputs must come out bit-identical. The
+    recorded params get the checks a --config file's values get. Raises
+    MissingArtifact for a missing manifest or input, or an input whose hash
+    changed; CorruptArtifact for a manifest of the wrong shape; UsageError
+    for a param its flag refuses; and the command's own errors."""
+    doc = _read_json(manifest_path, "manifest", CorruptArtifact)
+    if not (
+        isinstance(doc, dict) and doc.get("subcommand") in tuple(SUBCOMMANDS)  # a tuple: a list or dict is no key
+        and isinstance(doc.get("params"), dict) and isinstance(doc.get("inputs"), dict)
+        and all(isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
+                for e in doc["inputs"].values())
+    ):
+        raise CorruptArtifact(
+            f"manifest {manifest_path} is not an object of a known subcommand, params and inputs of path and sha256"
+        )
+    defaults = SUBCOMMANDS[doc["subcommand"]][0]
+    params = {**defaults, **_checked(doc["params"], f"manifest {manifest_path}", defaults)}
     if check_inputs:
         for name, entry in doc["inputs"].items():
+            if not os.path.isfile(entry["path"]):
+                raise MissingArtifact(f"input {name} of manifest {manifest_path} not found: {entry['path']}")
             if _sha256(entry["path"]) != entry["sha256"]:
                 raise MissingArtifact(f"input {name} changed since manifest: {entry['path']}")
-    return main(_argv_from_params(doc["subcommand"], doc["params"]))
+    return _command(doc["subcommand"])(params)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrspace.cli import GEN_DEFAULTS, _load_split, _resolve, build_parser, main, replay_manifest
+from corrspace.cli import GEN_DEFAULTS, SUBCOMMANDS, _load_split, _resolve, build_parser, main, replay_manifest
 from corrspace.core import normalize
 from corrspace.datasets import Dataset, load_csv, save_csv
 from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
-from corrspace.errors import CorrSpaceError, MissingArtifact
+from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, UsageError
 from corrspace.evaluation import exact_top_k
 from corrspace.index import load_index, save_index
 from corrspace.train import desk_config, init_params
@@ -736,6 +736,21 @@ def test_bench_prints_points_scanned(capsys, tmp_path):
     assert 5 <= float(printed["refined_q50"]) <= float(printed["scanned_q50"]) <= 300
 
 
+def test_bench_manifest_without_report_is_a_usage_error(capsys, tmp_path):
+    # without --report-out bench writes nothing a manifest could describe
+    manifest = tmp_path / "bench.manifest.json"
+    code, stdout, err = run(capsys, "bench", "--n", "300", "--m", "4", "--manifest", str(manifest))
+    assert code == 2 and stdout == "" and "--report-out" in err
+    assert not manifest.exists()
+
+
+def test_query_takes_no_manifest(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--exact", "--data", str(data), "--query-id", "3", "--manifest", str(tmp_path / "q.json")])
+    assert exc.value.code == 2
+
+
 def test_bench_missing_model_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "bench", "--n", "100", "--model", str(tmp_path / "ghost.bin"))
     assert code == 23
@@ -932,6 +947,17 @@ def test_config_lists_read_as_their_flags_do(capsys, tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_parser_options_are_config_and_the_defaults_keys():
+    # one flag per parameter key, in the defaults' order: nothing a config
+    # file or manifest may set lacks a flag, and no flag is left unread
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    for name, parser in sub.choices.items():
+        options = [a.option_strings[0] for a in parser._actions if a.dest != "help"]
+        expected = ["--config", *("--" + key.replace("_", "-") for key in SUBCOMMANDS[name][0])]
+        assert options == expected, name
+
+
 def test_shared_flags_agree():
     # config values are checked against the action of their destination in
     # any subcommand, so a destination that subcommands share must agree
@@ -982,30 +1008,72 @@ def test_replay_train_manifest_bit_identical(capsys, tmp_path):
     assert model.read_bytes() == before
 
 
-def test_replay_eval_manifest_bit_identical(capsys, tmp_path):
+@pytest.fixture
+def eval_manifest(capsys, tmp_path):
     data = gen_small(capsys, tmp_path)
-    report = tmp_path / "report.csv"
-    code, _, _ = run(
+    code, _, err = run(
         capsys, "eval", "--data", str(data), "--methods", "dft", "--m-values", "4",
-        "--k-values", "2", "--no-timing", "--report-out", str(report),
+        "--k-values", "2", "--no-timing", "--report-out", str(tmp_path / "report.csv"),
     )
-    assert code == 0
+    assert code == 0, err
+    return tmp_path / "report.csv.manifest.json"
+
+
+def test_replay_eval_manifest_bit_identical(capsys, eval_manifest):
+    report = eval_manifest.parent / "report.csv"
     before = report.read_bytes()
-    assert replay_manifest(str(tmp_path / "report.csv.manifest.json")) == 0
+    assert replay_manifest(str(eval_manifest)) == 0
     capsys.readouterr()
     assert report.read_bytes() == before
 
 
-def test_replay_detects_changed_inputs(capsys, tmp_path):
-    data = gen_small(capsys, tmp_path)
-    report = tmp_path / "report.csv"
-    run(
-        capsys, "eval", "--data", str(data), "--methods", "dft", "--m-values", "4",
-        "--k-values", "2", "--no-timing", "--report-out", str(report),
-    )
+def test_replay_detects_changed_inputs(eval_manifest):
+    data = eval_manifest.parent / "data.csv"
     data.write_text(data.read_text() + "999," + ",".join(["1.5"] * 15) + ",2.5\n")
     with pytest.raises(MissingArtifact):
-        replay_manifest(str(tmp_path / "report.csv.manifest.json"))
+        replay_manifest(str(eval_manifest))
+
+
+def _edited(doc, key, value):
+    return {**doc, key: value}
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: "{not json", CorruptArtifact),
+    (lambda doc: [doc], CorruptArtifact),  # not an object
+    (lambda doc: _edited(doc, "subcommand", "frobnicate"), CorruptArtifact),
+    (lambda doc: _edited(doc, "subcommand", ["eval"]), CorruptArtifact),
+    (lambda doc: {k: v for k, v in doc.items() if k != "subcommand"}, CorruptArtifact),
+    (lambda doc: _edited(doc, "params", ["dft"]), CorruptArtifact),
+    (lambda doc: _edited(doc, "inputs", None), CorruptArtifact),
+    (lambda doc: _edited(doc, "inputs", {"data": {"path": doc["inputs"]["data"]["path"]}}), CorruptArtifact),
+    (lambda doc: _edited(doc, "inputs", {"data": {**doc["inputs"]["data"], "path": 5}}), CorruptArtifact),
+    (lambda doc: _edited(doc, "inputs", {"data": {**doc["inputs"]["data"], "path": "ghost.csv"}}), MissingArtifact),
+    (lambda doc: _edited(doc, "params", {**doc["params"], "seed": "5"}), UsageError),  # as --config refuses it
+    (lambda doc: _edited(doc, "params", {**doc["params"], "timing": "no"}), UsageError),
+    (lambda doc: _edited(doc, "params", {**doc["params"], "frobnicate": 1}), UsageError),
+])
+def test_replay_of_a_broken_manifest_raises_a_typed_error(capsys, eval_manifest, edit, error):
+    doc = edit(json.loads(eval_manifest.read_text()))
+    eval_manifest.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    report = eval_manifest.parent / "report.csv"
+    before = report.read_bytes()
+    with pytest.raises(error) as exc:
+        replay_manifest(str(eval_manifest))
+    assert type(exc.value) is error
+    assert report.read_bytes() == before and capsys.readouterr().out == ""  # refused before the command ran
+
+
+def test_replay_param_errors_read_as_config_errors(eval_manifest):
+    doc = json.loads(eval_manifest.read_text())
+    eval_manifest.write_text(json.dumps(_edited(doc, "params", {**doc["params"], "seed": "5"})))
+    with pytest.raises(UsageError, match=f'manifest {eval_manifest}: seed = "5" is not a valid --seed'):
+        replay_manifest(str(eval_manifest))
+
+
+def test_replay_of_a_missing_manifest(tmp_path):
+    with pytest.raises(MissingArtifact, match="manifest not found"):
+        replay_manifest(str(tmp_path / "ghost.manifest.json"))
 
 
 # ------------------------------------------------------------- entry point

@@ -64,6 +64,33 @@ def test_traced_train_records_every_training_span():
     assert inside["train.validation"] == 3  # validation loss at iterations 0 and 3, batch 0's loss
 
 
+def test_traced_cli_records_one_span_per_command(tmp_path):
+    # the `cli.*` metrics come from the tracer's wrappers on `cli.cmd_*`,
+    # installed after import; `main` must reach the commands through them
+    code = (
+        "import collections, json, sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from tracer import Tracer\n"
+        "import corrspace.cli as cli\n"
+        "t = Tracer()\n"
+        "t.install()\n"
+        f"tmp = {str(tmp_path)!r}\n"
+        "argvs = [\n"
+        "    ['gen', '--family', 'example1', '--n', '40', '--length', '16', '--output', tmp + '/raw.csv'],\n"
+        "    ['ingest', '--input', tmp + '/raw.csv', '--format', 'csv_id', '--output', tmp + '/data.csv'],\n"
+        "    ['index', '--data', tmp + '/data.csv', '--m', '4', '--output', tmp + '/data.cix'],\n"
+        "    ['query', '--index', tmp + '/data.cix', '--query-id', '3', '--k', '5'],\n"
+        "]\n"
+        "codes = [cli.main(argv) for argv in argvs]\n"
+        "print(json.dumps([codes, collections.Counter(s[0] for s in t.spans if s[0].startswith('cli.'))]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    codes, spans = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert spans == {"cli.ingest": 1, "cli.index": 1, "cli.query": 1}
+
+
 def corrspace_names(path):
     """(module, name) for each `from corrspace... import name` in the file,
     and each `alias.name` on a module a function binds with
