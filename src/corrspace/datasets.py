@@ -60,11 +60,14 @@ class Dataset:
 
         Raises MissingArtifact naming the first id the dataset lacks.
         """
-        lookup = {int(rid): i for i, rid in enumerate(self.ids)}
-        try:
-            return np.array([lookup[int(r)] for r in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise MissingArtifact(f"id {exc.args[0]} not in {self.provenance or 'the dataset'}") from None
+        want = np.asarray(ids, dtype=np.int64)
+        order = np.argsort(self.ids)
+        at = np.searchsorted(self.ids, want, sorter=order)
+        found = at < len(order)
+        found[found] = self.ids[order[at[found]]] == want[found]
+        if not found.all():
+            raise MissingArtifact(f"id {want[np.argmin(found)]} not in {self.provenance or 'the dataset'}")
+        return order[at]
 
     def normalized_matrix(self, rows=slice(None)) -> np.ndarray:
         """The series at `rows` (all by default) l2-normalized, one per row (`normalize_rows`)."""

@@ -14,16 +14,18 @@ the rows in tree order (one gather through `_slots`) and `load_index` lays
 them out again without sorting anything.
 
 A query is a few numpy passes. The squared distance from q to each box is
-a lower bound for every point in that bucket. `top_k` scans the buckets
-nearest q until they hold k points and takes the k-th d² as its bound;
-`within_radius` takes r². The remaining buckets whose lower bound is
-within the bound are then gathered, and each of their points gets a cheap
-estimate ‖p‖² − 2⟨p, q⟩ from the stored squared norms and one
-matrix-vector product. Only the points whose estimate a proven rounding
-margin cannot rule out get their exact d², and `rank` orders the answer by
-(d², id). Every returned d² comes from `_dist_sq`, so answers equal a
-brute-force scan with that kernel bit for bit, ties included; the only
-approximation in the pipeline lives in the embedding itself.
+a lower bound for every point in that bucket. `top_k` scans `_SEED`
+times as many of the buckets nearest q as it takes to hold k points, and
+takes the k-th d² among them as its bound: the k-th d² of any subset is
+at least the true one, so no answer lies beyond it, and the more buckets
+the tighter it is. `within_radius` takes r². The remaining buckets whose
+lower bound is within the bound are then gathered, and each of their
+points gets a cheap estimate ‖p‖² − 2⟨p, q⟩ from the stored squared norms
+and one matrix-vector product. Only the points whose estimate a proven
+rounding margin cannot rule out get their exact d², and `rank` orders the
+answer by (d², id). Every returned d² comes from `_dist_sq`, so answers
+equal a brute-force scan with that kernel bit for bit, ties included; the
+only approximation in the pipeline lives in the embedding itself.
 """
 
 import json
@@ -39,6 +41,9 @@ INDEX_VERSION = 2  # 1: rows in input order, still read by rebuilding the tree
 _HEADER = struct.Struct("<4sIIII")  # magic, version, n, m, meta length
 
 BUCKET = 128  # most points per bucket (README "Index" has the measurements)
+# `top_k` takes its bound from this many times the nearest buckets needed to
+# hold k points (README "Index" has the measurements)
+_SEED = 4
 
 # Box bounds below this are set to 0, so the rounding argument in
 # `KdTree._box_bounds` never meets a subnormal product or sum; the
@@ -256,7 +261,9 @@ class KdTree:
         k = min(k, self.n)
         lb = self._box_bounds(q)
         near = np.argsort(lb)
-        first = -(-k // self._smallest)  # the nearest `first` buckets hold at least k points
+        # the nearest ⌈k / smallest⌉ buckets hold at least k points; `_SEED`
+        # times as many give a tighter k-th d², so fewer buckets pass it
+        first = _SEED * -(-k // self._smallest)
         d2, ids = self._scan(near[:first], q)
         bound = np.partition(d2, k - 1)[k - 1]  # NaN padding sorts last
         cut = int(np.searchsorted(lb[near], bound, side="right"))

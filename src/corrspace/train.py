@@ -119,21 +119,31 @@ def _backward(p: NetworkParams, acts, v, n, y_bar) -> np.ndarray:
 
 
 def _forward_loss(p: NetworkParams, batch):
-    """(acts, v, n, inner, y_bar) for a PairBatch or TripleBatch: the forward
-    trace of its stacked rows, each element's signed loss term and dL/dy."""
+    """(acts, v, n, inner, gaps) for a PairBatch or TripleBatch: the forward
+    trace of its stacked rows, each element's signed loss term and the
+    embedding gaps it was computed from, (y_s − y_r,) for pairs and
+    (y_r − y_s, y_r − y_u) for triples."""
     b = batch.target.shape[0]
     if isinstance(batch, PairBatch):
         acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r]))
         diff = y[:b] - y[b:]
         inner = 2.0 * np.sum(diff * diff, axis=1) - batch.target
-        g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
-        return acts, v, n, inner, np.vstack([g * diff, -g * diff])
+        return acts, v, n, inner, (diff,)
     acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r, batch.f_u]))
     d_rs = y[b : 2 * b] - y[:b]
     d_ru = y[b : 2 * b] - y[2 * b :]
     inner = 2.0 * (np.sum(d_rs * d_rs, axis=1) - np.sum(d_ru * d_ru, axis=1)) - batch.target
-    g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
-    return acts, v, n, inner, np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
+    return acts, v, n, inner, (d_rs, d_ru)
+
+
+def _output_gradient(inner, gaps):
+    """dL/dy of the stacked rows, from `_forward_loss`'s inner and gaps."""
+    g = np.sign(inner)[:, np.newaxis] * (4.0 / len(inner))
+    if len(gaps) == 1:
+        (diff,) = gaps
+        return np.vstack([g * diff, -g * diff])
+    d_rs, d_ru = gaps
+    return np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
 
 
 def batch_loss(p: NetworkParams, batch) -> float:
@@ -143,8 +153,8 @@ def batch_loss(p: NetworkParams, batch) -> float:
 
 def loss_and_gradient(p: NetworkParams, batch):
     """(mean loss, parameter gradient laid out like `p.flat`) for a PairBatch or TripleBatch."""
-    acts, v, n, inner, y_bar = _forward_loss(p, batch)
-    return float(np.mean(np.abs(inner))), _backward(p, acts, v, n, y_bar)
+    acts, v, n, inner, gaps = _forward_loss(p, batch)
+    return float(np.mean(np.abs(inner))), _backward(p, acts, v, n, _output_gradient(inner, gaps))
 
 
 @dataclass

@@ -318,6 +318,25 @@ def test_rows_for_names_the_first_missing_id():
         ds.rows_for([9, 4, 7])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.integers(-40, 40), unique=True, max_size=30),
+    want=st.lists(st.integers(-45, 45), max_size=30),
+)
+def test_rows_for_equals_a_dict_lookup(ids, want):
+    # ids out of order, repeats in the request, a missing id anywhere, an
+    # empty request and an empty dataset, against the lookup it replaced
+    ds = Dataset(ids=np.array(ids, dtype=np.int64), values=np.zeros((len(ids), 2)))
+    lookup = {rid: row for row, rid in enumerate(ids)}
+    missing = [rid for rid in want if rid not in lookup]
+    if missing:
+        with pytest.raises(MissingArtifact, match=f"id {missing[0]} "):
+            ds.rows_for(want)
+    else:
+        rows = ds.rows_for(want)
+        assert rows.dtype == np.int64 and rows.tolist() == [lookup[rid] for rid in want]
+
+
 # -------------------------------------------------------------------- split
 
 def test_split_exact_ratios():

@@ -388,9 +388,11 @@ def test_bucketed_search_equals_full_scan_bit_for_bit(n, m, grid, bucket, scale,
     k = data.draw(st.integers(1, n + 5))
     d2, order = full_scan(points, ids, q)
     top = order[:k]
-    res = tree.top_k(q, k)
-    assert_bitwise(res, ids[top], d2[top])
-    assert min(k, n) <= res.refined <= res.scanned <= n
+    for seed_factor in (1, 4, 1000):  # 1000 covers every bucket unless BUCKET is 2 or 3: no filtered pass
+        with mock.patch.object(index, "_SEED", seed_factor):
+            res = tree.top_k(q, k)
+        assert_bitwise(res, ids[top], d2[top])
+        assert min(k, n) <= res.refined <= res.scanned <= n
     kth = float(d2[top[-1]])
     for r2 in (0.0, kth, math.inf):
         hit = order[d2[order] <= r2]
@@ -442,6 +444,19 @@ def test_scanned_counts_pruned_search():
     res = tree.top_k(points[0], 10)
     assert 10 <= res.scanned < tree.n // 10  # a low-m query prunes almost every bucket
     assert tree.within_radius(points[0], math.inf).scanned == tree.n
+
+
+def test_seeded_bound_prunes_a_clustered_pool():
+    # 40 clusters on the unit sphere at m = 16: a bound from the nearest
+    # buckets holding just k points (a seed factor of 1) visited a median of
+    # 16 407 of these 20 000 points per top-100, and more than 5 000 on 12 of
+    # the 20 queries
+    rng = np.random.default_rng(71)
+    points = rng.standard_normal((40, 16))[rng.integers(40, size=20_000)] + 0.2 * rng.standard_normal((20_000, 16))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    tree = KdTree(points)
+    scanned = [tree.top_k(points[row], 100).scanned for row in range(0, 20_000, 1000)]
+    assert max(scanned) < 5000 and np.median(scanned) < 2000
 
 
 def test_box_bound_survives_rounding_at_huge_offsets():
