@@ -8,7 +8,7 @@ truncation and down-sampling baselines plus an evaluation harness
 (precision, gap, approximation loss, latency) round out the toolkit.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import errors
 from .core import (

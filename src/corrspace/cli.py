@@ -195,7 +195,9 @@ def _get_split(ds, params):
     return split(ds, _parse_ratios(params["ratios"]), params["seed"])
 
 
-def _embedder_for(method, m, model_path):
+def _embedder_for(method, m, model_path, model_sha256=None):
+    """The embedder of `method`. A learned one loads `model_path`, whose
+    bytes must hash to `model_sha256` when it is given (`load_model`)."""
     if method == "dft":
         return DftTruncationEmbedder(m)
     if method == "downsample":
@@ -203,7 +205,7 @@ def _embedder_for(method, m, model_path):
     if method in ("learned-approx", "learned-order"):
         if not model_path:
             raise MissingArtifact(f"method {method} requires --model")
-        return LearnedEmbedder(load_model(model_path))
+        return LearnedEmbedder(load_model(model_path, model_sha256))
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -346,6 +348,8 @@ def cmd_index(p):
         "series_length": int(ds.length),
         "model": str(p["model"]) if p["model"] else None,
     }
+    if isinstance(embedder, LearnedEmbedder):
+        meta["model_sha256"] = _sha256(p["model"])  # `query` answers only with a model of these bytes
     save_index(tree, p["output"], meta)
     inputs = {"data": p["data"], "split": p["split"], "model": p["model"]}
     _write_manifest(_manifest_path(p, p["output"]), "index", p, inputs, {"index": p["output"]})
@@ -431,7 +435,8 @@ def _query_index(p):
     if not {"method", "m"} <= meta.keys():
         raise CorruptArtifact(f"{p['index']}: index metadata lacks method or m")
     model_path = p["model"] or meta.get("model")
-    embedder = _embedder_for(meta["method"], meta.get("m"), model_path)  # loaded even when unused: its errors show
+    # loaded even when unused: its errors show, a model that did not build the index among them
+    embedder = _embedder_for(meta["method"], meta.get("m"), model_path, meta.get("model_sha256"))
     stored = tree.point(p["query_id"]) if p["query_id"] is not None else None
     if p["query_id"] is not None and stored is None:
         if not p["data"]:

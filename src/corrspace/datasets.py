@@ -249,10 +249,18 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write as `csv_id` rows with 17 significant digits (value-exact round trip)."""
-    line = ",".join(["%d"] + ["%.17g"] * ds.length) + "\n"
+    """Write as `csv_id` rows, each value as `repr(float)`.
+
+    That is the shortest decimal string that reads back to the same double
+    (Steele & White 1990; Gay 1990), so `load_csv` gives the same bits; a
+    value read from a few printed digits is written with those digits, not
+    17. Rows are converted one at a time, so the matrix is never held as
+    Python floats.
+    """
     with open(path, "w", newline="") as fh:
-        fh.writelines(line % (rid, *row) for rid, row in zip(ds.ids.tolist(), ds.values.tolist()))
+        fh.writelines(
+            f"{rid}," + ",".join(map(repr, row.tolist())) + "\n" for rid, row in zip(ds.ids.tolist(), ds.values)
+        )
 
 
 def split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:

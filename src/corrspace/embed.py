@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact, ModelMismatch
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
@@ -200,11 +200,13 @@ def save_model(p: NetworkParams, path) -> None:
         fh.write(struct.pack("<Q", p.seed))
 
 
-def load_model(path) -> NetworkParams:
+def load_model(path, sha256: str | None = None) -> NetworkParams:
     """Read a CHR1 model file written by `save_model`.
 
     A missing file raises `MissingArtifact`; a file that is not a whole CHR1
     model, or whose weights or biases are not all finite, `CorruptArtifact`.
+    When `sha256` is given, a whole model whose bytes hash to another hex
+    digest raises `ModelMismatch`.
     """
     try:
         with open(path, "rb") as fh:
@@ -243,6 +245,13 @@ def load_model(path) -> NetworkParams:
     if n_layers == 0:
         raise CorruptArtifact(f"{path}: model has no layers")
     try:
-        return NetworkParams(weights=weights, biases=biases, seed=seed)  # copies the blocks into `flat`
+        params = NetworkParams(weights=weights, biases=biases, seed=seed)  # copies the blocks into `flat`
     except ValueError as exc:  # layer shapes that do not chain
         raise CorruptArtifact(f"{path}: {exc}")
+    if sha256 is not None:
+        import hashlib  # imported only here: it loads OpenSSL, memory that a load without a check need not hold
+
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != sha256:
+            raise ModelMismatch(f"{path}: sha256 {digest} is not the recorded {sha256}")
+    return params

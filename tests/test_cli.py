@@ -4,6 +4,7 @@ subprocess smoke test covers the installed entry point.
 """
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,18 @@ def test_ingest_canonicalizes_and_reports_drops(capsys, tmp_path):
     assert "1 constant rows dropped" in stdout
     ds = load_csv(str(out), "csv_id")
     assert ds.n == 2 and list(ds.ids) == [0, 2]
+
+
+def test_ingest_of_an_ingest_output_is_byte_identical(capsys, tmp_path):
+    raw = tmp_path / "raw.csv"
+    values = np.random.default_rng(5).standard_normal((20, 8)) * 10.0 ** np.arange(-200, 200, 20)[:, None]
+    raw.write_text("".join(",".join(f"{v:.{1 + i % 17}g}" for v in row) + "\n" for i, row in enumerate(values)))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    code, _, err = run(capsys, "ingest", "--input", str(raw), "--format", "csv", "--output", str(first))
+    assert code == 0, err
+    code, _, err = run(capsys, "ingest", "--input", str(first), "--format", "csv_id", "--output", str(second))
+    assert code == 0, err
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_ingest_ragged_file_exit_code(capsys, tmp_path):
@@ -534,6 +547,85 @@ def learned_index(capsys, tmp_path, data):
     )
     assert code == 0, err
     return build_index(capsys, tmp_path, data, method="learned-order", m="4", extra=("--model", str(model)))
+
+
+def train_model(capsys, tmp_path, data, seed, model=None):
+    model = model or tmp_path / "model.chr1"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "20", "--seed", str(seed),
+        "--loss", "order", "--model-out", str(model), "--log-out", str(tmp_path / "log.csv"),
+    )
+    assert code == 0, err
+    return model
+
+
+def test_index_records_the_sha256_of_its_model(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    _, meta = load_index(str(build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))))
+    assert meta["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
+    _, meta = load_index(str(build_index(capsys, tmp_path, data)))
+    assert "model_sha256" not in meta  # dft uses no model
+
+
+def test_query_with_a_retrained_model_is_a_model_mismatch(capsys, tmp_path):
+    # a model trained again to the path the index records must not answer
+    # for the index the first model built
+    data = gen_small(capsys, tmp_path, n=200)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    queries = tmp_path / "queries.csv"
+    queries.write_text("".join(line.split(",", 1)[1] for line in data.read_text().splitlines(True)[:3]))
+    argv = ("query", "--index", str(idx), "--query-file", str(queries), "--k", "5")
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0, err
+    assert stdout.splitlines()[2].startswith("0 ")  # series 0 finds itself first
+    copy = tmp_path / "copy.chr1"
+    copy.write_bytes(model.read_bytes())
+    train_model(capsys, tmp_path, data, seed=1, model=model)
+    code, mismatch_out, err = run(capsys, *argv)
+    assert code == 26 and mismatch_out == ""
+    digests = [hashlib.sha256(m.read_bytes()).hexdigest() for m in (model, copy)]
+    assert err == f"error: {model}: sha256 {digests[0]} is not the recorded {digests[1]}\n"
+    # the same for a stored --query-id, which the model does not embed
+    code, out, _ = run(capsys, "query", "--index", str(idx), "--query-id", "0", "--k", "5")
+    assert code == 26 and out == ""
+    # a byte-identical copy of the first model still answers, and alike
+    code, copy_out, err = run(capsys, *argv, "--model", str(copy))
+    assert code == 0 and copy_out == stdout, err
+    code, out, _ = run(capsys, *argv, "--model", str(model))
+    assert code == 26 and out == ""
+
+
+def test_index_without_a_model_hash_is_not_checked(capsys, tmp_path):
+    # an index written before the key existed answers with any model it is given
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    tree, meta = load_index(str(idx))
+    del meta["model_sha256"]
+    save_index(tree, str(idx), meta)
+    train_model(capsys, tmp_path, data, seed=1, model=model)
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "4")
+    assert code == 0 and len(parse_hits(stdout)) == 4, err
+
+
+def test_damaged_model_hash_in_an_index_never_answers(capsys, tmp_path):
+    # every single-byte change to the recorded digest, or to the quotes
+    # around it, is a typed error with nothing printed
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    blob = idx.read_bytes()
+    digest = hashlib.sha256(model.read_bytes()).hexdigest().encode()
+    at = blob.index(digest)
+    for off in range(at - 1, at + len(digest) + 1):
+        for value in {ord("0"), ord("f"), ord("g"), ord('"'), 0xFF, blob[off] ^ 0x01} - {blob[off]}:
+            idx.write_bytes(blob[:off] + bytes([value]) + blob[off + 1 :])
+            code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--k", "4")
+            assert code in (24, 26) and stdout == "", (off, value, err)
+    idx.write_bytes(blob)
+    assert run(capsys, "query", "--index", str(idx), "--query-id", "3", "--k", "4")[0] == 0
 
 
 @pytest.mark.parametrize("method", ["dft", "learned-order"])

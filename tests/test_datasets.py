@@ -127,8 +127,64 @@ def test_save_csv_matches_per_value_format(tmp_path):
     save_csv(ds, p)
     want = ""
     for rid, row in zip(ds.ids, ds.values):
-        want += ",".join([str(int(rid))] + [f"{x:.17g}" for x in row]) + "\n"
+        want += ",".join([str(int(rid))] + [repr(float(x)) for x in row]) + "\n"
     assert p.read_text() == want
+
+
+# +-0, the least subnormal, the least normal and the largest double
+_EDGES = [sign * x for x in (0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308) for sign in (1.0, -1.0)]
+# finite doubles: any bit pattern (subnormals among them), the edge values,
+# and decimals printed at 1-17 significant digits
+_FINITE = (
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(np.isfinite)
+    | st.sampled_from(_EDGES)
+    | st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 17)).map(
+        lambda xd: float(f"{xd[0]:.{xd[1]}g}")
+    ).filter(np.isfinite)  # 2e+308 is inf
+)
+
+
+@st.composite
+def finite_datasets(draw):
+    """A Dataset of finite doubles with distinct ids inside +-2**53; each row
+    ends in 1.0, 2.0, so none is constant and every row loads."""
+    n, width = draw(st.integers(1, 6)), draw(st.integers(2, 10))
+    values = np.array(draw(st.lists(_FINITE, min_size=n * width, max_size=n * width))).reshape(n, width)
+    ids = draw(st.lists(st.integers(-(2**53), 2**53), min_size=n, max_size=n, unique=True))
+    return Dataset(ids=ids, values=np.hstack([values, np.tile([1.0, 2.0], (n, 1))]))
+
+
+def assert_same_rows(rows, ds):
+    ids, values, n_constant = rows
+    assert np.asarray(ids).tolist() == ds.ids.tolist() and n_constant == 0
+    assert np.asarray(values, dtype=np.float64).tobytes() == ds.values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=finite_datasets())
+def test_save_csv_round_trips_every_finite_double(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        p, again = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        save_csv(ds, p)
+        vectorised = datasets._vectorised_rows(str(p), "csv_id")
+        assert vectorised is not None
+        assert_same_rows(vectorised, ds)
+        assert_same_rows(datasets._loop_rows(str(p), "csv_id"), ds)
+        save_csv(load_csv(str(p), "csv_id"), again)
+        assert again.read_bytes() == p.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=finite_datasets())
+def test_files_written_with_17_digits_load_as_before(ds):
+    # the 0.1.0 writer's layout: `%.17g` for every value
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = Path(tmp) / "old.csv", Path(tmp) / "new.csv"
+        np.savetxt(old, np.column_stack([ds.ids, ds.values]), fmt=["%d"] + ["%.17g"] * ds.length, delimiter=",")
+        save_csv(ds, new)
+        for loader in (load_csv, load_by_loop):
+            assert outcome(loader, str(old), "csv_id") == outcome(loader, str(new), "csv_id")
+        assert_same_rows(datasets._loop_rows(str(old), "csv_id"), ds)
 
 
 # ------------------------------------------- vectorised reader vs the loop

@@ -2,6 +2,7 @@
 queries, and the on-disk format.
 """
 
+import hashlib
 import json
 import math
 import struct
@@ -23,6 +24,7 @@ from corrspace.errors import (
     DimensionMismatch,
     EmptyInput,
     MissingArtifact,
+    ModelMismatch,
     RepeatedId,
 )
 from corrspace.index import (
@@ -651,10 +653,17 @@ def test_version_1_file_loads_by_rebuilding(tmp_path):
 
 # ------------------------------------------------------------- artifact fuzz
 
-def small_index(tmp_path):
+DFT_META = {"method": "dft", "m": 3, "series_length": 16}
+# a learned index's metadata carries the sha256 of the model that built it
+LEARNED_META = {
+    **DFT_META, "method": "learned-order", "model": "model.chr1", "model_sha256": hashlib.sha256(b"").hexdigest()
+}
+
+
+def small_index(tmp_path, meta=DFT_META):
     tree, _, _ = random_tree(5, 3, seed=39)
     path = tmp_path / "idx.cix1"
-    save_index(tree, str(path), meta={"method": "dft", "m": 3, "series_length": 16})
+    save_index(tree, str(path), meta=meta)
     return path, path.read_bytes()
 
 
@@ -689,13 +698,14 @@ def test_trailing_bytes_are_corrupt(tmp_path, make, loader):
 
 
 def test_corrupt_index_header_and_meta_bytes_give_only_typed_errors(tmp_path):
-    path, blob = small_index(tmp_path)
-    (meta_len,) = struct.unpack_from("<I", blob, 16)
-    for off in range(20 + meta_len):  # the fixed header and the JSON metadata
-        for value in (0x00, 0x7B, 0xFF, blob[off] ^ 0x01):
-            loads_or_corrupt(load_index, path, blob[:off] + bytes([value]) + blob[off + 1 :])
-    for off in range(4, 20):  # any change to a size field breaks the length check
-        assert not loads_or_corrupt(load_index, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
+    for meta in (DFT_META, LEARNED_META):
+        path, blob = small_index(tmp_path, meta)
+        (meta_len,) = struct.unpack_from("<I", blob, 16)
+        for off in range(20 + meta_len):  # the fixed header and the JSON metadata
+            for value in (0x00, 0x7B, 0xFF, blob[off] ^ 0x01):
+                loads_or_corrupt(load_index, path, blob[:off] + bytes([value]) + blob[off + 1 :])
+        for off in range(4, 20):  # any change to a size field breaks the length check
+            assert not loads_or_corrupt(load_index, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
 
 
 def test_corrupt_model_header_bytes_give_only_typed_errors(tmp_path):
@@ -728,7 +738,8 @@ def damage(data, blob, fields):
 @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4), seed=st.integers(0, 2**64 - 1), data=st.data())
 def test_model_fuzz_round_trip_and_damage(widths, seed, data):
     # 1-3 chained layers: save -> load -> save is byte-identical, the loaded
-    # layers are views into one buffer, and damage raises only CorruptArtifact
+    # layers are views into one buffer, and damage raises only CorruptArtifact,
+    # or ModelMismatch when the file's sha256 is checked
     rng = np.random.default_rng(seed)
     shapes = list(zip(widths[1:], widths[:-1]))
     p = NetworkParams([rng.standard_normal(s) for s in shapes], [rng.standard_normal(s[0]) for s in shapes], seed)
@@ -736,7 +747,8 @@ def test_model_fuzz_round_trip_and_damage(widths, seed, data):
         path = Path(tmp) / "model.chr1"
         save_model(p, path)
         blob = path.read_bytes()
-        q = load_model(path)
+        digest = hashlib.sha256(blob).hexdigest()
+        q = load_model(path, digest)
         assert q.seed == seed and q.flat.tobytes() == p.flat.tobytes()
         assert all(np.shares_memory(a, q.flat) for a in q.weights + q.biases)
         save_model(q, path)
@@ -745,7 +757,11 @@ def test_model_fuzz_round_trip_and_damage(widths, seed, data):
         for rows, cols in shapes:
             fields += [off, off + 4]
             off += 8 + 8 * rows * (cols + 1)
-        loads_or_corrupt(load_model, path, damage(data, blob, fields))
+        bad = damage(data, blob, fields)
+        loads_or_corrupt(load_model, path, bad)
+        if bad != blob:  # a field can be rewritten to its own value
+            with pytest.raises((CorruptArtifact, ModelMismatch)):
+                load_model(path, digest)
 
 
 @settings(max_examples=100, deadline=None)
@@ -757,7 +773,7 @@ def test_index_fuzz_round_trip_and_damage(n, m, seed, data):
     tree, _, _ = random_tree(n, m, seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "idx.cix1"
-        save_index(tree, str(path), meta={"method": "dft", "m": m})
+        save_index(tree, str(path), meta={**data.draw(st.sampled_from([DFT_META, LEARNED_META])), "m": m})
         blob = path.read_bytes()
         loaded, meta = load_index(str(path))
         save_index(loaded, str(path), meta)
