@@ -11,16 +11,7 @@ truncation and down-sampling baselines plus an evaluation harness
 __version__ = "0.2.0"
 
 from . import errors
-from .core import (
-    FrequencyVector,
-    NormalizedSeries,
-    TimeSeries,
-    dft,
-    distance_sq,
-    normalize,
-    pearson,
-    truncated_distance_sq,
-)
+from .core import NormalizedSeries, TimeSeries, normalize
 from .datasets import (
     Dataset,
     SplitDataset,
@@ -44,8 +35,6 @@ from .evaluation import (
     EvalReport,
     SweepConfig,
     approximation_loss,
-    exact_top_k,
-    gap,
     latency_benchmark,
     pair_rows,
     precision,

@@ -1,21 +1,20 @@
-"""Exact time-series math: normalization, Pearson correlation, scaled DFT.
+"""Normalization: `normalize_rows`, the package's one normalization routine,
+and `is_constant`, its rule for a series whose correlation is undefined.
 
-The identities used throughout the package:
+For rows normalized this way (zero mean, hence a zero DC coefficient):
 
-    corr(s, r) = 1 - ||s_hat - r_hat||^2 / 2        (l2-normalized series)
-    ||x||^2    = ||DFT_scaled(x)||^2                 (Parseval, 1/sqrt(M) scale)
+    corr(s, r) = 1 - ||s_hat - r_hat||^2 / 2
+    ||x||^2    = ||DFT_scaled(x)||^2        (Parseval, 1/sqrt(M) scale: `embed.features_matrix`)
 
-so squared Euclidean distance between (truncated) frequency vectors is an
-estimator of 2 - 2*corr. Coefficients are indexed 0..M-1 with index 0 the DC
-component; normalized input has zero mean, hence zero DC, and "the first m
-coefficients" always means indices 1..m.
+so squared distance between truncated frequency vectors estimates 2 - 2*corr.
+`normalize` takes a `TimeSeries` to a `NormalizedSeries`: `normalize_rows` on one row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeries, DegenerateOutput, InvalidM, LengthMismatch
+from .errors import ConstantSeries, DegenerateOutput
 
 _NORM_BLOCK = 2**16  # values per block of `normalize_rows`
 # A row's sum of squares inside this range was summed without overflow and
@@ -39,29 +38,12 @@ class TimeSeries:
             raise ValueError(f"series {self.id}: non-finite values")
         object.__setattr__(self, "values", v)
 
-    def __len__(self):
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class NormalizedSeries:
     """l2-normalized series: zero mean, unit Euclidean norm."""
 
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Scaled DFT coefficients, complex, index 0 = DC.
-
-    Real input gives conjugate symmetry coeffs[j] == conj(coeffs[M-j]) and,
-    because of the 1/sqrt(M) scale, Parseval: ||coeffs|| == ||input||.
-    """
-
-    coeffs: np.ndarray
-
-    def __len__(self):
-        return self.coeffs.size
 
 
 def is_constant(hi, lo):
@@ -123,49 +105,10 @@ def _centre_and_scale(x: np.ndarray) -> np.ndarray:
 def normalize(s: TimeSeries) -> NormalizedSeries:
     """Subtract the mean and scale to unit Euclidean norm: `normalize_rows` on one row.
 
+    No command calls it: it stays as the op of the benchmark's `query`
+    workload and a target of its tracer.
+
     Raises ConstantSeries when all values are equal (the Pearson correlation
     of a constant series is undefined).
     """
     return NormalizedSeries(values=normalize_rows(s.values[np.newaxis], (s.id,))[0])
-
-
-def pearson(s: TimeSeries, r: TimeSeries) -> float:
-    """Pearson correlation of two equal-length, non-constant series."""
-    if len(s) != len(r):
-        raise LengthMismatch(f"lengths {len(s)} != {len(r)}")
-    s_hat = normalize(s).values
-    r_hat = normalize(r).values
-    c = float(np.dot(s_hat, r_hat))
-    return min(1.0, max(-1.0, c))
-
-
-def dft(x) -> FrequencyVector:
-    """Scaled discrete Fourier transform: coeffs[j] = (1/sqrt(M)) * sum_l x_l e^{-2pi i jl/M}.
-
-    Computed with an FFT; output is identical (within 1e-9) to the direct
-    O(M^2) evaluation of the sum.
-    """
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 4:
-        raise InvalidM(f"need a 1-d series of length >= 4, got shape {v.shape}")
-    return FrequencyVector(coeffs=np.fft.fft(v) / np.sqrt(v.size))
-
-
-def truncated_distance_sq(a: FrequencyVector, b: FrequencyVector, m: int) -> float:
-    """Squared Euclidean distance over frequency coefficients 1..m (DC excluded).
-
-    Requires 1 <= m < M/2, strictly below the Nyquist half-spectrum.
-    """
-    if len(a) != len(b):
-        raise LengthMismatch(f"coefficient counts {len(a)} != {len(b)}")
-    big_m = len(a)
-    if m < 1 or 2 * m >= big_m:
-        raise InvalidM(f"m={m} outside [1, M/2) for M={big_m}")
-    d = a.coeffs[1 : m + 1] - b.coeffs[1 : m + 1]
-    return float(np.sum(d.real * d.real + d.imag * d.imag))
-
-
-def distance_sq(a: NormalizedSeries, b: NormalizedSeries) -> float:
-    """Exact squared distance between normalized series (= 2 - 2*corr)."""
-    d = a.values - b.values
-    return float(np.dot(d, d))

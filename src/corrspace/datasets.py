@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TimeSeries, is_constant, normalize_rows
+from .core import is_constant, normalize_rows
 from .errors import EmptyFile, InvalidM, MissingArtifact, ParseError, RaggedRows, TooSmall
 
 log = logging.getLogger(__name__)
@@ -51,9 +51,6 @@ class Dataset:
     @property
     def length(self):
         return self.values.shape[1]
-
-    def series(self, row: int) -> TimeSeries:
-        return TimeSeries(id=int(self.ids[row]), values=self.values[row])
 
     def rows_for(self, ids) -> np.ndarray:
         """Row indices for the given record ids, in the given order.
@@ -94,7 +91,8 @@ class SplitDataset:
 
 
 _DELIMITERS = {"csv": ",", "csv_id": ",", "ucr": "\t"}
-_INT64_BOUND = 2.0**63  # an id v becomes an int64 iff -2**63 <= v < 2**63
+_INT64_BOUND = 2**63  # an id v becomes an int64 iff -2**63 <= v < 2**63
+_EXACT_ID_BOUND = 2.0**53  # a float64 holds every integer of smaller magnitude exactly
 
 
 def _parse_rows(path, delimiter):
@@ -138,12 +136,13 @@ def _has_long_line(path) -> bool:
 def _vectorised_rows(path, fmt):
     """`(ids, values, n_constant)` by the rules of `_loop_rows`, from one call to numpy's C reader.
 
-    Returns None when that reader cannot take the file, or when a row breaks
-    a rule whose error names its line (a repeated id, a field longer than
-    `csv` takes), since only the loop tracks lines. The reader accepts a
-    subset of what the loop accepts (no quotes, underscores or non-ASCII
-    digits), and its float conversion is correctly rounded like `float`, so
-    every value it returns has the bits the loop would give.
+    Returns None when that reader cannot take the file, when a row breaks a
+    rule whose error names its line (a repeated id, a field longer than `csv`
+    takes), since only the loop tracks lines, or when an id reaches 2**53 in
+    magnitude, where its float64 may not be the integer written. The reader
+    accepts a subset of what the loop accepts (no quotes, underscores or
+    non-ASCII digits), and its float conversion is correctly rounded like
+    `float`, so every value it returns has the bits the loop would give.
     """
     try:
         if _has_long_line(path):  # numpy takes fields the loop refuses
@@ -158,7 +157,7 @@ def _vectorised_rows(path, fmt):
         return None
     if fmt == "csv_id":
         first = table[:, 0]
-        if not ((first >= -_INT64_BOUND) & (first < _INT64_BOUND)).all():
+        if not (np.abs(first) < _EXACT_ID_BOUND).all():
             return None
         ids = first.astype(np.int64)  # truncates toward zero, as `int` does
     else:
@@ -195,9 +194,13 @@ def _loop_rows(path, fmt):
             if not math.isfinite(num):
                 raise ParseError(lineno, f"non-finite value {tok!r}")
         if fmt == "csv_id":
-            if not -_INT64_BOUND <= nums[0] < _INT64_BOUND:
+            try:
+                rid = int(row[0])  # exact at any size
+            except ValueError:
+                rid = int(nums[0])  # a token such as "3.0"
+            if not -_INT64_BOUND <= rid < _INT64_BOUND:
                 raise ParseError(lineno, f"id {row[0]!r} is outside the int64 range")
-            rid, vals = int(nums[0]), nums[1:]
+            vals = nums[1:]
         elif fmt == "ucr":
             rid, vals = len(ids) + n_constant, nums[1:]  # label column dropped
         else:

@@ -18,7 +18,7 @@ class ConstantSeries(CorrSpaceError):
 
 
 class LengthMismatch(CorrSpaceError):
-    """Two series passed to a pairwise operation differ in length."""
+    """A query series differs in length from the series an index holds."""
 
     exit_code = 11
 

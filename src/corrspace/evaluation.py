@@ -33,16 +33,6 @@ def _true_d2(q_h, pool_h):
     return 2.0 - 2.0 * (q_h @ pool_h.T)
 
 
-def exact_top_k(ns, pool: Dataset, k: int) -> np.ndarray:
-    """Brute-force ids of the k most correlated pool series (ties by id)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > pool.n:
-        raise KTooLarge(f"k={k} exceeds pool size {pool.n}")
-    d2 = _true_d2(np.asarray(ns.values, dtype=np.float64)[np.newaxis], pool.normalized_matrix())[0]
-    return pool.ids[rank(d2, pool.ids, k)]
-
-
 def precision(fhat_ids, f_ids, k=None) -> float:
     fhat_ids, f_ids = np.asarray(fhat_ids), np.asarray(f_ids)
     if k is None:
@@ -52,19 +42,9 @@ def precision(fhat_ids, f_ids, k=None) -> float:
     return len(set(fhat_ids.tolist()) & set(f_ids.tolist())) / k
 
 
-def gap(fhat_ids, f_ids, ns, pool: Dataset, k=None) -> float:
-    """Mean excess true squared distance of Fhat over the optimal set F."""
-    fhat_ids, f_ids = np.asarray(fhat_ids), np.asarray(f_ids)
-    if k is None:
-        k = len(f_ids)
-    if len(fhat_ids) != k or len(f_ids) != k:
-        raise SizeMismatch(f"expected two id sets of size {k}, got {len(fhat_ids)}/{len(f_ids)}")
-    d2 = _true_d2(np.asarray(ns.values, dtype=np.float64)[np.newaxis], pool.normalized_matrix())[0]
-    return float(_gap(d2, pool.rows_for(fhat_ids), pool.rows_for(f_ids), k))
-
-
 def _gap(d2, fhat_rows, f_rows, k):
-    """`gap` from one query's true distances² `d2` to every pool row."""
+    """Gap delta: mean excess true distance² of the answer rows `fhat_rows` over
+    the exact top-k rows `f_rows`, from one query's distances² `d2` to the pool."""
     return (d2[fhat_rows].sum() - d2[f_rows].sum()) / k
 
 

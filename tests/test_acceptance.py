@@ -12,7 +12,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from corrspace.cli import main, replay_manifest
-from corrspace.core import TimeSeries, dft, normalize, pearson
+from corrspace.core import normalize_rows
 from corrspace.datasets import (
     Dataset,
     _example2_half_spectra,
@@ -31,14 +31,14 @@ from corrspace.embed import (
 )
 from corrspace.evaluation import (
     SweepConfig,
+    _gap,
+    _true_d2,
     approximation_loss,
-    exact_top_k,
-    gap,
     latency_benchmark,
     pair_rows,
     sweep,
 )
-from corrspace.index import KdTree, load_index, save_index
+from corrspace.index import KdTree, load_index, rank, save_index
 from corrspace.train import (
     APPROXIMATE,
     ORDER,
@@ -50,6 +50,7 @@ from corrspace.train import (
     train,
     triple_batch_from,
 )
+from oracles import corr_direct
 
 
 def record(number, ok, detail):
@@ -190,21 +191,27 @@ def trained_small(tmp_path_factory):
 # -------------------------------------------------- 1: distance identities
 
 def test_criterion_01_identity_suite():
+    # through the batch path the pipeline runs: `normalize_rows`, then the
+    # FFT of `features_matrix`, against correlations computed apart from it
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     worst_corr, worst_parseval = 0.0, 0.0
     for big_m in (64, 256, 1024):
-        for _ in range(1000):
-            raw_s = rng.standard_normal(big_m) * rng.uniform(0.5, 20) + rng.uniform(-50, 50)
-            raw_r = rng.standard_normal(big_m) * rng.uniform(0.5, 20) + rng.uniform(-50, 50)
-            s, r = TimeSeries(0, raw_s), TimeSeries(1, raw_r)
-            hs, hr = normalize(s), normalize(r)
-            d2 = float(np.sum((hs.values - hr.values) ** 2))
-            worst_corr = max(worst_corr, abs(pearson(s, r) - (1.0 - d2 / 2.0)))
-            c = dft(hs.values).coeffs
-            worst_parseval = max(
-                worst_parseval, abs(float(np.sum(np.abs(c) ** 2)) - float(np.sum(hs.values**2)))
-            )
+        raw = [
+            rng.standard_normal(big_m) * rng.uniform(0.5, 20) + rng.uniform(-50, 50)
+            for _ in range(2000)  # pairs (raw[2i], raw[2i + 1])
+        ]
+        h = normalize_rows(np.array(raw), np.arange(2000))
+        hs, hr = h[0::2], h[1::2]
+        d2 = np.sum((hs - hr) ** 2, axis=1)
+        corr = corr_direct(np.array(raw[0::2]), np.array(raw[1::2]))
+        worst_corr = max(worst_corr, float(np.max(np.abs(corr - (1.0 - d2 / 2.0)))))
+        # coefficients 1..M/2 hold the spectrum: DC is zero for a normalized row,
+        # each coefficient below Nyquist has its mirror in the upper half, and
+        # the Nyquist M/2 is counted once
+        f = features_matrix(h)
+        energy = 2.0 * np.sum(f**2, axis=1) - np.sum(f[:, -2:] ** 2, axis=1)
+        worst_parseval = max(worst_parseval, float(np.max(np.abs(energy - np.sum(h**2, axis=1)))))
     wall = time.perf_counter() - t0
     ok = worst_corr <= 1e-9 and worst_parseval <= 1e-9 and wall < 10.0
     record(
@@ -338,7 +345,7 @@ def test_criterion_04_gap_bounded_by_worst_pair_error(trained_small):
 
     e_pool = emb.embed_matrix(h[pool_rows])
     e_query = emb.embed_matrix(h[query_rows])
-    d2_true = 2.0 - 2.0 * (h[query_rows] @ h[pool_rows].T)
+    d2_true = _true_d2(h[query_rows], h[pool_rows])
     d2_est = 2.0 * (
         np.sum(e_query**2, axis=1)[:, None]
         - 2.0 * (e_query @ e_pool.T)
@@ -348,11 +355,9 @@ def test_criterion_04_gap_bounded_by_worst_pair_error(trained_small):
 
     tree = KdTree(e_pool, pool.ids)
     worst_gap, k = 0.0, 10
-    for qi, row in enumerate(query_rows):
-        ns = normalize(ds.series(int(row)))
-        fhat = tree.top_k(e_query[qi], k).ids
-        f = exact_top_k(ns, pool, k)
-        worst_gap = max(worst_gap, gap(fhat, f, ns, pool, k))
+    for qi, d2 in enumerate(d2_true):
+        fhat = pool.rows_for(tree.top_k(e_query[qi], k).ids)
+        worst_gap = max(worst_gap, _gap(d2, fhat, rank(d2, pool.ids, k), k))
     ok = worst_gap <= 2.0 * eps_hat + 1e-9
     record(
         4,

@@ -17,13 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrspace.cli import GEN_DEFAULTS, SUBCOMMANDS, _load_split, _resolve, build_parser, main, replay_manifest
-from corrspace.core import normalize
 from corrspace.datasets import Dataset, load_csv, save_csv
 from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
 from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, UsageError
-from corrspace.evaluation import exact_top_k
 from corrspace.index import load_index, save_index
 from corrspace.train import desk_config, init_params
+from oracles import corr_matrix
 
 
 def run(capsys, *argv):
@@ -279,13 +278,13 @@ def test_index_learned_method_requires_model(capsys, tmp_path):
 # -------------------------------------------------------------------- query
 
 def oracle_ids(data_path, query_id, k, skip_self=True):
+    """The ids of the k series most correlated with `query_id`, ties by id, by plain numpy."""
     ds = load_csv(str(data_path), "csv_id")
-    row = int(np.flatnonzero(ds.ids == query_id)[0])
-    ns = normalize(ds.series(row))
-    ids = exact_top_k(ns, ds, min(k + skip_self, ds.n))
+    corr = corr_matrix(ds.values[ds.ids == query_id], ds.values)[0]
+    ids = ds.ids[np.lexsort((ds.ids, -corr))]
     if skip_self:
         ids = ids[ids != query_id]
-    return list(ids[:k])
+    return ids[:k].tolist()
 
 
 def parse_hits(stdout):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrspace import datasets
-from corrspace.core import TimeSeries, dft, normalize, pearson, truncated_distance_sq
 from corrspace.datasets import (
     Dataset,
     SplitDataset,
@@ -20,6 +19,7 @@ from corrspace.datasets import (
     save_csv,
     split,
 )
+from corrspace.embed import features_matrix
 from corrspace.errors import (
     ConstantSeries,
     CorrSpaceError,
@@ -31,6 +31,7 @@ from corrspace.errors import (
     RaggedRows,
     TooSmall,
 )
+from oracles import corr_direct
 
 
 def write(path, text):
@@ -146,11 +147,13 @@ _FINITE = (
 
 @st.composite
 def finite_datasets(draw):
-    """A Dataset of finite doubles with distinct ids inside +-2**53; each row
-    ends in 1.0, 2.0, so none is constant and every row loads."""
+    """A Dataset of finite doubles with distinct int64 ids, some of them
+    beyond +-2**53; each row ends in 1.0, 2.0, so none is constant and every
+    row loads."""
     n, width = draw(st.integers(1, 6)), draw(st.integers(2, 10))
     values = np.array(draw(st.lists(_FINITE, min_size=n * width, max_size=n * width))).reshape(n, width)
-    ids = draw(st.lists(st.integers(-(2**53), 2**53), min_size=n, max_size=n, unique=True))
+    any_int64 = st.integers(-(2**63), 2**63 - 1)
+    ids = draw(st.lists(st.integers(-(2**53) + 1, 2**53 - 1) | any_int64, min_size=n, max_size=n, unique=True))
     return Dataset(ids=ids, values=np.hstack([values, np.tile([1.0, 2.0], (n, 1))]))
 
 
@@ -167,8 +170,10 @@ def test_save_csv_round_trips_every_finite_double(ds):
         p, again = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
         save_csv(ds, p)
         vectorised = datasets._vectorised_rows(str(p), "csv_id")
-        assert vectorised is not None
-        assert_same_rows(vectorised, ds)
+        if all(abs(rid) < 2**53 for rid in ds.ids.tolist()):  # np.abs overflows at -2**63
+            assert_same_rows(vectorised, ds)
+        else:
+            assert vectorised is None  # such an id is read by the loop, exactly
         assert_same_rows(datasets._loop_rows(str(p), "csv_id"), ds)
         save_csv(load_csv(str(p), "csv_id"), again)
         assert again.read_bytes() == p.read_bytes()
@@ -180,7 +185,7 @@ def test_files_written_with_17_digits_load_as_before(ds):
     # the 0.1.0 writer's layout: `%.17g` for every value
     with tempfile.TemporaryDirectory() as tmp:
         old, new = Path(tmp) / "old.csv", Path(tmp) / "new.csv"
-        np.savetxt(old, np.column_stack([ds.ids, ds.values]), fmt=["%d"] + ["%.17g"] * ds.length, delimiter=",")
+        old.write_text("".join(f"{rid}," + ",".join(f"{v:.17g}" for v in row) + "\n" for rid, row in zip(ds.ids, ds.values)))
         save_csv(ds, new)
         for loader in (load_csv, load_by_loop):
             assert outcome(loader, str(old), "csv_id") == outcome(loader, str(new), "csv_id")
@@ -238,7 +243,7 @@ AGREEMENT_CASES = {
     "csv_id ids as floats": ("csv_id", "7.0,1,2,3,4\n9,4,3,2,1\n"),
     "csv_id fractional id": ("csv_id", "7.9,1,2,3,4\n-3.5,4,3,2,1\n"),
     "csv_id int64 extremes": ("csv_id", "-9223372036854775808,1,2,3,4\n9223372036854774784,4,3,2,1\n"),
-    "csv_id id past int64": ("csv_id", "1,1,2,3,4\n9223372036854775807,4,3,2,1\n"),
+    "csv_id id past int64": ("csv_id", "1,1,2,3,4\n9223372036854775808,4,3,2,1\n"),
     "csv_id huge id": ("csv_id", "1e30,1,2,3,4\n"),
     "csv_id inf id": ("csv_id", "-inf,1,2,3,4\n"),
     "csv_id short": ("csv_id", "1,2,3,4\n"),
@@ -262,10 +267,26 @@ def test_non_finite_value_is_a_parse_error(tmp_path, token):
 
 
 def test_csv_id_outside_int64_is_a_parse_error(tmp_path):
-    p = write(tmp_path / "d.csv", "1,1,2,3,4\n9223372036854775808,4,3,2,1\n")
-    with pytest.raises(ParseError) as exc:
-        load_csv(p, "csv_id")
-    assert exc.value.line == 2
+    for token in ("9223372036854775808", "-9223372036854775809", "9223372036854775807.0"):
+        p = write(tmp_path / "d.csv", f"1,1,2,3,4\n{token},4,3,2,1\n")
+        for loader in (load_csv, load_by_loop):
+            with pytest.raises(ParseError, match="outside the int64 range") as exc:
+                loader(p, "csv_id")
+            assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("rid", [2**53 - 1, -(2**53 - 1), 2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63)])
+@pytest.mark.parametrize("loader", [load_csv, load_by_loop])
+def test_csv_id_round_trips_exactly_at_the_edges(tmp_path, loader, rid):
+    # a float64 holds every id inside +-2**53, so the vectorised reader takes
+    # the file; past that it defers to the loop, which reads the id exactly
+    ds = Dataset(ids=[rid, 7], values=[[1.0, 2.0, 3.0, 5.0], [4.0, 3.0, 2.0, 0.5]])
+    p = tmp_path / "d.csv"
+    save_csv(ds, p)
+    assert (datasets._vectorised_rows(str(p), "csv_id") is None) == (abs(rid) >= 2**53)
+    back = loader(str(p), "csv_id")
+    assert back.ids.tolist() == [rid, 7]
+    assert back.values.tobytes() == ds.values.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,7 +452,7 @@ def test_split_overlap_rejected():
 
 def test_normalized_matrix_bits_in_blocks_and_subsets():
     # the reference is the one-pass formula; 2200 rows of 128 cross four block
-    # edges, and the one-row `normalize` of each series gives the same bits
+    # edges, and normalizing each series on its own gives the same bits
     rng = np.random.default_rng(5)
     values = rng.standard_normal((2200, 128)) * rng.uniform(0.1, 1e3, size=(2200, 1)) + rng.uniform(-50, 50, size=(2200, 1))
     ds = Dataset(ids=np.arange(2200) * 3, values=values)
@@ -440,7 +461,7 @@ def test_normalized_matrix_bits_in_blocks_and_subsets():
     assert ds.normalized_matrix().tobytes() == want.tobytes()
     rows = rng.permutation(2200)[:700]
     assert ds.normalized_matrix(rows).tobytes() == want[rows].tobytes()
-    assert np.vstack([normalize(ds.series(i)).values for i in range(ds.n)]).tobytes() == want.tobytes()
+    assert np.vstack([ds.normalized_matrix([i]) for i in range(ds.n)]).tobytes() == want.tobytes()
     np.testing.assert_array_equal(ds.values, values)  # the dataset is left as it was
 
 
@@ -454,7 +475,7 @@ def test_normalization_at_extreme_magnitudes(scale):
     ds = Dataset(ids=np.arange(12), values=values)
     want = Dataset(ids=np.arange(12), values=base).normalized_matrix()
     h = ds.normalized_matrix()
-    one = np.vstack([normalize(ds.series(i)).values for i in range(ds.n)])
+    one = np.vstack([ds.normalized_matrix([i]) for i in range(ds.n)])
     assert one.tobytes() == h.tobytes()
     assert np.isfinite(h).all()
     assert np.abs(np.linalg.norm(h, axis=1) - 1.0).max() <= 1e-15
@@ -494,16 +515,17 @@ def test_normalized_matrix_constant_row_raises_naming_its_id(row):
 def test_gen_example1_quarter_identity():
     ds = gen_example1(20, 64, seed=1)
     h = ds.normalized_matrix()
+    f = features_matrix(h)[:, :32]  # coefficients 1..16
     for i, j in [(0, 1), (2, 17), (5, 19)]:
         corr = float(h[i] @ h[j])
-        d2 = truncated_distance_sq(dft(h[i]), dft(h[j]), 16)
+        d2 = float(np.sum((f[i] - f[j]) ** 2))
         assert abs(4.0 * d2 - (2.0 - 2.0 * corr)) <= 1e-8
 
 
 def test_gen_example1_single_series():
     ds = gen_example1(1, 16, seed=0)
     assert (ds.n, ds.length) == (1, 16)
-    normalize(ds.series(0))  # non-constant, normalizable
+    ds.normalized_matrix()  # non-constant, normalizable
 
 
 def test_gen_example1_real_and_deterministic():
@@ -512,8 +534,9 @@ def test_gen_example1_real_and_deterministic():
     np.testing.assert_array_equal(a.values, b.values)
     assert a.values.dtype == np.float64
     # spectrum structure: second quarter copies the first
-    c = dft(a.values[0]).coeffs
-    np.testing.assert_allclose(c[1:8], c[9:16], atol=1e-9)
+    f = features_matrix(a.values[:1])[0]
+    c = f[0::2] + 1j * f[1::2]  # coefficients 1..16
+    np.testing.assert_allclose(c[0:7], c[8:15], atol=1e-9)
 
 
 def test_gen_example1_m_validation():
@@ -548,8 +571,7 @@ def test_gen_example2_real_and_deterministic():
     a = gen_example2(5, 16, 2, seed=11)
     b = gen_example2(5, 16, 2, seed=11)
     np.testing.assert_array_equal(a.values, b.values)
-    for i in range(5):
-        normalize(a.series(i))
+    a.normalized_matrix()
 
 
 def test_gen_example2_m_validation():
@@ -564,16 +586,17 @@ def test_gen_example2_m_validation():
 def test_generators_pass_core_invariants():
     for ds in (gen_example1(8, 32, seed=2), gen_example2(8, 32, 3, seed=2)):
         assert np.all(np.isfinite(ds.values))
-        for i in range(ds.n):
-            ns = normalize(ds.series(i))
-            assert abs(np.linalg.norm(ns.values) - 1.0) <= 1e-9
-            c = dft(ds.values[i]).coeffs
-            assert abs(np.sum(np.abs(c) ** 2) - np.sum(ds.values[i] ** 2)) <= 1e-9
+        for row in ds.normalized_matrix():
+            assert abs(np.linalg.norm(row) - 1.0) <= 1e-9
+        # Parseval over the whole spectrum: DC, then coefficients 1..15 twice
+        # (the upper half mirrors them) and the Nyquist 16 once
+        f = features_matrix(ds.values)
+        energy = ds.values.sum(axis=1) ** 2 / 32 + 2.0 * np.sum(f**2, axis=1) - np.sum(f[:, -2:] ** 2, axis=1)
+        assert np.abs(energy - np.sum(ds.values**2, axis=1)).max() <= 1e-9
 
 
 def test_pearson_identity_on_generated_data():
     ds = gen_example1(6, 32, seed=13)
     h = ds.normalized_matrix()
-    corr = pearson(ds.series(0), ds.series(1))
+    corr = corr_direct(ds.values[0], ds.values[1])
     assert corr == pytest.approx(float(h[0] @ h[1]), abs=1e-12)
-    assert isinstance(ds.series(0), TimeSeries)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from corrspace.core import TimeSeries, dft, normalize, pearson
+from corrspace.core import normalize_rows
 from corrspace.embed import (
     MODEL_MAGIC,
     DftTruncationEmbedder,
@@ -22,10 +22,12 @@ from corrspace.embed import (
 )
 from corrspace.errors import DegenerateOutput, DimensionMismatch, InvalidM
 from corrspace.train import init_params
+from oracles import corr_direct, dft_direct
 
 
 def norm_ts(values, rid=0):
-    return normalize(TimeSeries(id=rid, values=np.asarray(values, dtype=np.float64)))
+    """One series l2-normalized by `normalize_rows`."""
+    return normalize_rows(np.asarray(values, dtype=np.float64)[np.newaxis], (rid,))[0]
 
 
 def rand_normalized(rng, big_m):
@@ -33,11 +35,11 @@ def rand_normalized(rng, big_m):
 
 
 def dft_emb(ns, m):
-    return DftTruncationEmbedder(m).embed_matrix(ns.values[np.newaxis])[0]
+    return DftTruncationEmbedder(m).embed_matrix(ns[np.newaxis])[0]
 
 
 def downsample_emb(ns, m):
-    return DownSampleEmbedder(m).embed_matrix(ns.values[np.newaxis])[0]
+    return DownSampleEmbedder(m).embed_matrix(ns[np.newaxis])[0]
 
 
 # ----------------------------------------------------------------- features
@@ -50,19 +52,16 @@ def test_feature_width():
 
 def test_features_of_ramp():
     ns = norm_ts([1.0, 2.0, 3.0, 4.0])
-    c = dft(ns.values).coeffs  # oracle: same values the features must carry
-    got = features_matrix(ns.values[np.newaxis])[0]
+    c = dft_direct(ns)  # oracle: same values the features must carry
+    got = features_matrix(ns[np.newaxis])[0]
     np.testing.assert_allclose(got, [c[1].real, c[1].imag, c[2].real, c[2].imag], atol=1e-12)
 
 
 def test_features_against_direct_dft():
     rng = np.random.default_rng(3)
     for big_m in (8, 11, 64):
-        ns = rand_normalized(rng, big_m)
-        x = ns.values
-        j = np.arange(big_m)
-        w = np.exp(-2j * np.pi * np.outer(j, j) / big_m)
-        c = (w @ x) / np.sqrt(big_m)
+        x = rand_normalized(rng, big_m)
+        c = dft_direct(x)
         want = np.empty(2 * (big_m // 2))
         want[0::2] = c[1 : big_m // 2 + 1].real
         want[1::2] = c[1 : big_m // 2 + 1].imag
@@ -73,7 +72,7 @@ def test_features_parseval_bookkeeping():
     # normalized input: 2*||features||^2 - |c_{M/2}|^2 == 1 for even M
     # (every coefficient below Nyquist appears twice in the spectrum)
     rng = np.random.default_rng(5)
-    rows = np.vstack([rand_normalized(rng, 32).values for _ in range(50)])
+    rows = np.vstack([rand_normalized(rng, 32) for _ in range(50)])
     for f in features_matrix(rows):
         nyq_sq = f[-2] ** 2 + f[-1] ** 2
         assert abs(2.0 * np.dot(f, f) - nyq_sq - 1.0) <= 1e-9
@@ -81,7 +80,7 @@ def test_features_parseval_bookkeeping():
 
 def test_features_matrix_consistent_with_single():
     rng = np.random.default_rng(7)
-    rows = np.vstack([rand_normalized(rng, 16).values for _ in range(5)])
+    rows = np.vstack([rand_normalized(rng, 16) for _ in range(5)])
     fm = features_matrix(rows)
     for i in range(5):
         np.testing.assert_array_equal(fm[i], features_matrix(rows[i : i + 1])[0])
@@ -159,13 +158,13 @@ def test_dft_baseline_identical_series():
 
 def test_dft_baseline_scale_against_core_oracle():
     # ||emb(s) - emb(r)||^2 == 2 * d_{m/2}^2, i.e. the corrected distance
-    # 2*||.||^2 equals 4 * truncated_distance_sq(., ., m/2)
+    # 2*||.||^2 equals 4 * d_{m/2}^2, the distance over coefficients 1..m/2
     rng = np.random.default_rng(19)
     s, r = rand_normalized(rng, 32), rand_normalized(rng, 32)
     for m in (2, 8, 14):
         d2 = np.sum((dft_emb(s, m) - dft_emb(r, m)) ** 2)
         want = 2.0 * (
-            np.sum(np.abs(dft(s.values).coeffs[1 : m // 2 + 1] - dft(r.values).coeffs[1 : m // 2 + 1]) ** 2)
+            np.sum(np.abs(dft_direct(s)[1 : m // 2 + 1] - dft_direct(r)[1 : m // 2 + 1]) ** 2)
         )
         assert d2 == pytest.approx(want, abs=1e-9)
 
@@ -188,7 +187,7 @@ def test_dft_baseline_example1_pair_exact():
         s_raw, r_raw = make(), make()
         s, r = norm_ts(s_raw), norm_ts(r_raw, 1)
         d2 = np.sum((dft_emb(s, big_m // 2) - dft_emb(r, big_m // 2)) ** 2)
-        corr = pearson(TimeSeries(id=0, values=s_raw), TimeSeries(id=1, values=r_raw))
+        corr = corr_direct(s_raw, r_raw)
         assert abs(2.0 * d2 - (2.0 - 2.0 * corr)) <= 1e-8
 
 
@@ -213,12 +212,12 @@ def test_dft_baseline_m_validation():
 
 def test_downsample_full_m_is_identity():
     ns = norm_ts(np.random.default_rng(31).standard_normal(12))
-    np.testing.assert_allclose(downsample_emb(ns, 12), ns.values, atol=1e-15)
+    np.testing.assert_allclose(downsample_emb(ns, 12), ns, atol=1e-15)
 
 
 def test_downsample_ramp_indices_and_scale():
     ns = norm_ts(np.arange(8.0))
-    want = ns.values[[0, 2, 4, 6]] * np.sqrt(2.0)
+    want = ns[[0, 2, 4, 6]] * np.sqrt(2.0)
     np.testing.assert_allclose(downsample_emb(ns, 4), want, atol=1e-15)
 
 
@@ -250,19 +249,19 @@ def test_learned_embedder_rejects_too_long_series():
     p = init_params(8, 4, 3, seed=0)
     ns = rand_normalized(np.random.default_rng(41), 16)
     with pytest.raises(DimensionMismatch):
-        LearnedEmbedder(p).embed_matrix(ns.values[np.newaxis])
+        LearnedEmbedder(p).embed_matrix(ns[np.newaxis])
 
 
 def test_learned_embedder_rejects_too_short_series():
     p = init_params(16, 4, 3, seed=0)
     ns = norm_ts(np.arange(8.0))  # only 8 features, network wants 16
     with pytest.raises(DimensionMismatch):
-        LearnedEmbedder(p).embed_matrix(ns.values[np.newaxis])
+        LearnedEmbedder(p).embed_matrix(ns[np.newaxis])
 
 
 def test_embed_matrix_agrees_with_embed():
     rng = np.random.default_rng(43)
-    rows = np.vstack([rand_normalized(rng, 16).values for _ in range(6)])
+    rows = np.vstack([rand_normalized(rng, 16) for _ in range(6)])
     for emb in (DftTruncationEmbedder(6), DownSampleEmbedder(5)):
         got = emb.embed_matrix(rows)
         for i in range(6):

@@ -7,26 +7,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrspace.core import TimeSeries, dft, normalize, pearson, truncated_distance_sq
 from corrspace.datasets import Dataset, gen_example1, split
 from corrspace.embed import DftTruncationEmbedder, DownSampleEmbedder
 from corrspace.errors import KTooLarge, SizeMismatch
-from corrspace.index import KdTree
+from corrspace.index import KdTree, rank
 from corrspace.evaluation import (
     EvalReport,
     ReportRow,
     SweepConfig,
+    _gap,
     _oracle_rows,
     _true_d2,
     approximation_loss,
     build_embedder,
-    exact_top_k,
-    gap,
     latency_benchmark,
     pair_rows,
     precision,
     sweep,
 )
+from oracles import corr_matrix, dft_direct
 
 
 def random_dataset(n, big_m, seed):
@@ -34,23 +33,28 @@ def random_dataset(n, big_m, seed):
     return Dataset(ids=np.arange(n, dtype=np.int64), values=vals)
 
 
-def query_series(ds, row):
-    return normalize(ds.series(row))
+def query_d2(ds, row, pool=None):
+    """True distances² from series `row` of ds to every series of `pool` (ds by default), as `sweep` scores."""
+    pool = ds if pool is None else pool
+    return _true_d2(ds.normalized_matrix([row]), pool.normalized_matrix())[0]
 
 
-# -------------------------------------------------------------- exact_top_k
+def exact_cols(d2, pool, k):
+    """Pool rows of the exact top-k for a query's true distances² `d2`, as `sweep` ranks them."""
+    return rank(d2, pool.ids, k)
+
+
+# -------------------------------------------------------------- exact top-k
 
 def test_exact_top_k_self_is_first():
     ds = random_dataset(50, 16, seed=0)
-    ns = query_series(ds, 13)
-    assert exact_top_k(ns, ds, 1)[0] == 13
+    assert ds.ids[exact_cols(query_d2(ds, 13), ds, 1)][0] == 13
 
 
 def test_exact_top_k_full_pool_is_correlation_ranking():
     ds = random_dataset(40, 16, seed=1)
-    ns = query_series(ds, 5)
-    got = exact_top_k(ns, ds, 40)
-    corr = np.array([pearson(ds.series(5), ds.series(i)) for i in range(40)])
+    got = ds.ids[exact_cols(query_d2(ds, 5), ds, 40)]
+    corr = corr_matrix(ds.values[5], ds.values)[0]
     want = np.lexsort((ds.ids, -corr))  # most correlated first, ties by id
     np.testing.assert_array_equal(got, ds.ids[want])
 
@@ -58,24 +62,14 @@ def test_exact_top_k_full_pool_is_correlation_ranking():
 def test_exact_top_k_against_max_selection():
     # independent oracle: repeatedly extract the single most-correlated id
     ds = random_dataset(60, 8, seed=2)
-    ns = query_series(ds, 0)
-    corr = {int(ds.ids[i]): pearson(ds.series(0), ds.series(i)) for i in range(60)}
+    corr = dict(zip(ds.ids.tolist(), corr_matrix(ds.values[0], ds.values)[0].tolist()))
     want = []
     left = dict(corr)
     for _ in range(7):
         best = max(left, key=lambda i: (left[i], -i))
         want.append(best)
         del left[best]
-    np.testing.assert_array_equal(exact_top_k(ns, ds, 7), want)
-
-
-def test_exact_top_k_argument_errors():
-    ds = random_dataset(10, 8, seed=3)
-    ns = query_series(ds, 0)
-    with pytest.raises(ValueError):
-        exact_top_k(ns, ds, 0)
-    with pytest.raises(KTooLarge):
-        exact_top_k(ns, ds, 11)
+    np.testing.assert_array_equal(ds.ids[exact_cols(query_d2(ds, 0), ds, 7)], want)
 
 
 # ------------------------------------------------------------------ metrics
@@ -96,24 +90,24 @@ def test_precision_size_mismatch():
 
 def test_gap_zero_when_sets_match():
     ds = random_dataset(30, 8, seed=4)
-    ns = query_series(ds, 3)
-    f = exact_top_k(ns, ds, 5)
-    assert gap(f, f, ns, ds) == pytest.approx(0.0, abs=1e-12)
-    assert gap(f[::-1], f, ns, ds) == pytest.approx(0.0, abs=1e-12)  # set metric
+    d2 = query_d2(ds, 3)
+    f = exact_cols(d2, ds, 5)
+    assert _gap(d2, f, f, 5) == pytest.approx(0.0, abs=1e-12)
+    assert _gap(d2, f[::-1], f, 5) == pytest.approx(0.0, abs=1e-12)  # set metric
 
 
 def test_gap_hand_enumeration():
     # four fixed series; compute every 2-subset's mean distance by hand and
-    # check gap(Fhat, F) = mean_d2(Fhat) - mean_d2(F) for all pairs of subsets
+    # check delta(Fhat, F) = mean_d2(Fhat) - mean_d2(F) for all pairs of subsets
     ds = random_dataset(4, 8, seed=5)
-    ns = query_series(ds, 0)
-    d2 = {int(ds.ids[i]): 2.0 - 2.0 * pearson(ds.series(0), ds.series(i)) for i in range(4)}
-    f = exact_top_k(ns, ds, 2)
+    want_d2 = 2.0 - 2.0 * corr_matrix(ds.values[0], ds.values)[0]
+    d2 = query_d2(ds, 0)
+    f = exact_cols(d2, ds, 2)
     from itertools import combinations
 
-    for sub in combinations(sorted(d2), 2):
-        want = (sum(d2[i] for i in sub) - sum(d2[i] for i in f)) / 2
-        assert gap(np.array(sub), f, ns, ds) == pytest.approx(want, abs=1e-12)
+    for sub in combinations(range(4), 2):
+        want = (want_d2[list(sub)].sum() - want_d2[f].sum()) / 2
+        assert _gap(d2, np.array(sub), f, 2) == pytest.approx(want, abs=1e-12)
         assert want >= -1e-12  # F is optimal
 
 
@@ -121,17 +115,10 @@ def test_gap_nonnegative_for_random_candidates():
     ds = random_dataset(100, 16, seed=6)
     rng = np.random.default_rng(7)
     for trial in range(20):
-        ns = query_series(ds, int(rng.integers(100)))
-        f = exact_top_k(ns, ds, 10)
-        fhat = rng.choice(ds.ids, size=10, replace=False)
-        assert gap(fhat, f, ns, ds) >= -1e-12
-
-
-def test_gap_size_mismatch():
-    ds = random_dataset(20, 8, seed=8)
-    ns = query_series(ds, 0)
-    with pytest.raises(SizeMismatch):
-        gap([1, 2, 3], [1, 2], ns, ds)
+        d2 = query_d2(ds, int(rng.integers(100)))
+        f = exact_cols(d2, ds, 10)
+        fhat = rng.choice(ds.n, size=10, replace=False)
+        assert _gap(d2, fhat, f, 10) >= -1e-12
 
 
 # --------------------------------------------------------------- test pairs
@@ -172,8 +159,9 @@ def test_approximation_loss_dft_matches_truncated_distance():
     m = 6
     got = approximation_loss(DftTruncationEmbedder(m), h_s, h_r)
     parts = []
-    for s, r in zip(h_s, h_r):
-        d2 = truncated_distance_sq(dft(s), dft(r), m // 2)
+    c_s, c_r = dft_direct(h_s)[:, 1 : m // 2 + 1], dft_direct(h_r)[:, 1 : m // 2 + 1]
+    for cs, cr, s, r in zip(c_s, c_r, h_s, h_r):
+        d2 = float(np.sum(np.abs(cs - cr) ** 2))
         corr = float(np.dot(s, r))
         parts.append(abs(4.0 * d2 - (2.0 - 2.0 * corr)))
     assert got == pytest.approx(np.mean(parts), abs=1e-12)
@@ -336,19 +324,15 @@ def test_every_query_gap_bounded_by_worst_approximation_error():
     pool = Dataset(ids=ds.ids[pool_rows], values=ds.values[pool_rows])
     emb = DftTruncationEmbedder(6)
     e_pool = emb.embed_matrix(h[pool_rows])
-    from corrspace.index import KdTree
-
     tree = KdTree(e_pool, pool.ids)
     for row in ds.rows_for(splits.test_ids):
-        ns = query_series(ds, row)
-        q = emb.embed_matrix(ns.values[np.newaxis])[0]
-        d2_true = 2.0 - 2.0 * (h[pool_rows] @ h[row])
+        q = emb.embed_matrix(h[row : row + 1])[0]
+        d2_true = query_d2(ds, row, pool)
         d2_est = 2.0 * np.sum((e_pool - q) ** 2, axis=1)
         eps_hat = np.max(np.abs(d2_est - d2_true))
         for k in (1, 5, 20):
-            fhat = tree.top_k(q, k).ids
-            f = exact_top_k(ns, pool, k)
-            assert gap(fhat, f, ns, pool, k) <= 2.0 * eps_hat + 1e-9
+            fhat = pool.rows_for(tree.top_k(q, k).ids)
+            assert _gap(d2_true, fhat, exact_cols(d2_true, pool, k), k) <= 2.0 * eps_hat + 1e-9
 
 
 # --------------------------------------------------------- latency benchmark
