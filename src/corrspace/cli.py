@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .core import normalize_rows
 from .datasets import Dataset, SplitDataset, gen_example1, gen_example2, load_csv, save_csv, split
-from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, load_model, save_model
+from .embed import LearnedEmbedder, load_model, save_model
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
-from .evaluation import METHODS, EvalReport, SweepConfig, latency_benchmark, sweep
+from .evaluation import FIXED_EMBEDDERS, LOSS_OF, METHODS, EvalReport, SweepConfig, latency_benchmark, sweep
 from .index import KdTree, load_index, rank, save_index, threshold_radius_sq
 from .train import APPROXIMATE, ORDER, TrainConfig, desk_config, train
 
@@ -195,18 +195,25 @@ def _get_split(ds, params):
     return split(ds, _parse_ratios(params["ratios"]), params["seed"])
 
 
+# the methods an index is built with
+_EMBEDDER_METHODS = (*FIXED_EMBEDDERS, *LOSS_OF)
+
+
 def _embedder_for(method, m, model_path, model_sha256=None):
-    """The embedder of `method`. A learned one loads `model_path`, whose
-    bytes must hash to `model_sha256` when it is given (`load_model`)."""
-    if method == "dft":
-        return DftTruncationEmbedder(m)
-    if method == "downsample":
-        return DownSampleEmbedder(m)
-    if method in ("learned-approx", "learned-order"):
-        if not model_path:
-            raise MissingArtifact(f"method {method} requires --model")
-        return LearnedEmbedder(load_model(model_path, model_sha256))
-    raise UsageError(f"unknown method {method!r}")
+    """The embedder of `method`, one of `_EMBEDDER_METHODS`. A learned one
+    loads `model_path`, whose bytes must hash to `model_sha256` when it is
+    given (`load_model`)."""
+    if method in FIXED_EMBEDDERS:
+        return FIXED_EMBEDDERS[method](m)
+    if not model_path:
+        raise MissingArtifact(f"method {method} requires --model")
+    return LearnedEmbedder(load_model(model_path, model_sha256))
+
+
+def _at_least_one(key, *values):
+    """UsageError when a value of the flag `key` is below 1."""
+    if min(values) < 1:
+        raise UsageError(f"--{key.replace('_', '-')} must be at least 1, got {min(values)}")
 
 
 def _manifest_path(params, *fallback_outputs):
@@ -338,7 +345,7 @@ def cmd_index(p):
         rows = ds.rows_for(getattr(splits, f"{p['partition']}_ids"))
     else:
         rows = slice(None)
-    if p["method"] in ("dft", "downsample") and p["m"] is None:
+    if p["method"] in FIXED_EMBEDDERS and p["m"] is None:
         raise UsageError(f"method {p['method']} requires --m")
     embedder = _embedder_for(p["method"], p["m"], p["model"])
     tree = KdTree(embedder.embed_matrix(ds.normalized_matrix(rows)), ds.ids[rows])
@@ -365,17 +372,84 @@ QUERY_DEFAULTS = {
 
 
 def cmd_query(p):
+    """Answer from the index or, with --exact, from every series of --data.
+    Each mode sets up `search(q, k)`: the ids, d² and correlations to print
+    of the k nearest to `q`, or of every --threshold hit when k is None. An
+    id the index holds is queried at its stored point: --data is not read."""
     if (p["query_id"] is None) == (p["query_file"] is None):
         raise UsageError("exactly one of --query-id / --query-file is required")
-    if p["k"] < 1:
-        raise UsageError(f"--k must be at least 1, got {p['k']}")
+    _at_least_one("k", p["k"])
     if p["threshold"] is not None and not -1.0 <= p["threshold"] <= 1.0:
         raise UsageError(f"--threshold must be a correlation in [-1, 1], got {p['threshold']}")
     if not p["slack"] > 0:
         raise UsageError(f"--slack must be positive, got {p['slack']}")
+    ds = embedder = held = None
     if p["exact"]:
-        return _query_exact(p)
-    return _query_index(p)
+        if not p["data"]:
+            raise UsageError("--exact requires --data")
+        ds = load_csv(p["data"], p["format"])
+        h = ds.normalized_matrix()
+
+        def search(q, k):
+            corr = h @ q
+            clipped = np.clip(corr, -1.0, 1.0)  # printed; ranked by the unclipped d², as `eval` ranks
+            rows = np.arange(ds.n) if k is not None else np.flatnonzero(clipped >= p["threshold"])
+            rows = rows[rank(2.0 - 2.0 * corr[rows], ds.ids[rows], k)]
+            return ds.ids[rows], 2.0 - 2.0 * clipped[rows], clipped[rows]
+
+        tag, length = "exact", ds.length
+    else:
+        if not p["index"]:
+            raise UsageError("--index is required (or pass --exact)")
+        tree, meta = load_index(p["index"])
+        length = meta.get("series_length")
+        if not (
+            meta.get("method") in _EMBEDDER_METHODS and _is_int(meta.get("m")) and meta["m"] == tree.m
+            and (length is None or _is_int(length) and length > 0)
+        ):
+            raise CorruptArtifact(
+                f"{p['index']}: index metadata lacks method or m, or does not fit its points of width {tree.m}: "
+                f"method {meta.get('method')!r}, m {meta.get('m')!r}, series_length {length!r}"
+            )
+        # loaded even when unused: its errors show, a model that did not build the index among them
+        embedder = _embedder_for(meta["method"], meta["m"], p["model"] or meta.get("model"), meta.get("model_sha256"))
+
+        def search(q, k):
+            if k is None:
+                res = tree.within_radius(q, threshold_radius_sq(p["threshold"], p["slack"]))
+            else:
+                res = tree.top_k(q, k)
+            return res.ids, res.distances_sq, np.clip(1.0 - res.distances_sq, -1.0, 1.0)
+
+        tag = f"method={meta['method']}, m={meta['m']}"
+        held = tree.point(p["query_id"]) if p["query_id"] is not None else None
+        if p["query_id"] is not None and held is None:
+            if not p["data"]:
+                raise UsageError(f"the index does not hold id {p['query_id']}: pass --data to embed its series")
+            ds = load_csv(p["data"], p["format"])
+        elif p["data"] and not os.path.isfile(p["data"]):  # not read, but naming no file is still an error
+            raise MissingArtifact(f"data file not found: {p['data']}")
+    if held is not None:
+        queries = [(f"id {p['query_id']}", held, int(p["query_id"]))]
+    else:
+        queries = _query_series(p, ds)
+        for label, values, _ in queries:  # all checked before any is embedded or answered
+            if length is not None and len(values) != length:
+                raise LengthMismatch(
+                    f"query {label} has length {len(values)}, the series searched have length {length}"
+                )
+        if embedder is not None:  # one row per call: a query's bits do not depend on the other rows
+            queries = [(label, embedder.embed_matrix(v[np.newaxis])[0], self_id) for label, v, self_id in queries]
+    for label, q, self_id in queries:
+        # one more of the k nearest when the query's own id is to be dropped
+        k = None if p["threshold"] is not None else p["k"] + (self_id is not None)
+        ids, d2, corr = search(q, k)
+        rows = np.arange(len(ids)) if self_id is None else np.flatnonzero(ids != self_id)
+        print(f"# query {label} ({tag})")
+        print("id dist2 corr_est")
+        for r in rows if k is None else rows[: p["k"]]:
+            print(f"{int(ids[r])} {d2[r]:.9g} {corr[r]:.9g}")
+    return 0
 
 
 def _query_series(p, ds):
@@ -401,83 +475,6 @@ def _require_output_dirs(*paths):
             raise MissingArtifact(f"output directory not found: {path}")
 
 
-def _print_hits(ids, d2, corr):
-    print("id dist2 corr_est")
-    for i, d, c in zip(ids, d2, corr):
-        print(f"{int(i)} {d:.9g} {c:.9g}")
-
-
-def _query_exact(p):
-    if not p["data"]:
-        raise UsageError("--exact requires --data")
-    ds = load_csv(p["data"], p["format"])
-    h = ds.normalized_matrix()
-    for label, q, self_id in _query_series(p, ds):
-        corr = h @ q
-        clipped = np.clip(corr, -1.0, 1.0)  # printed; ranked by the unclipped d², as `eval` ranks
-        cand = np.arange(ds.n) if self_id is None else np.flatnonzero(ds.ids != self_id)
-        k = p["k"]
-        if p["threshold"] is not None:
-            cand, k = cand[clipped[cand] >= p["threshold"]], None
-        cand = cand[rank(2.0 - 2.0 * corr[cand], ds.ids[cand], k)]
-        print(f"# query {label} (exact)")
-        _print_hits(ds.ids[cand], 2.0 - 2.0 * clipped[cand], clipped[cand])
-    return 0
-
-
-def _query_index(p):
-    """Answer from the index. An id the index holds is queried at its stored
-    point, so neither --data is read nor the query embedded; other queries
-    are series, normalized and embedded one row per call."""
-    if not p["index"]:
-        raise UsageError("--index is required (or pass --exact)")
-    tree, meta = load_index(p["index"])
-    if not {"method", "m"} <= meta.keys():
-        raise CorruptArtifact(f"{p['index']}: index metadata lacks method or m")
-    model_path = p["model"] or meta.get("model")
-    # loaded even when unused: its errors show, a model that did not build the index among them
-    embedder = _embedder_for(meta["method"], meta.get("m"), model_path, meta.get("model_sha256"))
-    stored = tree.point(p["query_id"]) if p["query_id"] is not None else None
-    if p["query_id"] is not None and stored is None:
-        if not p["data"]:
-            raise UsageError(f"the index does not hold id {p['query_id']}: pass --data to embed its series")
-    elif p["data"] and not os.path.isfile(p["data"]):  # not read, but naming no file is still an error
-        raise MissingArtifact(f"data file not found: {p['data']}")
-    if stored is not None:
-        queries = [(f"id {p['query_id']}", stored, int(p["query_id"]))]
-    else:
-        queries = _embedded_queries(p, embedder, meta.get("series_length"))
-    for label, q, self_id in queries:
-        if p["threshold"] is not None:
-            res = tree.within_radius(q, threshold_radius_sq(p["threshold"], p["slack"]))
-            ids, d2 = res.ids, res.distances_sq
-        else:
-            res = tree.top_k(q, min(p["k"] + (self_id is not None), tree.n))
-            ids, d2 = res.ids, res.distances_sq
-        if self_id is not None:
-            keep = ids != self_id
-            ids, d2 = ids[keep], d2[keep]
-        if p["threshold"] is None:
-            ids, d2 = ids[: p["k"]], d2[: p["k"]]
-        print(f"# query {label} (method={meta['method']}, m={meta['m']})")
-        _print_hits(ids, d2, np.clip(1.0 - d2, -1.0, 1.0))
-    return 0
-
-
-def _embedded_queries(p, embedder, length):
-    """(label, embedded point, excluded id) of each query series, all checked
-    against the index's series `length` before any is embedded."""
-    ds = load_csv(p["data"], p["format"]) if p["query_id"] is not None else None
-    queries = _query_series(p, ds)
-    for label, q_values, _ in queries:
-        if length is not None and len(q_values) != length:
-            raise LengthMismatch(
-                f"query {label} has length {len(q_values)}, the index holds series of length {length}"
-            )
-    # one row per call: a query's bits do not depend on the other rows of --query-file
-    return [(label, embedder.embed_matrix(q_values[np.newaxis])[0], self_id) for label, q_values, self_id in queries]
-
-
 EVAL_DEFAULTS = {
     "data": None, "format": "csv_id", "methods": None, "m_values": "8",
     "k_values": "10,100", "seed": 0, "ratios": "0.8,0.1,0.1", "desk": False,
@@ -495,6 +492,9 @@ def cmd_eval(p):
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     m_values, k_values = _parse_int_list(p["m_values"]), _parse_int_list(p["k_values"])
+    _at_least_one("k_values", *k_values)
+    if LOSS_OF.keys() & set(methods):  # a fixed embedder reports its own m range (InvalidM)
+        _at_least_one("m_values", *m_values)
     ratios = _parse_ratios(p["ratios"])
     try:
         cfg = SweepConfig(
@@ -522,6 +522,8 @@ BENCH_DEFAULTS = {
 
 
 def cmd_bench(p):
+    for key in ("n", "m", "k", "queries", "hidden_size"):
+        _at_least_one(key, p[key])
     if p["manifest"] and not p["report_out"]:
         raise UsageError("--manifest needs --report-out: without a report bench writes no artifact")
     _require_output_dirs(p["report_out"], _manifest_path(p, p["report_out"]))
@@ -573,7 +575,7 @@ FLAGS = {
     "model_out": {},
     "log_out": {},
     "partition": {"choices": ["train", "val", "test", "all"]},
-    "method": {"choices": [m for m in METHODS if m != "exact"]},
+    "method": {"choices": list(_EMBEDDER_METHODS)},
     "model": {"help": "CHR1 model file (learned methods)"},
     "index": {},
     "query_id": {"type": int},

@@ -18,9 +18,11 @@ from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, f
 from .errors import KTooLarge, SizeMismatch
 from .index import KdTree, rank
 
-METHODS = ("exact", "dft", "downsample", "learned-approx", "learned-order")
-
-_LOSS_OF = {"learned-approx": _train.APPROXIMATE, "learned-order": _train.ORDER}
+# the embedders by method: those built from m alone, and the learned ones by
+# the loss they train with
+FIXED_EMBEDDERS = {"dft": DftTruncationEmbedder, "downsample": DownSampleEmbedder}
+LOSS_OF = {"learned-approx": _train.APPROXIMATE, "learned-order": _train.ORDER}
+METHODS = ("exact", *FIXED_EMBEDDERS, *LOSS_OF)
 
 # Query rows per oracle GEMM. On OpenBLAS a block this tall gives each row the
 # bits of one GEMM over all queries (but in the last pool-size % 8 columns),
@@ -123,7 +125,7 @@ class SweepConfig:
 
 
 def _train_config(method, m, cfg):
-    kind = _LOSS_OF[method]
+    kind = LOSS_OF[method]
     if cfg.profile == "desk":
         return _train.desk_config(m=m, loss_kind=kind, seed=cfg.seed)
     return _train.TrainConfig(m=m, loss_kind=kind, seed=cfg.seed)
@@ -131,11 +133,9 @@ def _train_config(method, m, cfg):
 
 def build_embedder(method: str, m: int, ds: Dataset, splits, cfg: SweepConfig):
     """Construct (training if needed) the embedder for one method/m cell."""
-    if method == "dft":
-        return DftTruncationEmbedder(m)
-    if method == "downsample":
-        return DownSampleEmbedder(m)
-    if method in _LOSS_OF:
+    if method in FIXED_EMBEDDERS:
+        return FIXED_EMBEDDERS[method](m)
+    if method in LOSS_OF:
         params = _train.train(ds, splits, _train_config(method, m, cfg))
         return LearnedEmbedder(params)
     raise ValueError(f"unknown method {method!r}")

@@ -32,3 +32,13 @@ def corr_matrix(q, pool):
     every row of `pool`, one row per query, by `np.corrcoef`."""
     q = np.atleast_2d(q)
     return np.corrcoef(q, pool)[: len(q), len(q) :]
+
+
+def by_correlation(q, pool, ids, without=None):
+    """(ids, correlations) of the rows of `pool` with the series `q`, most
+    correlated first and ties by id, leaving out the id `without`."""
+    ids = np.asarray(ids)
+    corr = corr_matrix(q, pool)[0]
+    order = np.lexsort((ids, -corr))
+    order = order[ids[order] != without]
+    return ids[order], corr[order]

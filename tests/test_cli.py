@@ -22,7 +22,7 @@ from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, sa
 from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, UsageError
 from corrspace.index import load_index, save_index
 from corrspace.train import desk_config, init_params
-from oracles import corr_matrix
+from oracles import by_correlation
 
 
 def run(capsys, *argv):
@@ -277,14 +277,18 @@ def test_index_learned_method_requires_model(capsys, tmp_path):
 
 # -------------------------------------------------------------------- query
 
-def oracle_ids(data_path, query_id, k, skip_self=True):
+def oracle_ids(data_path, query_id, k):
     """The ids of the k series most correlated with `query_id`, ties by id, by plain numpy."""
     ds = load_csv(str(data_path), "csv_id")
-    corr = corr_matrix(ds.values[ds.ids == query_id], ds.values)[0]
-    ids = ds.ids[np.lexsort((ds.ids, -corr))]
-    if skip_self:
-        ids = ids[ids != query_id]
-    return ids[:k].tolist()
+    return by_correlation(ds.values[ds.ids == query_id][0], ds.values, ds.ids, without=query_id)[0][:k].tolist()
+
+
+def query_modes(capsys, tmp_path, data):
+    """The `query` arguments of both modes over `data`: the exact oracle and a DFT index."""
+    return {
+        "exact": ("--exact", "--data", str(data)),
+        "index": ("--index", str(build_index(capsys, tmp_path, data)), "--data", str(data)),
+    }
 
 
 def parse_hits(stdout):
@@ -306,6 +310,34 @@ def test_query_exact_self_excluded(capsys, tmp_path):
     hits = parse_hits(stdout)
     assert [h[0] for h in hits] == oracle_ids(data, 7, 3)
     assert all(h[0] != 7 for h in hits)
+
+
+def test_query_exact_threshold_self_excluded(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    code, stdout, err = run(capsys, "query", "--exact", "--data", str(data), "--query-id", "7", "--threshold", "0.5")
+    assert code == 0, err
+    ds = load_csv(str(data), "csv_id")
+    ids, corr = by_correlation(ds.values[ds.ids == 7][0], ds.values, ds.ids, without=7)
+    keep = corr >= 0.5
+    assert 0 < np.count_nonzero(keep) < len(ids)
+    hits = parse_hits(stdout)
+    assert [h[0] for h in hits] == ids[keep].tolist()
+    np.testing.assert_allclose([h[2] for h in hits], corr[keep], atol=1e-8)
+    np.testing.assert_allclose([h[1] for h in hits], 2.0 - 2.0 * corr[keep], atol=1e-8)
+
+
+@pytest.mark.parametrize("bad, exit_code", [
+    (("--k", "0"), 2),
+    (("--threshold", "2"), 2),
+    (("--threshold", "0.5", "--slack", "0"), 2),
+    (("--query-id", "1000"), 23),  # an id the data lacks
+])
+def test_query_modes_fail_alike(capsys, tmp_path, bad, exit_code):
+    data = gen_small(capsys, tmp_path)
+    args = {"--query-id": "1", "--k": "3", **dict(zip(bad[::2], bad[1::2]))}
+    for how in query_modes(capsys, tmp_path, data).values():
+        code, stdout, _ = run(capsys, "query", *how, *(x for kv in args.items() for x in kv))
+        assert (code, stdout) == (exit_code, "")
 
 
 def test_query_exact_ranks_by_unclipped_distance(capsys, tmp_path):
@@ -472,22 +504,34 @@ def test_query_argument_errors(capsys, tmp_path):
     assert code == 23
 
 
-def test_query_length_must_match_the_index(capsys, tmp_path):
-    # a DFT index over length-16 series and a query file of length-8 series
+@pytest.mark.parametrize("mode", ["index", "exact"])
+def test_query_length_must_match_the_index(capsys, tmp_path, mode):
+    # length-16 series, in a DFT index or searched exactly, and a query file of length-8 series
     data = gen_small(capsys, tmp_path)
-    idx = build_index(capsys, tmp_path, data)
     qf = tmp_path / "short.csv"
     qf.write_text("1,2,3,4,5,6,7,9\n")
-    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-file", str(qf), "--k", "3")
+    how = query_modes(capsys, tmp_path, data)[mode]
+    code, stdout, err = run(capsys, "query", *how, "--query-file", str(qf), "--k", "3")
     assert code == 11
     assert stdout == "" and "length 8" in err and "length 16" in err
 
 
-def test_query_index_meta_without_method_is_corrupt(capsys, tmp_path):
+@pytest.mark.parametrize("edit", [
+    {"method": None},  # the key deleted
+    {"method": "pca"},
+    {"m": "x"},
+    {"m": 4},  # the points are 8 wide
+    {"series_length": "16"},
+], ids=["no-method", "unknown-method", "m-not-an-integer", "m-not-the-width", "series-length-a-string"])
+def test_query_index_meta_without_method_is_corrupt(capsys, tmp_path, edit):
     data = gen_small(capsys, tmp_path)
     idx = build_index(capsys, tmp_path, data)
     tree, meta = load_index(str(idx))
-    del meta["method"]
+    for key, value in edit.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
     save_index(tree, str(idx), meta)
     code, _, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "1")
     assert code == 24 and "lacks method" in err
@@ -798,7 +842,32 @@ def test_eval_max_queries_below_one_is_a_usage_error(capsys, tmp_path, count):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("methods, flag, value", [
+    ("dft", "--k-values", "0"),
+    ("dft", "--k-values", "10,-3"),
+    ("learned-order", "--m-values", "0"),
+    ("dft,learned-approx", "--m-values", "4,-1"),
+])
+def test_eval_list_items_below_one_are_usage_errors(capsys, tmp_path, methods, flag, value):
+    # refused before the data is read: the file does not exist
+    report = tmp_path / "r.csv"
+    code, stdout, err = run(
+        capsys, "eval", "--data", str(tmp_path / "absent.csv"), "--methods", methods, flag, value,
+        "--report-out", str(report),
+    )
+    assert code == 2 and stdout == "" and f"{flag} must be at least 1" in err
+    assert not report.exists()
+
+
 # --------------------------------------------------------------------- bench
+
+@pytest.mark.parametrize("flag", ["--n", "--m", "--k", "--queries", "--hidden-size"])
+def test_bench_sizes_below_one_are_usage_errors(capsys, tmp_path, flag):
+    # refused before any work: the model is not loaded
+    base = {"--n": "300", "--m": "4", "--k": "5", "--queries": "10", "--hidden-size": "16", flag: "0"}
+    argv = [x for kv in base.items() for x in kv]
+    code, stdout, err = run(capsys, "bench", *argv, "--length", "32", "--model", str(tmp_path / "absent.chr1"))
+    assert code == 2 and stdout == "" and f"{flag} must be at least 1, got 0" in err
 
 def test_bench_smoke_and_report(capsys, tmp_path):
     report = tmp_path / "bench.json"
