@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,22 +35,28 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _hash_files(paths: dict) -> dict:
-    return {name: {"path": str(p), "sha256": _sha256(p)} for name, p in paths.items() if p}
+def _hash_files(params, artifacts: dict) -> dict:
+    paths = {name: params[key] for name, key in artifacts.items() if params[key]}
+    return {name: {"path": str(path), "sha256": _sha256(path)} for name, path in paths.items()}
 
 
-def _write_manifest(path, subcommand, params, inputs, outputs):
+def _write_manifest(path, subcommand, params):
+    spec = SUBCOMMANDS[subcommand]
     doc = {
         "tool": "corrspace",
         "version": __version__,
         "subcommand": subcommand,
         "params": params,
-        "inputs": _hash_files(inputs),
-        "outputs": _hash_files(outputs),
+        "inputs": _hash_files(params, spec.inputs),
+        "outputs": _hash_files(params, spec.outputs),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def _resolve(ns, defaults: dict) -> dict:
@@ -92,7 +99,7 @@ def _config_value(source, key, value):
         typed != value or not untyped_ok or (kind is bool) != isinstance(value, bool)
         or flag.get("choices") and typed not in flag["choices"]
     ):
-        raise UsageError(f"{source}: {key} = {json.dumps(value)} is not a valid --{key.replace('_', '-')}")
+        raise UsageError(f"{source}: {key} = {json.dumps(value)} is not a valid {_flag(key)}")
     return typed
 
 
@@ -189,12 +196,6 @@ def _load_split(path) -> SplitDataset:
         raise CorruptArtifact(f"split file {path}: {exc}") from None
 
 
-def _get_split(ds, params):
-    if params.get("split"):
-        return _load_split(params["split"])
-    return split(ds, _parse_ratios(params["ratios"]), params["seed"])
-
-
 # the methods an index is built with
 _EMBEDDER_METHODS = (*FIXED_EMBEDDERS, *LOSS_OF)
 
@@ -210,19 +211,10 @@ def _embedder_for(method, m, model_path, model_sha256=None):
     return LearnedEmbedder(load_model(model_path, model_sha256))
 
 
-def _at_least_one(key, *values):
-    """UsageError when a value of the flag `key` is below 1."""
-    if min(values) < 1:
-        raise UsageError(f"--{key.replace('_', '-')} must be at least 1, got {min(values)}")
-
-
-def _manifest_path(params, *fallback_outputs):
-    if params.get("manifest"):
-        return params["manifest"]
-    for out in fallback_outputs:
-        if out:
-            return str(out) + ".manifest.json"
-    return None
+def _at_least(low, key, *values):
+    """UsageError when a value of the flag `key` is below `low`."""
+    if min(values) < low:
+        raise UsageError(f"{_flag(key)} must be at least {low}, got {min(values)}")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -234,17 +226,15 @@ GEN_DEFAULTS = {
 
 
 def cmd_gen(p):
-    if p["family"] not in ("example1", "example2"):
-        raise UsageError("--family must be example1 or example2")
-    if not p["output"]:
-        raise UsageError("--output is required")
-    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
+    _at_least(1, "n", p["n"])
+    _at_least(0, "seed", p["seed"])
+    if not np.isfinite(p["eps"]):
+        raise UsageError(f"--eps must be finite, got {p['eps']}")
     if p["family"] == "example1":
         ds = gen_example1(p["n"], p["length"], p["seed"])
     else:
         ds = gen_example2(p["n"], p["length"], p["m"], p["eps"], p["seed"])
     save_csv(ds, p["output"])
-    _write_manifest(_manifest_path(p, p["output"]), "gen", p, {}, {"data": p["output"]})
     print(f"generated {ds.n} series of length {ds.length} -> {p['output']}")
     return 0
 
@@ -253,12 +243,8 @@ INGEST_DEFAULTS = {"input": None, "format": "csv", "output": None, "manifest": N
 
 
 def cmd_ingest(p):
-    if not p["input"] or not p["output"]:
-        raise UsageError("--input and --output are required")
-    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
     ds = load_csv(p["input"], p["format"])
     save_csv(ds, p["output"])
-    _write_manifest(_manifest_path(p, p["output"]), "ingest", p, {"raw": p["input"]}, {"data": p["output"]})
     dropped = f" ({ds.n_constant_dropped} constant rows dropped)" if ds.n_constant_dropped else ""
     print(f"ingested {ds.n} series of length {ds.length}{dropped} -> {p['output']}")
     return 0
@@ -271,14 +257,11 @@ SPLIT_DEFAULTS = {
 
 
 def cmd_split(p):
-    if not p["data"] or not p["output"]:
-        raise UsageError("--data and --output are required")
     ratios = _parse_ratios(p["ratios"])
-    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
+    _at_least(0, "seed", p["seed"])
     ds = load_csv(p["data"], p["format"])
     splits = split(ds, ratios, p["seed"])
     _save_split(splits, p["output"])
-    _write_manifest(_manifest_path(p, p["output"]), "split", p, {"data": p["data"]}, {"split": p["output"]})
     print(
         f"split {ds.n} series -> {len(splits.train_ids)} train / "
         f"{len(splits.val_ids)} val / {len(splits.test_ids)} test"
@@ -295,10 +278,6 @@ TRAIN_DEFAULTS = {
 
 
 def cmd_train(p):
-    if not p["data"] or not p["model_out"]:
-        raise UsageError("--data and --model-out are required")
-    if p["m"] is None:
-        raise UsageError("--m is required")
     # the profile's values fill what no flag or config set, and the manifest records them
     given = {f.name: p[f.name] for f in dataclasses.fields(TrainConfig) if p.get(f.name) is not None}
     try:
@@ -307,15 +286,11 @@ def cmd_train(p):
         raise UsageError(str(exc)) from None
     p.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in p})
     if p["log_out"] is None:
-        p["log_out"] = str(p["model_out"]) + ".log.csv"
-    _require_output_dirs(p["model_out"], p["log_out"], _manifest_path(p, p["model_out"]))
+        p["log_out"] = str(p["model_out"]) + ".log.csv"  # in --model-out's directory, which `_run` checked
     ds = load_csv(p["data"], p["format"])
-    splits = _get_split(ds, p)
+    splits = _load_split(p["split"]) if p["split"] else split(ds, _parse_ratios(p["ratios"]), p["seed"])
     params = train(ds, splits, cfg, log_path=p["log_out"])
     save_model(params, p["model_out"])
-    inputs = {"data": p["data"], "split": p["split"]}
-    outputs = {"model": p["model_out"], "log": p["log_out"]}
-    _write_manifest(_manifest_path(p, p["model_out"]), "train", p, inputs, outputs)
     with open(p["log_out"]) as fh:
         lines = fh.read().strip().splitlines()
     first, last = lines[1].split(","), lines[-1].split(",")
@@ -334,9 +309,6 @@ INDEX_DEFAULTS = {
 
 
 def cmd_index(p):
-    if not p["data"] or not p["output"]:
-        raise UsageError("--data and --output are required")
-    _require_output_dirs(p["output"], _manifest_path(p, p["output"]))
     ds = load_csv(p["data"], p["format"])
     if p["partition"] != "all":
         if not p["split"]:
@@ -358,8 +330,6 @@ def cmd_index(p):
     if isinstance(embedder, LearnedEmbedder):
         meta["model_sha256"] = _sha256(p["model"])  # `query` answers only with a model of these bytes
     save_index(tree, p["output"], meta)
-    inputs = {"data": p["data"], "split": p["split"], "model": p["model"]}
-    _write_manifest(_manifest_path(p, p["output"]), "index", p, inputs, {"index": p["output"]})
     print(f"indexed {tree.n} series (method={p['method']}, m={embedder.m}) -> {p['output']}")
     return 0
 
@@ -378,7 +348,7 @@ def cmd_query(p):
     id the index holds is queried at its stored point: --data is not read."""
     if (p["query_id"] is None) == (p["query_file"] is None):
         raise UsageError("exactly one of --query-id / --query-file is required")
-    _at_least_one("k", p["k"])
+    _at_least(1, "k", p["k"])
     if p["threshold"] is not None and not -1.0 <= p["threshold"] <= 1.0:
         raise UsageError(f"--threshold must be a correlation in [-1, 1], got {p['threshold']}")
     if not p["slack"] > 0:
@@ -467,14 +437,6 @@ def _query_series(p, ds):
     return [(f"{p['query_file']}[{rid}]", row, None) for rid, row in zip(qds.ids, values)]
 
 
-def _require_output_dirs(*paths):
-    """MissingArtifact for an output path whose directory does not exist,
-    checked before any input is read."""
-    for path in paths:
-        if path and not os.path.isdir(os.path.dirname(str(path)) or "."):
-            raise MissingArtifact(f"output directory not found: {path}")
-
-
 EVAL_DEFAULTS = {
     "data": None, "format": "csv_id", "methods": None, "m_values": "8",
     "k_values": "10,100", "seed": 0, "ratios": "0.8,0.1,0.1", "desk": False,
@@ -483,19 +445,16 @@ EVAL_DEFAULTS = {
 
 
 def cmd_eval(p):
-    if not p["data"] or not p["report_out"]:
-        raise UsageError("--data and --report-out are required")
-    if not p["methods"]:
-        raise UsageError("--methods is required (comma-separated)")
     methods = _parse_str_list(p["methods"])
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     m_values, k_values = _parse_int_list(p["m_values"]), _parse_int_list(p["k_values"])
-    _at_least_one("k_values", *k_values)
+    _at_least(1, "k_values", *k_values)
     if LOSS_OF.keys() & set(methods):  # a fixed embedder reports its own m range (InvalidM)
-        _at_least_one("m_values", *m_values)
+        _at_least(1, "m_values", *m_values)
     ratios = _parse_ratios(p["ratios"])
+    _at_least(0, "seed", p["seed"])
     try:
         cfg = SweepConfig(
             seed=p["seed"], ratios=ratios, profile="desk" if p["desk"] else "full",
@@ -503,13 +462,9 @@ def cmd_eval(p):
         )
     except ValueError as exc:  # --max-queries below 1
         raise UsageError(str(exc)) from None
-    _require_output_dirs(p["report_out"], _manifest_path(p, p["report_out"]))
     ds = load_csv(p["data"], p["format"])
     report = sweep(ds, methods, m_values, k_values, cfg)
     report.save_csv(p["report_out"])
-    _write_manifest(
-        _manifest_path(p, p["report_out"]), "eval", p, {"data": p["data"]}, {"report": p["report_out"]}
-    )
     print(report.table())
     print(f"report -> {p['report_out']}")
     return 0
@@ -523,10 +478,9 @@ BENCH_DEFAULTS = {
 
 def cmd_bench(p):
     for key in ("n", "m", "k", "queries", "hidden_size"):
-        _at_least_one(key, p[key])
-    if p["manifest"] and not p["report_out"]:
-        raise UsageError("--manifest needs --report-out: without a report bench writes no artifact")
-    _require_output_dirs(p["report_out"], _manifest_path(p, p["report_out"]))
+        _at_least(1, key, p[key])
+    _at_least(2, "length", p["length"])  # a one-point series is constant
+    _at_least(0, "seed", p["seed"])
     params = load_model(p["model"]) if p["model"] else None
     stats = latency_benchmark(
         p["n"], p["m"], p["k"], n_queries=p["queries"], seed=p["seed"],
@@ -538,10 +492,6 @@ def cmd_bench(p):
         with open(p["report_out"], "w") as fh:
             json.dump(stats, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_manifest(
-            _manifest_path(p, p["report_out"]), "bench", p,
-            {"model": p["model"]}, {"report": p["report_out"]},
-        )
     return 0
 
 
@@ -593,16 +543,31 @@ FLAGS = {
     "queries": {"type": int},
 }
 
-# name -> (parameter defaults, help); the command is `cmd_<name>`
+
+class Subcommand(NamedTuple):
+    """How `_run` runs `cmd_<name>`."""
+
+    defaults: dict  # every parameter it takes, with its default
+    help: str
+    required: tuple = ()  # the parameters it cannot run without
+    inputs: dict = {}  # the artifacts its manifest records, as {artifact: parameter key}
+    outputs: dict = {}
+
+
 SUBCOMMANDS = {
-    "gen": (GEN_DEFAULTS, "generate a synthetic dataset"),
-    "ingest": (INGEST_DEFAULTS, "validate and canonicalize a dataset"),
-    "split": (SPLIT_DEFAULTS, "write a train/val/test id partition"),
-    "train": (TRAIN_DEFAULTS, "train a learned embedder"),
-    "index": (INDEX_DEFAULTS, "embed a dataset and build the k-d tree"),
-    "query": (QUERY_DEFAULTS, "top-k or threshold search against an index"),
-    "eval": (EVAL_DEFAULTS, "precision/gap/latency sweep over methods"),
-    "bench": (BENCH_DEFAULTS, "query latency benchmark"),
+    "gen": Subcommand(GEN_DEFAULTS, "generate a synthetic dataset", ("family", "output"), {}, {"data": "output"}),
+    "ingest": Subcommand(INGEST_DEFAULTS, "validate and canonicalize a dataset", ("input", "output"),
+                         {"raw": "input"}, {"data": "output"}),
+    "split": Subcommand(SPLIT_DEFAULTS, "write a train/val/test id partition", ("data", "output"),
+                        {"data": "data"}, {"split": "output"}),
+    "train": Subcommand(TRAIN_DEFAULTS, "train a learned embedder", ("data", "model_out", "m"),
+                        {"data": "data", "split": "split"}, {"model": "model_out", "log": "log_out"}),
+    "index": Subcommand(INDEX_DEFAULTS, "embed a dataset and build the k-d tree", ("data", "output"),
+                        {"data": "data", "split": "split", "model": "model"}, {"index": "output"}),
+    "query": Subcommand(QUERY_DEFAULTS, "top-k or threshold search against an index"),
+    "eval": Subcommand(EVAL_DEFAULTS, "precision/gap/latency sweep over methods",
+                       ("data", "report_out", "methods"), {"data": "data"}, {"report": "report_out"}),
+    "bench": Subcommand(BENCH_DEFAULTS, "query latency benchmark", (), {"model": "model"}, {"report": "report_out"}),
 }
 
 
@@ -613,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"corrspace {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (defaults, help_line) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        for key in ("config", *defaults):
-            sp.add_argument("--" + key.replace("_", "-"), **FLAGS[key])
+    for name, spec in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        for key in ("config", *spec.defaults):
+            sp.add_argument(_flag(key), **FLAGS[key])
     return ap
 
 
@@ -626,10 +591,34 @@ def _command(name):
     return globals()[f"cmd_{name}"]
 
 
+def _run(name, p) -> int:
+    """Run `cmd_<name>` on the resolved parameters `p` after refusing an unset or
+    empty required parameter, a --manifest with no output, and an output that is
+    a directory or in a missing one; write the manifest at --manifest or beside the first output."""
+    spec = SUBCOMMANDS[name]
+    missing = [_flag(key) for key in spec.required if p[key] is None or p[key] == ""]
+    if missing:
+        raise UsageError(f"{' and '.join(missing)} {'is' if len(missing) == 1 else 'are'} required")
+    outputs = [p[key] for key in spec.outputs.values() if p[key]]
+    if p.get("manifest") and not outputs:
+        flags, artifacts = " or ".join(map(_flag, spec.outputs.values())), " or ".join(spec.outputs)
+        raise UsageError(f"--manifest needs {flags}: without a {artifacts} {name} writes no artifact")
+    manifest = p.get("manifest") or (f"{outputs[0]}.manifest.json" if outputs else None)
+    for path in (*outputs, manifest):
+        if path and not os.path.isdir(os.path.dirname(str(path)) or "."):
+            raise MissingArtifact(f"output directory not found: {path}")
+        if path and os.path.isdir(path):
+            raise MissingArtifact(f"output file not found: {path} is a directory")
+    code = _command(name)(p)
+    if manifest:  # after the command: `train` resolves its parameters as it runs
+        _write_manifest(manifest, name, p)
+    return code
+
+
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return _command(ns.subcommand)(_resolve(ns, SUBCOMMANDS[ns.subcommand][0]))
+        return _run(ns.subcommand, _resolve(ns, SUBCOMMANDS[ns.subcommand].defaults))
     except CorrSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -651,7 +640,7 @@ def replay_manifest(manifest_path, check_inputs=True) -> int:
         raise CorruptArtifact(
             f"manifest {manifest_path} is not an object of a known subcommand, params and inputs of path and sha256"
         )
-    defaults = SUBCOMMANDS[doc["subcommand"]][0]
+    defaults = SUBCOMMANDS[doc["subcommand"]].defaults
     params = {**defaults, **_checked(doc["params"], f"manifest {manifest_path}", defaults)}
     if check_inputs:
         for name, entry in doc["inputs"].items():
@@ -659,7 +648,7 @@ def replay_manifest(manifest_path, check_inputs=True) -> int:
                 raise MissingArtifact(f"input {name} of manifest {manifest_path} not found: {entry['path']}")
             if _sha256(entry["path"]) != entry["sha256"]:
                 raise MissingArtifact(f"input {name} changed since manifest: {entry['path']}")
-    return _command(doc["subcommand"])(params)
+    return _run(doc["subcommand"], params)
 
 
 if __name__ == "__main__":

@@ -189,7 +189,11 @@ def save_model(p: NetworkParams, path) -> None:
     Little-endian layout: magic "CHR1", u32 layer count, then per layer
     u32 rows, u32 cols, its [W|b] block: rows*cols f64 row-major weights,
     rows f64 biases; trailing u64 training seed. Round-trips bit-exactly.
+    Parameters that are not all finite, which `load_model` would refuse,
+    raise `DegenerateOutput` before the file is opened.
     """
+    if not np.isfinite(p.flat).all():
+        raise DegenerateOutput(f"{path}: not written: the model holds a non-finite weight or bias")
     blocks, _, _ = layer_views(p.flat, [w.shape for w in p.weights])
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)

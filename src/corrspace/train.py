@@ -48,7 +48,7 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be {APPROXIMATE!r} or {ORDER!r}")
         if self.m < 1 or self.hidden_size < 1 or self.batch_size < 1:
             raise ValueError("m, hidden_size and batch_size must be positive")
-        if self.iterations < 0 or self.learning_rate <= 0 or self.seed < 0:
+        if self.iterations < 0 or not 0 < self.learning_rate < np.inf or self.seed < 0:  # NaN fails too
             raise ValueError("bad iterations/learning_rate/seed")
 
 

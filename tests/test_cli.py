@@ -6,6 +6,7 @@ subprocess smoke test covers the installed entry point.
 import argparse
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 import tempfile
@@ -572,9 +573,9 @@ def test_non_finite_model_weight_exit_code(capsys, tmp_path):
     )
     assert code == 0, err
     idx = build_index(capsys, tmp_path, data, method="learned-order", m="4", extra=("--model", str(model)))
-    params = load_model(str(model))
-    params.weights[0][0, 0] = np.nan
-    save_model(params, str(model))
+    blob = bytearray(model.read_bytes())  # `save_model` writes no NaN: put one in the first weight's bytes
+    blob[16:24] = struct.pack("<d", np.nan)
+    model.write_bytes(blob)
     code, stdout, err = run(
         capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "5",
     )
@@ -750,11 +751,15 @@ def test_query_file_rows_answer_as_they_would_alone(capsys, tmp_path):
     ("query", "--index", "{idx}", "--query-file", "{tmp}"),
     ("index", "--data", "{tmp}", "--m", "4", "--output", "{tmp}/x.idx"),
     ("ingest", "--input", "{tmp}", "--output", "{tmp}/x.csv"),
+    # outputs, refused before any input is read
+    ("gen", "--family", "example1", "--output", "{tmp}"),
+    ("gen", "--family", "example1", "--output", "{tmp}/x.csv", "--manifest", "{tmp}"),
+    ("train", "--data", "{data}", "--m", "4", "--desk", "--model-out", "{tmp}/m.chr1", "--log-out", "{tmp}"),
 ])
 def test_directory_given_for_a_file_is_missing(capsys, tmp_path, argv):
     data = gen_small(capsys, tmp_path)
     idx = build_index(capsys, tmp_path, data)
-    code, stdout, err = run(capsys, *(arg.format(tmp=tmp_path, idx=idx) for arg in argv))
+    code, stdout, err = run(capsys, *(arg.format(tmp=tmp_path, idx=idx, data=data) for arg in argv))
     assert code == 23 and stdout == "" and "not found" in err
 
 
@@ -868,6 +873,30 @@ def test_bench_sizes_below_one_are_usage_errors(capsys, tmp_path, flag):
     argv = [x for kv in base.items() for x in kv]
     code, stdout, err = run(capsys, "bench", *argv, "--length", "32", "--model", str(tmp_path / "absent.chr1"))
     assert code == 2 and stdout == "" and f"{flag} must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gen --family example1 --n 0 --length 16 --output {tmp}/d.csv", "--n must be at least 1, got 0"),
+    ("gen --family example1 --n -3 --length 16 --output {tmp}/d.csv", "--n must be at least 1, got -3"),
+    ("gen --family example1 --seed -1 --output {tmp}/d.csv", "--seed must be at least 0, got -1"),
+    ("gen --family example2 --m 2 --length 16 --eps nan --output {tmp}/d.csv", "--eps must be finite, got nan"),
+    ("gen --family example2 --m 2 --length 16 --eps inf --output {tmp}/d.csv", "--eps must be finite, got inf"),
+    ("split --data {tmp}/absent.csv --seed -1 --output {tmp}/s.json", "--seed must be at least 0, got -1"),
+    ("eval --data {tmp}/absent.csv --methods dft --seed -1 --report-out {tmp}/r.csv", "--seed must be at least 0, got -1"),
+    ("bench --n 50 --length 0 --model {tmp}/absent.chr1", "--length must be at least 2, got 0"),
+    ("bench --n 50 --length 1 --model {tmp}/absent.chr1", "--length must be at least 2, got 1"),
+    ("bench --n 50 --length -2 --model {tmp}/absent.chr1", "--length must be at least 2, got -2"),
+    ("bench --n 50 --seed -1 --model {tmp}/absent.chr1 --report-out {tmp}/b.json", "--seed must be at least 0, got -1"),
+], ids=[
+    "gen-n-0", "gen-n-negative", "gen-seed", "gen-eps-nan", "gen-eps-inf", "split-seed", "eval-seed",
+    "bench-length-0", "bench-length-1", "bench-length-negative", "bench-seed",
+])
+def test_sizes_and_seeds_out_of_range_are_usage_errors(capsys, tmp_path, argv, message):
+    # refused before any work: no input is read (none exists) and nothing is written
+    code, stdout, err = run(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 2 and stdout == "" and message in err
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_bench_smoke_and_report(capsys, tmp_path):
     report = tmp_path / "bench.json"
@@ -994,6 +1023,21 @@ def test_train_config_out_of_range_is_a_usage_error(capsys, tmp_path):
     data = gen_small(capsys, tmp_path)
     code, _, err = run(capsys, "train", "--data", str(data), "--m", "0", "--desk", "--model-out", str(tmp_path / "m"))
     assert code == 2 and "must be positive" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow of a diverging run
+@pytest.mark.parametrize("rate, exit_code", [("nan", 2), ("inf", 2), ("1e300", 13)])
+def test_train_writes_no_non_finite_model(capsys, tmp_path, rate, exit_code):
+    # a non-finite rate is refused up front; a finite one that diverges
+    # trains, and `save_model` refuses the result, so no model or manifest
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "m.chr1"
+    code, stdout, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "5", "--learning-rate", rate,
+        "--model-out", str(model),
+    )
+    assert code == exit_code and stdout == "" and err.startswith("error: ")
+    assert not model.exists() and not (tmp_path / "m.chr1.manifest.json").exists()
 
 
 # ------------------------------------------------------------ config file
@@ -1150,6 +1194,108 @@ def test_split_and_config_loaders_raise_only_typed_errors(doc):
                 load()
             except CorrSpaceError:
                 pass
+
+
+# ------------------------------------------------- required flags, manifests
+
+# a run of each subcommand that writes an artifact, every input given; {i}
+# is the directory of its inputs, {o} that of its outputs
+RUNS = {
+    "gen": "gen --family example1 --n 60 --length 16 --output {o}/data.csv",
+    "ingest": "ingest --input {i}/data.csv --format csv_id --output {o}/ingested.csv",
+    "split": "split --data {i}/data.csv --output {o}/split.json",
+    "train": "train --data {i}/data.csv --split {i}/split.json --m 4 --desk --iterations 5 --model-out {o}/model.chr1",
+    "index": (
+        "index --data {i}/data.csv --split {i}/split.json --partition train --method learned-order "
+        "--model {i}/model.chr1 --output {o}/data.idx"
+    ),
+    "eval": "eval --data {i}/data.csv --methods dft --m-values 4 --k-values 2 --no-timing --report-out {o}/report.csv",
+    "bench": (
+        "bench --n 100 --m 4 --k 5 --queries 5 --length 16 --model {i}/model.chr1 --report-out {o}/bench.json"
+    ),
+}
+REQUIRED = {
+    "gen": ("family", "output"),
+    "ingest": ("input", "output"),
+    "split": ("data", "output"),
+    "train": ("data", "model_out", "m"),
+    "index": ("data", "output"),
+    "eval": ("data", "report_out", "methods"),
+}
+# manifest inputs and outputs as {artifact: parameter key}
+ARTIFACTS = {
+    "gen": ({}, {"data": "output"}),
+    "ingest": ({"raw": "input"}, {"data": "output"}),
+    "split": ({"data": "data"}, {"split": "output"}),
+    "train": ({"data": "data", "split": "split"}, {"model": "model_out", "log": "log_out"}),
+    "index": ({"data": "data", "split": "split", "model": "model"}, {"index": "output"}),
+    "eval": ({"data": "data"}, {"report": "report_out"}),
+    "bench": ({"model": "model"}, {"report": "report_out"}),
+}
+REQUIRED_CASES = [(name, key) for name, keys in REQUIRED.items() for key in keys]
+
+
+def run_argv(name, inputs, outputs):
+    return RUNS[name].format(i=inputs, o=outputs).split()
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """The manifest of each run in RUNS, in order, all in one directory."""
+    d = tmp_path_factory.mktemp("runs")
+    manifests = {}
+    for name in RUNS:
+        argv = run_argv(name, d, d)
+        assert main([*argv, "--manifest", f"{d}/{name}.manifest.json"]) == 0, argv
+        manifests[name] = d / f"{name}.manifest.json"
+    return manifests
+
+
+def test_subcommands_declare_required_flags_and_artifacts():
+    assert {name: spec.required for name, spec in SUBCOMMANDS.items() if spec.required} == REQUIRED
+    assert {name: (spec.inputs, spec.outputs) for name, spec in SUBCOMMANDS.items() if spec.outputs} == ARTIFACTS
+
+
+@pytest.mark.parametrize("name", list(ARTIFACTS))
+def test_manifest_records_the_declared_artifacts(runs, name):
+    doc = json.loads(runs[name].read_text())
+    for recorded, declared in zip((doc["inputs"], doc["outputs"]), ARTIFACTS[name]):
+        assert recorded.keys() == declared.keys()
+        for artifact, key in declared.items():
+            path = doc["params"][key]
+            assert recorded[artifact] == {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("value", [None, ""])
+@pytest.mark.parametrize("name, key", REQUIRED_CASES)
+def test_a_required_flag_unset_or_empty_is_a_usage_error(capsys, tmp_path, runs, name, key, value):
+    # the inputs exist: only the missing flag stops the run before it writes
+    argv = run_argv(name, runs[name].parent, tmp_path)
+    at = argv.index("--" + key.replace("_", "-"))
+    argv[at:at + 2] = [] if value is None else [argv[at], value]
+    try:
+        code = main([*argv, "--manifest", str(tmp_path / "run.manifest.json")])
+    except SystemExit as exc:  # argparse refuses an empty --m or --family itself
+        code = exc.code
+    assert code == 2 and capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [None, ""])
+@pytest.mark.parametrize("name, key", REQUIRED_CASES)
+def test_replay_without_a_required_param_is_a_usage_error(capsys, tmp_path, runs, name, key, value):
+    doc = json.loads(runs[name].read_text())
+    params = dict(doc["params"])
+    for out in ARTIFACTS[name][1].values():  # outputs go to an empty directory
+        params[out] = str(tmp_path / Path(params[out]).name)
+    params[key] = value
+    params["manifest"] = str(tmp_path / "run.manifest.json")
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**doc, "params": params}))
+    with pytest.raises(UsageError):
+        replay_manifest(str(edited))
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["edited.json"]
 
 
 # ------------------------------------------------------------------- replay

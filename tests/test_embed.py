@@ -308,6 +308,18 @@ def test_model_file_layout(tmp_path):
     assert seed == 5
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("at", ["weight", "bias"])
+def test_save_model_refuses_non_finite_parameters(tmp_path, value, at):
+    # `load_model` refuses such a file, so none is written
+    p = init_params(3, 2, 2, seed=5)
+    (p.weights if at == "weight" else p.biases)[1][0] = value
+    path = tmp_path / "m.chr1"
+    with pytest.raises(DegenerateOutput, match="non-finite"):
+        save_model(p, path)
+    assert not path.exists()
+
+
 def test_load_model_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.chr1"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

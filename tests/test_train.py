@@ -93,8 +93,9 @@ def test_train_config_validation():
         TrainConfig(m=0)
     with pytest.raises(ValueError):
         TrainConfig(m=4, loss_kind="nope")
-    with pytest.raises(ValueError):
-        TrainConfig(m=4, learning_rate=0.0)
+    for rate in (0.0, np.nan, np.inf):  # a non-finite rate would write a non-finite model
+        with pytest.raises(ValueError):
+            TrainConfig(m=4, learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(m=4, iterations=-1)
     TrainConfig(m=4, iterations=0)  # zero iterations = init only, allowed
