@@ -6,21 +6,19 @@ embedding distance approximates 2 - 2*corr; top-k and threshold correlation
 queries then run through an exact k-d tree over the embeddings. DFT
 truncation and down-sampling baselines plus an evaluation harness
 (precision, gap, approximation loss, latency) round out the toolkit.
+
+The exports of `datasets`, `evaluation` and `train` load on first access
+(PEP 562), so a process that only queries an index never imports them.
 """
 
 __version__ = "0.2.0"
 
+import importlib
+import sys
+import types
+
 from . import errors
 from .core import NormalizedSeries, TimeSeries, normalize
-from .datasets import (
-    Dataset,
-    SplitDataset,
-    gen_example1,
-    gen_example2,
-    load_csv,
-    save_csv,
-    split,
-)
 from .embed import (
     DftTruncationEmbedder,
     DownSampleEmbedder,
@@ -31,25 +29,53 @@ from .embed import (
     load_model,
     save_model,
 )
-from .evaluation import (
-    EvalReport,
-    SweepConfig,
-    approximation_loss,
-    latency_benchmark,
-    pair_rows,
-    precision,
-    sweep,
-)
 from .index import KdTree, QueryResult, load_index, save_index, threshold_radius_sq
-from .train import (
-    TrainConfig,
-    adam_step,
-    batch_loss,
-    desk_config,
-    init_params,
-    loss_and_gradient,
-    pair_batch_from,
-    train,
-    triple_batch_from,
-    xavier_init,
-)
+
+# the exports loaded on first access, by the submodule that defines them
+_LAZY = {
+    "datasets": ("Dataset", "SplitDataset", "gen_example1", "gen_example2", "load_csv", "save_csv", "split"),
+    "evaluation": (
+        "EvalReport", "SweepConfig", "approximation_loss", "latency_benchmark", "pair_rows", "precision", "sweep",
+    ),
+    "train": (
+        "TrainConfig", "adam_step", "batch_loss", "desk_config", "init_params", "loss_and_gradient",
+        "pair_batch_from", "train", "triple_batch_from", "xavier_init",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [
+    "errors", "NormalizedSeries", "TimeSeries", "normalize",
+    "DftTruncationEmbedder", "DownSampleEmbedder", "LearnedEmbedder", "NetworkParams", "feature_width",
+    "features_matrix", "load_model", "save_model",
+    "KdTree", "QueryResult", "load_index", "save_index", "threshold_radius_sq",
+    *_MODULE_OF,
+]
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        module = importlib.import_module(f".{_MODULE_OF[name]}", __name__)
+        for export in _LAZY[_MODULE_OF[name]]:
+            globals()[export] = getattr(module, export)
+        return globals()[name]
+    if name in _LAZY:  # a submodule not imported yet: `corrspace.datasets` names the module
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_MODULE_OF})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # Importing a submodule binds it on the package. For `train` that
+        # name is the exported function, which the module must not replace,
+        # whichever is imported first.
+        if name == "train" and isinstance(value, types.ModuleType):
+            value = value.train
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

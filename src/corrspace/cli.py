@@ -9,7 +9,6 @@ must reproduce binary artifacts bit-identically.
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -19,15 +18,18 @@ import numpy as np
 
 from . import __version__
 from .core import normalize_rows
-from .datasets import Dataset, SplitDataset, gen_example1, gen_example2, load_csv, save_csv, split
-from .embed import LearnedEmbedder, load_model, save_model
+from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, LearnedEmbedder, load_model, save_model
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
-from .evaluation import FIXED_EMBEDDERS, LOSS_OF, METHODS, EvalReport, SweepConfig, latency_benchmark, sweep
 from .index import KdTree, load_index, rank, save_index, threshold_radius_sq
-from .train import APPROXIMATE, ORDER, TrainConfig, desk_config, train
+
+# `datasets`, `train` and `evaluation` are imported by the commands that use
+# them: a `query` answered from the index loads none of them.
 
 
 def _sha256(path):
+    # imported on first use: `index` hashes after its peak, so OpenSSL's memory stays out of that peak
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -147,7 +149,7 @@ def _parse_str_list(value):
     return items
 
 
-def _save_split(splits: SplitDataset, path):
+def _save_split(splits, path):
     doc = {
         "seed": int(splits.seed),
         "ratios": list(splits.ratios),
@@ -175,7 +177,9 @@ def _is_int(value):
     return type(value) is int  # not a bool, float or string
 
 
-def _load_split(path) -> SplitDataset:
+def _load_split(path):
+    from .datasets import SplitDataset
+
     doc = _read_json(path, "split file", CorruptArtifact)
     keys = ("train_ids", "val_ids", "test_ids")
     if not (
@@ -226,6 +230,8 @@ GEN_DEFAULTS = {
 
 
 def cmd_gen(p):
+    from .datasets import gen_example1, gen_example2, save_csv
+
     _at_least(1, "n", p["n"])
     _at_least(0, "seed", p["seed"])
     if not np.isfinite(p["eps"]):
@@ -243,6 +249,8 @@ INGEST_DEFAULTS = {"input": None, "format": "csv", "output": None, "manifest": N
 
 
 def cmd_ingest(p):
+    from .datasets import load_csv, save_csv
+
     ds = load_csv(p["input"], p["format"])
     save_csv(ds, p["output"])
     dropped = f" ({ds.n_constant_dropped} constant rows dropped)" if ds.n_constant_dropped else ""
@@ -257,6 +265,8 @@ SPLIT_DEFAULTS = {
 
 
 def cmd_split(p):
+    from .datasets import load_csv, split
+
     ratios = _parse_ratios(p["ratios"])
     _at_least(0, "seed", p["seed"])
     ds = load_csv(p["data"], p["format"])
@@ -278,6 +288,9 @@ TRAIN_DEFAULTS = {
 
 
 def cmd_train(p):
+    from .datasets import load_csv, split
+    from .train import TrainConfig, desk_config, train
+
     # the profile's values fill what no flag or config set, and the manifest records them
     given = {f.name: p[f.name] for f in dataclasses.fields(TrainConfig) if p.get(f.name) is not None}
     try:
@@ -285,7 +298,7 @@ def cmd_train(p):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     p.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in p})
-    if p["log_out"] is None:
+    if not p["log_out"]:  # unset or "", as an empty --manifest falls back to its default
         p["log_out"] = str(p["model_out"]) + ".log.csv"  # in --model-out's directory, which `_run` checked
     ds = load_csv(p["data"], p["format"])
     splits = _load_split(p["split"]) if p["split"] else split(ds, _parse_ratios(p["ratios"]), p["seed"])
@@ -309,6 +322,8 @@ INDEX_DEFAULTS = {
 
 
 def cmd_index(p):
+    from .datasets import load_csv
+
     ds = load_csv(p["data"], p["format"])
     if p["partition"] != "all":
         if not p["split"]:
@@ -357,6 +372,8 @@ def cmd_query(p):
     if p["exact"]:
         if not p["data"]:
             raise UsageError("--exact requires --data")
+        from .datasets import load_csv
+
         ds = load_csv(p["data"], p["format"])
         h = ds.normalized_matrix()
 
@@ -396,6 +413,8 @@ def cmd_query(p):
         if p["query_id"] is not None and held is None:
             if not p["data"]:
                 raise UsageError(f"the index does not hold id {p['query_id']}: pass --data to embed its series")
+            from .datasets import load_csv
+
             ds = load_csv(p["data"], p["format"])
         elif p["data"] and not os.path.isfile(p["data"]):  # not read, but naming no file is still an error
             raise MissingArtifact(f"data file not found: {p['data']}")
@@ -430,6 +449,8 @@ def _query_series(p, ds):
         if len(rows) == 0:
             raise MissingArtifact(f"id {p['query_id']} not in {p['data']}")
         return [(f"id {p['query_id']}", ds.normalized_matrix(rows[:1])[0], int(p["query_id"]))]
+    from .datasets import load_csv
+
     qds = load_csv(p["query_file"], "csv")
     # one call for all rows: `normalize_rows` gives each row the bits it has alone
     values = normalize_rows(qds.values, qds.ids)
@@ -445,6 +466,9 @@ EVAL_DEFAULTS = {
 
 
 def cmd_eval(p):
+    from .datasets import load_csv
+    from .evaluation import SweepConfig, sweep
+
     methods = _parse_str_list(p["methods"])
     for method in methods:
         if method not in METHODS:
@@ -477,6 +501,8 @@ BENCH_DEFAULTS = {
 
 
 def cmd_bench(p):
+    from .evaluation import latency_benchmark
+
     for key in ("n", "m", "k", "queries", "hidden_size"):
         _at_least(1, key, p[key])
     _at_least(2, "length", p["length"])  # a one-point series is constant

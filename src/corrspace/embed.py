@@ -183,6 +183,17 @@ class DownSampleEmbedder:
         return values_matrix[:, idx] * np.sqrt(big_m / self.m)
 
 
+# the losses a learned embedder trains with (`train.TrainConfig.loss_kind`)
+APPROXIMATE = "approximate"
+ORDER = "order"
+
+# the embedders by method: those built from m alone, and the learned ones by
+# the loss they train with
+FIXED_EMBEDDERS = {"dft": DftTruncationEmbedder, "downsample": DownSampleEmbedder}
+LOSS_OF = {"learned-approx": APPROXIMATE, "learned-order": ORDER}
+METHODS = ("exact", *FIXED_EMBEDDERS, *LOSS_OF)
+
+
 def save_model(p: NetworkParams, path) -> None:
     """Write the CHR1 model file.
 

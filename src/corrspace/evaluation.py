@@ -12,17 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import train as _train
 from .datasets import Dataset, split
-from .embed import DftTruncationEmbedder, DownSampleEmbedder, LearnedEmbedder, feature_width
+from .embed import FIXED_EMBEDDERS, LOSS_OF, METHODS, LearnedEmbedder, feature_width
 from .errors import KTooLarge, SizeMismatch
 from .index import KdTree, rank
-
-# the embedders by method: those built from m alone, and the learned ones by
-# the loss they train with
-FIXED_EMBEDDERS = {"dft": DftTruncationEmbedder, "downsample": DownSampleEmbedder}
-LOSS_OF = {"learned-approx": _train.APPROXIMATE, "learned-order": _train.ORDER}
-METHODS = ("exact", *FIXED_EMBEDDERS, *LOSS_OF)
+from .train import TrainConfig, desk_config, init_params, train
 
 # Query rows per oracle GEMM. On OpenBLAS a block this tall gives each row the
 # bits of one GEMM over all queries (but in the last pool-size % 8 columns),
@@ -127,8 +121,8 @@ class SweepConfig:
 def _train_config(method, m, cfg):
     kind = LOSS_OF[method]
     if cfg.profile == "desk":
-        return _train.desk_config(m=m, loss_kind=kind, seed=cfg.seed)
-    return _train.TrainConfig(m=m, loss_kind=kind, seed=cfg.seed)
+        return desk_config(m=m, loss_kind=kind, seed=cfg.seed)
+    return TrainConfig(m=m, loss_kind=kind, seed=cfg.seed)
 
 
 def build_embedder(method: str, m: int, ds: Dataset, splits, cfg: SweepConfig):
@@ -136,7 +130,7 @@ def build_embedder(method: str, m: int, ds: Dataset, splits, cfg: SweepConfig):
     if method in FIXED_EMBEDDERS:
         return FIXED_EMBEDDERS[method](m)
     if method in LOSS_OF:
-        params = _train.train(ds, splits, _train_config(method, m, cfg))
+        params = train(ds, splits, _train_config(method, m, cfg))
         return LearnedEmbedder(params)
     raise ValueError(f"unknown method {method!r}")
 
@@ -246,7 +240,7 @@ def latency_benchmark(
     raw = rng.standard_normal((n + n_queries, series_length))
     h = Dataset(ids=np.arange(n + n_queries), values=raw).normalized_matrix()
     if params is None:
-        params = _train.init_params(feature_width(series_length), hidden_size, m, seed)
+        params = init_params(feature_width(series_length), hidden_size, m, seed)
     embedder = LearnedEmbedder(params)
     emb_pool = embedder.embed_matrix(h[:n])
 

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, SplitDataset
-from .embed import SMOOTH_EPS, NetworkParams, feature_width, features_matrix, forward_trace, layer_views
+from .embed import (
+    APPROXIMATE, ORDER, SMOOTH_EPS, NetworkParams, feature_width, features_matrix, forward_trace, layer_views,
+)
 from .errors import InsufficientData
-
-APPROXIMATE = "approximate"
-ORDER = "order"
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -207,6 +207,21 @@ def test_train_writes_model_and_log(capsys, tmp_path):
     assert float(log[-1].split(",")[1]) < float(log[1].split(",")[1])
 
 
+def test_train_empty_log_out_is_the_default(capsys, tmp_path):
+    # as an empty --manifest falls back to its default, so does an empty --log-out
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "model.bin"
+    code, stdout, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk",
+        "--iterations", "5", "--model-out", str(model), "--log-out", "",
+    )
+    assert code == 0 and "model ->" in stdout, err
+    log = tmp_path / "model.bin.log.csv"
+    assert log.read_text().startswith("iter,train_loss,val_loss,wall_ms\n")
+    doc = json.loads((tmp_path / "model.bin.manifest.json").read_text())
+    assert doc["params"]["log_out"] == doc["outputs"]["log"]["path"] == str(log)
+
+
 def test_train_zero_iterations_saves_init(capsys, tmp_path):
     data = gen_small(capsys, tmp_path)
     model = tmp_path / "model.bin"
@@ -698,7 +713,7 @@ def test_query_id_the_index_holds_does_not_read_data(capsys, tmp_path, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("load_csv called")
 
-    monkeypatch.setattr("corrspace.cli.load_csv", refuse)
+    monkeypatch.setattr("corrspace.datasets.load_csv", refuse)
     code, stdout, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "4")
     assert code == 0, err
     assert len(parse_hits(stdout)) == 4
@@ -765,7 +780,7 @@ def test_directory_given_for_a_file_is_missing(capsys, tmp_path, argv):
 
 def test_output_in_a_missing_directory_fails_before_reading(capsys, tmp_path, monkeypatch):
     data = gen_small(capsys, tmp_path)
-    monkeypatch.setattr("corrspace.cli.load_csv", lambda *a, **k: pytest.fail("input read"))
+    monkeypatch.setattr("corrspace.datasets.load_csv", lambda *a, **k: pytest.fail("input read"))
     for argv in (
         ("ingest", "--input", str(data), "--output", str(tmp_path / "nodir" / "x.csv")),
         ("split", "--data", str(data), "--output", str(tmp_path / "nodir" / "s.json")),
