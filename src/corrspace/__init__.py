@@ -7,8 +7,8 @@ queries then run through an exact k-d tree over the embeddings. DFT
 truncation and down-sampling baselines plus an evaluation harness
 (precision, gap, approximation loss, latency) round out the toolkit.
 
-The exports of `datasets`, `evaluation` and `train` load on first access
-(PEP 562), so a process that only queries an index never imports them.
+The exports of `core`, `datasets`, `evaluation` and `train` load on first
+access (PEP 562), so a process that only queries an index never imports them.
 """
 
 __version__ = "0.2.0"
@@ -18,7 +18,6 @@ import sys
 import types
 
 from . import errors
-from .core import NormalizedSeries, TimeSeries, normalize
 from .embed import (
     DftTruncationEmbedder,
     DownSampleEmbedder,
@@ -33,6 +32,7 @@ from .index import KdTree, QueryResult, load_index, save_index, threshold_radius
 
 # the exports loaded on first access, by the submodule that defines them
 _LAZY = {
+    "core": ("NormalizedSeries", "TimeSeries", "normalize"),
     "datasets": ("Dataset", "SplitDataset", "gen_example1", "gen_example2", "load_csv", "save_csv", "split"),
     "evaluation": (
         "EvalReport", "SweepConfig", "approximation_loss", "latency_benchmark", "pair_rows", "precision", "sweep",
@@ -45,7 +45,7 @@ _LAZY = {
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
-    "errors", "NormalizedSeries", "TimeSeries", "normalize",
+    "errors",
     "DftTruncationEmbedder", "DownSampleEmbedder", "LearnedEmbedder", "NetworkParams", "feature_width",
     "features_matrix", "load_model", "save_model",
     "KdTree", "QueryResult", "load_index", "save_index", "threshold_radius_sq",

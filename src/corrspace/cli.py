@@ -9,6 +9,7 @@ must reproduce binary artifacts bit-identically.
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -17,13 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import normalize_rows
 from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, LearnedEmbedder, load_model, save_model
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
 from .index import KdTree, load_index, rank, save_index, threshold_radius_sq
 
-# `datasets`, `train` and `evaluation` are imported by the commands that use
-# them: a `query` answered from the index loads none of them.
+# `core`, `datasets`, `train` and `evaluation` are imported by the commands
+# that use them: a `query` answered from the index loads none of them.
 
 
 def _sha256(path):
@@ -215,10 +215,20 @@ def _embedder_for(method, m, model_path, model_sha256=None):
     return LearnedEmbedder(load_model(model_path, model_sha256))
 
 
-def _at_least(low, key, *values):
-    """UsageError when a value of the flag `key` is below `low`."""
-    if min(values) < low:
+def _bounded(key, low, high, *values):
+    """UsageError when a value of the flag `key` is below `low` or above
+    `high`; None is no bound."""
+    if low is not None and min(values) < low:
         raise UsageError(f"{_flag(key)} must be at least {low}, got {min(values)}")
+    if high is not None and max(values) > high:
+        raise UsageError(f"{_flag(key)} must be at most {high}, got {max(values)}")
+
+
+# The widest count the CHR1 and CIX1 headers store (u32: a layer's rows and
+# columns, an index's n and m) and the model's u64 training seed. Sizes and
+# seeds are bounded by them, so an absurd one is a usage error before any work.
+U32, U64 = 2**32 - 1, 2**64 - 1
+SIZE, SEED = (1, U32), (0, U64)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -232,8 +242,6 @@ GEN_DEFAULTS = {
 def cmd_gen(p):
     from .datasets import gen_example1, gen_example2, save_csv
 
-    _at_least(1, "n", p["n"])
-    _at_least(0, "seed", p["seed"])
     if not np.isfinite(p["eps"]):
         raise UsageError(f"--eps must be finite, got {p['eps']}")
     if p["family"] == "example1":
@@ -268,7 +276,6 @@ def cmd_split(p):
     from .datasets import load_csv, split
 
     ratios = _parse_ratios(p["ratios"])
-    _at_least(0, "seed", p["seed"])
     ds = load_csv(p["data"], p["format"])
     splits = split(ds, ratios, p["seed"])
     _save_split(splits, p["output"])
@@ -334,6 +341,9 @@ def cmd_index(p):
         rows = slice(None)
     if p["method"] in FIXED_EMBEDDERS and p["m"] is None:
         raise UsageError(f"method {p['method']} requires --m")
+    for key in ("split", "model"):  # unread with --partition all or a fixed method, but the manifest hashes them
+        if p[key] and not os.path.isfile(p[key]):
+            raise MissingArtifact(f"{key} file not found: {p[key]}")
     embedder = _embedder_for(p["method"], p["m"], p["model"])
     tree = KdTree(embedder.embed_matrix(ds.normalized_matrix(rows)), ds.ids[rows])
     meta = {
@@ -363,7 +373,6 @@ def cmd_query(p):
     id the index holds is queried at its stored point: --data is not read."""
     if (p["query_id"] is None) == (p["query_file"] is None):
         raise UsageError("exactly one of --query-id / --query-file is required")
-    _at_least(1, "k", p["k"])
     if p["threshold"] is not None and not -1.0 <= p["threshold"] <= 1.0:
         raise UsageError(f"--threshold must be a correlation in [-1, 1], got {p['threshold']}")
     if not p["slack"] > 0:
@@ -449,6 +458,7 @@ def _query_series(p, ds):
         if len(rows) == 0:
             raise MissingArtifact(f"id {p['query_id']} not in {p['data']}")
         return [(f"id {p['query_id']}", ds.normalized_matrix(rows[:1])[0], int(p["query_id"]))]
+    from .core import normalize_rows
     from .datasets import load_csv
 
     qds = load_csv(p["query_file"], "csv")
@@ -474,11 +484,10 @@ def cmd_eval(p):
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     m_values, k_values = _parse_int_list(p["m_values"]), _parse_int_list(p["k_values"])
-    _at_least(1, "k_values", *k_values)
+    _bounded("k_values", 1, None, *k_values)
     if LOSS_OF.keys() & set(methods):  # a fixed embedder reports its own m range (InvalidM)
-        _at_least(1, "m_values", *m_values)
+        _bounded("m_values", *SIZE, *m_values)
     ratios = _parse_ratios(p["ratios"])
-    _at_least(0, "seed", p["seed"])
     try:
         cfg = SweepConfig(
             seed=p["seed"], ratios=ratios, profile="desk" if p["desk"] else "full",
@@ -503,10 +512,6 @@ BENCH_DEFAULTS = {
 def cmd_bench(p):
     from .evaluation import latency_benchmark
 
-    for key in ("n", "m", "k", "queries", "hidden_size"):
-        _at_least(1, key, p[key])
-    _at_least(2, "length", p["length"])  # a one-point series is constant
-    _at_least(0, "seed", p["seed"])
     params = load_model(p["model"]) if p["model"] else None
     stats = latency_benchmark(
         p["n"], p["m"], p["k"], n_queries=p["queries"], seed=p["seed"],
@@ -578,23 +583,34 @@ class Subcommand(NamedTuple):
     required: tuple = ()  # the parameters it cannot run without
     inputs: dict = {}  # the artifacts its manifest records, as {artifact: parameter key}
     outputs: dict = {}
+    limits: dict = {}  # {parameter key: (lowest, highest)} of the numbers it takes; None is no bound
 
 
 SUBCOMMANDS = {
-    "gen": Subcommand(GEN_DEFAULTS, "generate a synthetic dataset", ("family", "output"), {}, {"data": "output"}),
+    "gen": Subcommand(GEN_DEFAULTS, "generate a synthetic dataset", ("family", "output"), {}, {"data": "output"},
+                      {"n": SIZE, "length": (None, U32), "seed": SEED}),  # `gen_example*` check M's low end
     "ingest": Subcommand(INGEST_DEFAULTS, "validate and canonicalize a dataset", ("input", "output"),
                          {"raw": "input"}, {"data": "output"}),
     "split": Subcommand(SPLIT_DEFAULTS, "write a train/val/test id partition", ("data", "output"),
-                        {"data": "data"}, {"split": "output"}),
+                        {"data": "data"}, {"split": "output"}, {"seed": SEED}),
     "train": Subcommand(TRAIN_DEFAULTS, "train a learned embedder", ("data", "model_out", "m"),
-                        {"data": "data", "split": "split"}, {"model": "model_out", "log": "log_out"}),
+                        {"data": "data", "split": "split"}, {"model": "model_out", "log": "log_out"},
+                        # the low ends are `TrainConfig`'s
+                        {"m": (None, U32), "hidden_size": (None, U32), "batch_size": (None, U32), "seed": (None, U64)}),
     "index": Subcommand(INDEX_DEFAULTS, "embed a dataset and build the k-d tree", ("data", "output"),
                         {"data": "data", "split": "split", "model": "model"}, {"index": "output"}),
-    "query": Subcommand(QUERY_DEFAULTS, "top-k or threshold search against an index"),
+    "query": Subcommand(QUERY_DEFAULTS, "top-k or threshold search against an index", limits={"k": (1, None)}),
     "eval": Subcommand(EVAL_DEFAULTS, "precision/gap/latency sweep over methods",
-                       ("data", "report_out", "methods"), {"data": "data"}, {"report": "report_out"}),
-    "bench": Subcommand(BENCH_DEFAULTS, "query latency benchmark", (), {"model": "model"}, {"report": "report_out"}),
+                       ("data", "report_out", "methods"), {"data": "data"}, {"report": "report_out"}, {"seed": SEED}),
+    "bench": Subcommand(BENCH_DEFAULTS, "query latency benchmark", (), {"model": "model"}, {"report": "report_out"},
+                        {"n": SIZE, "m": SIZE, "k": (1, None), "queries": SIZE, "hidden_size": SIZE,
+                         "length": (2, U32), "seed": SEED}),  # a one-point series is constant
 }
+
+
+def _add_flags(parser, name):
+    for key in ("config", *SUBCOMMANDS[name].defaults):
+        parser.add_argument(_flag(key), **FLAGS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,10 +621,35 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"corrspace {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, spec in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=spec.help)
-        for key in ("config", *spec.defaults):
-            sp.add_argument(_flag(key), **FLAGS[key])
+        _add_flags(sub.add_parser(name, help=spec.help), name)
     return ap
+
+
+class _FullParserAnswers(Exception):
+    """Help or a parse error: text that only the full parser prints as users see it."""
+
+
+class _OneSubcommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _FullParserAnswers
+
+    def print_help(self, file=None):
+        raise _FullParserAnswers
+
+
+def _parse(argv):
+    """The namespace of `argv`. Building all eight subparsers is most of a
+    parse, so the subcommand that argv[0] names is parsed by its own parser
+    alone. The full parser answers everything else, each error and help
+    included: its usage and error text are the ones users see."""
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _OneSubcommandParser(prog=f"corrspace {argv[0]}")
+        _add_flags(parser, argv[0])
+        try:
+            return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        except _FullParserAnswers:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _command(name):
@@ -619,12 +660,16 @@ def _command(name):
 
 def _run(name, p) -> int:
     """Run `cmd_<name>` on the resolved parameters `p` after refusing an unset or
-    empty required parameter, a --manifest with no output, and an output that is
-    a directory or in a missing one; write the manifest at --manifest or beside the first output."""
+    empty required parameter, a number outside its limits, a --manifest with no
+    output, and an output that is a directory or in a missing one; write the
+    manifest at --manifest or beside the first output."""
     spec = SUBCOMMANDS[name]
     missing = [_flag(key) for key in spec.required if p[key] is None or p[key] == ""]
     if missing:
         raise UsageError(f"{' and '.join(missing)} {'is' if len(missing) == 1 else 'are'} required")
+    for key, (low, high) in spec.limits.items():
+        if p[key] is not None:
+            _bounded(key, low, high, p[key])
     outputs = [p[key] for key in spec.outputs.values() if p[key]]
     if p.get("manifest") and not outputs:
         flags, artifacts = " or ".join(map(_flag, spec.outputs.values())), " or ".join(spec.outputs)
@@ -642,7 +687,7 @@ def _run(name, p) -> int:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return _run(ns.subcommand, _resolve(ns, SUBCOMMANDS[ns.subcommand].defaults))
     except CorrSpaceError as exc:
@@ -677,5 +722,15 @@ def replay_manifest(manifest_path, check_inputs=True) -> int:
     return _run(doc["subcommand"], params)
 
 
+def run():
+    """The `corrspace` command: `main` on the process's arguments, then exit
+    with its code. Every object alive by then lives until the end, so
+    `gc.freeze` spares the exit's garbage collection a walk over them all
+    (numpy's among them); stdio is flushed and atexit handlers run as usual."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -29,6 +29,7 @@ only approximation in the pipeline lives in the embedding itself.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -132,10 +133,14 @@ class KdTree:
         n_buckets, width = len(sizes), int(sizes.max())
         # tree position t in bucket b goes to flat slot b·width + (t − bounds[b])
         slot = np.repeat(np.arange(n_buckets) * width - bounds[:-1], sizes) + np.arange(n)
-        pts = np.full((n_buckets * width, m), np.nan)
+        # bucket sizes differ by at most one, so a bucket pads at most its last slot
+        pad = np.flatnonzero(sizes < width) * width + width - 1
+        pts = np.empty((n_buckets * width, m))
         pts[slot] = points
-        pad_ids = np.full(n_buckets * width, -1, dtype=np.int64)
+        pts[pad] = np.nan
+        pad_ids = np.empty(n_buckets * width, dtype=np.int64)
         pad_ids[slot] = ids
+        pad_ids[pad] = -1
         # squared norms, NaN for padding; a non-finite coordinate makes one NaN or ∞
         nn = np.einsum("ij,ij->i", pts, pts)
         odd = ~np.isfinite(nn[slot])
@@ -372,31 +377,34 @@ def load_index(path):
     repeat, raises `CorruptArtifact`.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except (FileNotFoundError, IsADirectoryError):
         raise MissingArtifact(f"index file not found: {path}") from None
-    if data[:4] != INDEX_MAGIC:
-        raise CorruptArtifact(f"{path}: not an index file")
-    if len(data) < _HEADER.size:
-        raise CorruptArtifact(f"{path}: {len(data)} bytes, shorter than the {_HEADER.size}-byte header")
-    _, version, n, m, blob_len = _HEADER.unpack_from(data)
-    if version not in (1, INDEX_VERSION):
-        raise CorruptArtifact(f"{path}: unsupported index version {version}")
-    if n == 0 or m == 0:  # `save_index` writes neither: `KdTree` holds at least one point of width >= 1
-        raise CorruptArtifact(f"{path}: header describes {n} points of width {m}")
-    off = _HEADER.size + blob_len
-    want = off + 8 * n * (1 + m)
-    if len(data) != want:
-        raise CorruptArtifact(f"{path}: {len(data)} bytes, but its header describes {want}")
-    try:
-        meta = json.loads(data[_HEADER.size : off].decode())
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise CorruptArtifact(f"{path}: unreadable metadata ({exc})")
-    if not isinstance(meta, dict):
-        raise CorruptArtifact(f"{path}: metadata is not a JSON object")
-    ids = np.frombuffer(data, dtype="<i8", count=n, offset=off)
-    pts = np.frombuffer(data, dtype="<f8", count=n * m, offset=off + 8 * n).reshape(n, m)
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if head[:4] != INDEX_MAGIC:
+            raise CorruptArtifact(f"{path}: not an index file")
+        if len(head) < _HEADER.size:
+            raise CorruptArtifact(f"{path}: {len(head)} bytes, shorter than the {_HEADER.size}-byte header")
+        _, version, n, m, blob_len = _HEADER.unpack(head)
+        if version not in (1, INDEX_VERSION):
+            raise CorruptArtifact(f"{path}: unsupported index version {version}")
+        if n == 0 or m == 0:  # `save_index` writes neither: `KdTree` holds at least one point of width >= 1
+            raise CorruptArtifact(f"{path}: header describes {n} points of width {m}")
+        want = _HEADER.size + blob_len + 8 * n * (1 + m)
+        if size != want:
+            raise CorruptArtifact(f"{path}: {size} bytes, but its header describes {want}")
+        try:
+            meta = json.loads(fh.read(blob_len).decode())
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise CorruptArtifact(f"{path}: unreadable metadata ({exc})")
+        if not isinstance(meta, dict):
+            raise CorruptArtifact(f"{path}: metadata is not a JSON object")
+        rows = np.empty(8 * n * (1 + m), dtype=np.uint8)  # read straight into an array: no copy of the file
+        if fh.readinto(rows) != rows.size:  # the file shrank since `fstat`
+            raise CorruptArtifact(f"{path}: shorter than its header describes")
+    ids, pts = rows[: 8 * n].view("<i8"), rows[8 * n :].view("<f8").reshape(n, m)
     try:
         return (KdTree(pts, ids) if version == 1 else KdTree._from_tree_order(pts, ids)), meta
     except (DegenerateOutput, RepeatedId) as exc:  # the tree's own checks: finite points, unique ids

@@ -1,11 +1,13 @@
 """Command-line interface: subcommand behavior, exit codes, manifests and
-replay. Everything runs in-process through main(argv) for speed; one
-subprocess smoke test covers the installed entry point.
+replay. Everything runs in-process through main(argv) for speed; a few
+subprocess tests cover the entry point (`python -m corrspace.cli`, `run`).
 """
 
 import argparse
+import gc
 import hashlib
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -17,13 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrspace.cli import GEN_DEFAULTS, SUBCOMMANDS, _load_split, _resolve, build_parser, main, replay_manifest
+from corrspace import cli
+from corrspace.cli import (
+    FLAGS, GEN_DEFAULTS, SUBCOMMANDS, U32, U64, _flag, _load_split, _parse, _resolve, build_parser, main,
+    replay_manifest,
+)
 from corrspace.datasets import Dataset, load_csv, save_csv
 from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
 from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, UsageError
 from corrspace.index import load_index, save_index
 from corrspace.train import desk_config, init_params
 from oracles import by_correlation
+
+ROOT = Path(__file__).resolve().parents[1]
+HUGE = 10**30  # a size no array may take: numpy refuses it with a ValueError
 
 
 def run(capsys, *argv):
@@ -261,6 +270,19 @@ def build_index(capsys, tmp_path, data, method="dft", m="8", extra=()):
     )
     assert code == 0, err
     return out
+
+
+@pytest.mark.parametrize("flag", ["--split", "--model"])
+def test_index_input_left_unread_must_name_a_file(capsys, tmp_path, flag):
+    # a dft index over --partition all reads neither, but its manifest hashes both
+    data = gen_small(capsys, tmp_path)
+    out = tmp_path / "x.cix1"
+    code, stdout, err = run(
+        capsys, "index", "--data", str(data), "--method", "dft", "--m", "4", "--partition", "all",
+        flag, str(tmp_path / "absent"), "--output", str(out),
+    )
+    assert code == 23 and stdout == "" and f"{flag[2:]} file not found: {tmp_path / 'absent'}" in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def test_index_metadata(capsys, tmp_path):
@@ -902,15 +924,65 @@ def test_bench_sizes_below_one_are_usage_errors(capsys, tmp_path, flag):
     ("bench --n 50 --length 1 --model {tmp}/absent.chr1", "--length must be at least 2, got 1"),
     ("bench --n 50 --length -2 --model {tmp}/absent.chr1", "--length must be at least 2, got -2"),
     ("bench --n 50 --seed -1 --model {tmp}/absent.chr1 --report-out {tmp}/b.json", "--seed must be at least 0, got -1"),
+    # above the u32 counts of the model and index headers, or the model's u64 seed: refused by the check alone
+    (f"gen --family example1 --n {HUGE} --length 16 --output {{tmp}}/d.csv", f"--n must be at most {U32}, got {HUGE}"),
+    (f"gen --family example1 --length {HUGE} --output {{tmp}}/d.csv", f"--length must be at most {U32}, got {HUGE}"),
+    (f"gen --family example1 --seed {2**64} --output {{tmp}}/d.csv", f"--seed must be at most {U64}, got {2**64}"),
+    (f"split --data {{tmp}}/absent.csv --seed {2**64} --output {{tmp}}/s.json", f"--seed must be at most {U64}"),
+    (f"train --data {{tmp}}/absent.csv --m 4 --seed {2**64} --model-out {{tmp}}/m.chr1",
+     f"--seed must be at most {U64}, got {2**64}"),
+    (f"train --data {{tmp}}/absent.csv --m {U32 + 1} --model-out {{tmp}}/m.chr1", f"--m must be at most {U32}"),
+    (f"train --data {{tmp}}/absent.csv --m 4 --hidden-size {HUGE} --model-out {{tmp}}/m.chr1",
+     f"--hidden-size must be at most {U32}, got {HUGE}"),
+    (f"train --data {{tmp}}/absent.csv --m 4 --batch-size {HUGE} --model-out {{tmp}}/m.chr1",
+     f"--batch-size must be at most {U32}, got {HUGE}"),
+    (f"eval --data {{tmp}}/absent.csv --methods learned-order --m-values 4,{HUGE} --report-out {{tmp}}/r.csv",
+     f"--m-values must be at most {U32}, got {HUGE}"),
+    (f"eval --data {{tmp}}/absent.csv --methods dft --seed {2**64} --report-out {{tmp}}/r.csv",
+     f"--seed must be at most {U64}"),
+    *((f"bench --{flag} {HUGE} --model {{tmp}}/absent.chr1", f"--{flag} must be at most {U32}, got {HUGE}")
+      for flag in ("n", "m", "queries", "length", "hidden-size")),
+    (f"bench --seed {2**64} --model {{tmp}}/absent.chr1", f"--seed must be at most {U64}"),
 ], ids=[
     "gen-n-0", "gen-n-negative", "gen-seed", "gen-eps-nan", "gen-eps-inf", "split-seed", "eval-seed",
     "bench-length-0", "bench-length-1", "bench-length-negative", "bench-seed",
+    "gen-n-huge", "gen-length-huge", "gen-seed-2**64", "split-seed-2**64", "train-seed-2**64", "train-m-2**32",
+    "train-hidden-size-huge", "train-batch-size-huge", "eval-m-values-huge", "eval-seed-2**64",
+    "bench-n-huge", "bench-m-huge", "bench-queries-huge", "bench-length-huge", "bench-hidden-size-huge",
+    "bench-seed-2**64",
 ])
 def test_sizes_and_seeds_out_of_range_are_usage_errors(capsys, tmp_path, argv, message):
     # refused before any work: no input is read (none exists) and nothing is written
     code, stdout, err = run(capsys, *argv.format(tmp=tmp_path).split())
     assert code == 2 and stdout == "" and message in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_limits_hold_for_config_and_manifest_values(capsys, tmp_path):
+    # `_run` checks the resolved parameters, wherever they came from
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 2**64}))
+    code, stdout, err = run(
+        capsys, "gen", "--family", "example1", "--config", str(cfg), "--output", str(tmp_path / "d.csv")
+    )
+    assert code == 2 and stdout == "" and f"--seed must be at most {U64}" in err
+    gen_small(capsys, tmp_path)
+    manifest = tmp_path / "data.csv.manifest.json"
+    doc = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**doc, "params": {**doc["params"], "n": HUGE}}))
+    with pytest.raises(UsageError, match=f"--n must be at most {U32}, got {HUGE}"):
+        replay_manifest(str(manifest))
+
+
+def test_train_seed_at_the_u64_limit_is_stored(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "m.chr1"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "3", "--seed", str(U64),
+        "--model-out", str(model),
+    )
+    assert code == 0, err
+    assert load_model(str(model)).seed == U64
 
 
 def test_bench_smoke_and_report(capsys, tmp_path):
@@ -1406,3 +1478,97 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "corrspace" in proc.stdout
+
+
+# The parse of argv[0]'s subcommand alone must hand every argv that the full
+# parser refuses or answers with help to it: each byte and exit code is the
+# full parser's.
+FULL_PARSER_ANSWERS = [
+    *([name, "-h"] for name in SUBCOMMANDS),
+    ["query", "--help"],
+    ["query", "--he"],  # an abbreviation of --help
+    ["gen", "--n", "x"],  # a bad type
+    ["query", "--index", "i", "--bogus"],  # an unknown flag
+    ["index", "--method", "pca"],  # not a choice
+    ["query", "--k"],  # no value
+    ["query", "--version"],  # a flag of the top level only
+    ["train", "extra"],  # a stray positional
+    [], ["-h"], ["--version"], ["nope"], ["--version", "query"],
+]
+
+
+def exit_of(capsys, call):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", FULL_PARSER_ANSWERS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_argv_refused_or_helped_answers_as_the_full_parser(capsys, argv):
+    want = exit_of(capsys, lambda: build_parser().parse_args(argv))
+    assert exit_of(capsys, lambda: main(argv)) == want
+
+
+def every_flag(name):
+    """argv giving subcommand `name` each flag it takes, with a value its type and choices accept."""
+    argv = [name]
+    for key in ("config", *SUBCOMMANDS[name].defaults):
+        flag = FLAGS[key]
+        if flag.get("action") is argparse.BooleanOptionalAction:
+            argv.append(_flag(key).replace("--", "--no-"))
+        else:
+            value = flag["choices"][-1] if "choices" in flag else {int: "3", float: "0.5"}.get(flag.get("type"), "v")
+            argv += [_flag(key), value]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_one_subcommand_parse_gives_the_full_parsers_namespace(monkeypatch, name):
+    seed = ["--seed", "-1"] if "seed" in SUBCOMMANDS[name].defaults else []  # a value that looks like a flag
+    for argv in ([name], every_flag(name), [name, "--config=c", *seed]):
+        want = vars(build_parser().parse_args(argv))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda: pytest.fail("the full parser was built"))
+            assert vars(_parse(argv)) == want, argv
+
+
+def test_python_m_matches_in_process_main(capsys, tmp_path):
+    idx = build_index(capsys, tmp_path, gen_small(capsys, tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    for argv, code in (
+        (["query", "--index", str(idx), "--query-id", "3", "--k", "5"], 0),
+        (["query", "--index", str(tmp_path / "absent.idx"), "--query-id", "3"], 23),
+        (["query", "--index", str(idx), "--bogus"], 2),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "corrspace.cli", *argv], capture_output=True, text=True, env=env)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (got, captured.out, captured.err), argv
+        assert got == code
+
+
+def test_main_leaves_the_collector_as_it_was(capsys, tmp_path):
+    # `main` runs in-process for tests and `replay_manifest`; only `run` freezes
+    idx = build_index(capsys, tmp_path, gen_small(capsys, tmp_path))
+    before = gc.get_freeze_count()
+    code, _, err = run(capsys, "query", "--index", str(idx), "--query-id", "3")
+    assert code == 0, err
+    assert gc.get_freeze_count() == before
+
+
+def test_run_exits_with_mains_code_and_runs_atexit_handlers(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['corrspace', 'query', '--index', {str(tmp_path / 'absent.idx')!r}, '--query-id', '1']\n"
+        "from corrspace.cli import run\n"
+        "run()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 23 and proc.stdout == "frozen True\n"
+    assert proc.stderr == f"error: index file not found: {tmp_path / 'absent.idx'}\n"

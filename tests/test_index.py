@@ -441,6 +441,18 @@ def test_buckets_differ_in_size_by_at_most_one():
         assert sizes.sum() == n and sizes.max() <= index.BUCKET and sizes.max() - sizes.min() <= 1
 
 
+def test_padding_slots_and_only_they_hold_nan_and_minus_one(tmp_path):
+    for n in (1, 5, 128, 129, 1000, 4097):
+        tree, _, _ = random_tree(n, 3, seed=n)
+        save_index(tree, str(tmp_path / "i.cix1"))
+        for t in (tree, load_index(str(tmp_path / "i.cix1"))[0]):
+            padding = np.arange(t._ids.shape[1]) >= t._sizes[:, np.newaxis]
+            assert (t._ids == -1).sum() == padding.sum() and (t._ids[padding] == -1).all()
+            assert (np.isnan(t._pts).all(axis=2) == padding).all() and not np.isnan(t._pts[~padding]).any()
+        np.testing.assert_array_equal(t._pts, tree._pts)
+        np.testing.assert_array_equal(t._ids, tree._ids)
+
+
 def test_scanned_counts_pruned_search():
     tree, points, _ = random_tree(20_000, 4, seed=33)
     res = tree.top_k(points[0], 10)
