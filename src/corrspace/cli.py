@@ -5,10 +5,13 @@ full-scale training profile). Every run that writes an artifact writes a
 manifest JSON recording the subcommand, fully resolved parameters and
 SHA-256 hashes of inputs/outputs; `replay_manifest` reruns a manifest and
 must reproduce binary artifacts bit-identically.
+
+This module holds every subcommand's flags and defaults (`SUBCOMMANDS`),
+the parser and `query`. The other commands live in `commands`, which is
+imported when one of them runs: a query compiles none of them.
 """
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -18,54 +21,32 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, LearnedEmbedder, load_model, save_model
-from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError
-from .index import KdTree, load_index, rank, save_index, threshold_radius_sq
+from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, U32, U64, LearnedEmbedder, embedder_for
+from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError, check_range, flag
+from .index import load_index, rank, threshold_radius_sq
 
-# `core`, `datasets`, `train` and `evaluation` are imported by the commands
-# that use them: a `query` answered from the index loads none of them.
+# `core` and `datasets` are imported by the query modes that use them: a
+# `query` answered from the index loads neither.
 
-
-def _sha256(path):
-    # imported on first use: `index` hashes after its peak, so OpenSSL's memory stays out of that peak
-    import hashlib
-
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+# the commands that `commands` defines, reached as attributes of this module
+_IN_COMMANDS = ("cmd_gen", "cmd_ingest", "cmd_split", "cmd_train", "cmd_index", "cmd_eval", "cmd_bench")
 
 
-def _hash_files(params, artifacts: dict) -> dict:
-    paths = {name: params[key] for name, key in artifacts.items() if params[key]}
-    return {name: {"path": str(path), "sha256": _sha256(path)} for name, path in paths.items()}
+def __getattr__(name):
+    if name in _IN_COMMANDS:
+        from . import commands
 
-
-def _write_manifest(path, subcommand, params):
-    spec = SUBCOMMANDS[subcommand]
-    doc = {
-        "tool": "corrspace",
-        "version": __version__,
-        "subcommand": subcommand,
-        "params": params,
-        "inputs": _hash_files(params, spec.inputs),
-        "outputs": _hash_files(params, spec.outputs),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _flag(key):
-    return "--" + key.replace("_", "-")
+        return getattr(commands, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve(ns, defaults: dict) -> dict:
     """flags > config file > defaults, for every key in `defaults`."""
     from_file = {}
     if getattr(ns, "config", None):
-        from_file = _checked(_read_json(ns.config, "config file", UsageError), f"config file {ns.config}", defaults)
+        from .files import read_json
+
+        from_file = _checked(read_json(ns.config, "config file", UsageError), f"config file {ns.config}", defaults)
     flags = {key: getattr(ns, key) for key in defaults if getattr(ns, key, None) is not None}
     return {**defaults, **from_file, **flags}
 
@@ -90,8 +71,8 @@ def _config_value(source, key, value):
     choices, and its type (bool for a --x/--no-x flag), which the value
     must have as JSON gives it: "5" is no int, nor is 2.5, nor true. A flag
     without a type takes a string, or a list where the code parses lists."""
-    flag = FLAGS[key]
-    kind = bool if flag.get("action") is argparse.BooleanOptionalAction else flag.get("type")
+    spec = FLAGS[key]
+    kind = bool if spec.get("action") is argparse.BooleanOptionalAction else spec.get("type")
     try:
         typed = kind(value) if kind else value
     except (TypeError, ValueError, OverflowError):
@@ -99,192 +80,39 @@ def _config_value(source, key, value):
     untyped_ok = kind or isinstance(value, str) or key in _LIST_KEYS and isinstance(value, list)
     if (
         typed != value or not untyped_ok or (kind is bool) != isinstance(value, bool)
-        or flag.get("choices") and typed not in flag["choices"]
+        or spec.get("choices") and typed not in spec["choices"]
     ):
-        raise UsageError(f"{source}: {key} = {json.dumps(value)} is not a valid {_flag(key)}")
+        raise UsageError(f"{source}: {key} = {json.dumps(value)} is not a valid {flag(key)}")
     return typed
-
-
-def _parse_items(value, convert):
-    """The items of a comma-separated string or a JSON list, each through
-    `convert`; UsageError for an item it does not take."""
-    items = value.split(",") if isinstance(value, str) else value
-    try:
-        return [convert(x) for x in items]
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"cannot read {json.dumps(value)} as a list of {convert.__name__} values") from None
-
-
-def _number(x):
-    if isinstance(x, bool):
-        raise TypeError("a bool is no number")
-    return float(x)
-
-
-def _integer(x):
-    if not isinstance(x, str) and type(x) is not int:  # "4" and 4, not 4.5 or true
-        raise TypeError("not an integer")
-    return int(x)
-
-
-def _parse_ratios(value):
-    parts = _parse_items(value, _number)
-    if len(parts) != 3 or not (min(parts) >= 0 and abs(sum(parts) - 1.0) <= 1e-9):  # NaN fails too
-        raise UsageError("ratios must be three comma-separated nonnegative numbers summing to 1")
-    return tuple(parts)
-
-
-def _parse_int_list(value):
-    out = _parse_items(value, _integer)
-    if not out:
-        raise UsageError("expected a non-empty comma-separated list")
-    return out
-
-
-def _parse_str_list(value):
-    items = [s.strip() for s in value.split(",")] if isinstance(value, str) else list(value)
-    items = [s for s in items if s]
-    if not items:
-        raise UsageError("expected a non-empty comma-separated list")
-    return items
-
-
-def _save_split(splits, path):
-    doc = {
-        "seed": int(splits.seed),
-        "ratios": list(splits.ratios),
-        "train_ids": splits.train_ids.tolist(),
-        "val_ids": splits.val_ids.tolist(),
-        "test_ids": splits.test_ids.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def _read_json(path, what, error):
-    """The JSON document at `path`; `error` (a CorrSpaceError class) when it is not JSON."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingArtifact(f"{what} not found: {path}")
-    except (ValueError, RecursionError) as exc:  # among them JSONDecodeError and UnicodeDecodeError
-        raise error(f"{what} {path} is not JSON: {exc}") from None
 
 
 def _is_int(value):
     return type(value) is int  # not a bool, float or string
 
 
-def _load_split(path):
-    from .datasets import SplitDataset
-
-    doc = _read_json(path, "split file", CorruptArtifact)
-    keys = ("train_ids", "val_ids", "test_ids")
-    if not (
-        isinstance(doc, dict)
-        and {"seed", "ratios", *keys} <= doc.keys()
-        and _is_int(doc["seed"])
-        and isinstance(doc["ratios"], list)
-        and all(isinstance(doc[key], list) and all(map(_is_int, doc[key])) for key in keys)
-    ):
-        raise CorruptArtifact(
-            f"split file {path} is not an object of seed, ratios and the integer lists {', '.join(keys)}"
-        )
-    try:
-        return SplitDataset(
-            *(np.array(doc[key], dtype=np.int64) for key in keys), seed=doc["seed"], ratios=tuple(doc["ratios"])
-        )
-    except (OverflowError, ValueError) as exc:  # an id outside int64, or partitions that overlap
-        raise CorruptArtifact(f"split file {path}: {exc}") from None
-
-
 # the methods an index is built with
 _EMBEDDER_METHODS = (*FIXED_EMBEDDERS, *LOSS_OF)
 
 
-def _embedder_for(method, m, model_path, model_sha256=None):
-    """The embedder of `method`, one of `_EMBEDDER_METHODS`. A learned one
-    loads `model_path`, whose bytes must hash to `model_sha256` when it is
-    given (`load_model`)."""
-    if method in FIXED_EMBEDDERS:
-        return FIXED_EMBEDDERS[method](m)
-    if not model_path:
-        raise MissingArtifact(f"method {method} requires --model")
-    return LearnedEmbedder(load_model(model_path, model_sha256))
-
-
-def _bounded(key, low, high, *values):
-    """UsageError when a value of the flag `key` is below `low` or above
-    `high`; None is no bound."""
-    if low is not None and min(values) < low:
-        raise UsageError(f"{_flag(key)} must be at least {low}, got {min(values)}")
-    if high is not None and max(values) > high:
-        raise UsageError(f"{_flag(key)} must be at most {high}, got {max(values)}")
-
-
-# The widest count the CHR1 and CIX1 headers store (u32: a layer's rows and
-# columns, an index's n and m) and the model's u64 training seed. Sizes and
-# seeds are bounded by them, so an absurd one is a usage error before any work.
-U32, U64 = 2**32 - 1, 2**64 - 1
+# Sizes and seeds are bounded by the widest count and seed the CHR1 and CIX1
+# headers store, so an absurd one is a usage error before any work.
 SIZE, SEED = (1, U32), (0, U64)
 
 
 # ---------------------------------------------------------------- subcommands
+# (`query` is defined here, the others in `commands`)
 
 GEN_DEFAULTS = {
     "family": None, "n": 2000, "length": 128, "m": 8, "eps": 0.01, "seed": 0,
     "output": None, "manifest": None,
 }
 
-
-def cmd_gen(p):
-    from .datasets import gen_example1, gen_example2, save_csv
-
-    if not np.isfinite(p["eps"]):
-        raise UsageError(f"--eps must be finite, got {p['eps']}")
-    if p["family"] == "example1":
-        ds = gen_example1(p["n"], p["length"], p["seed"])
-    else:
-        ds = gen_example2(p["n"], p["length"], p["m"], p["eps"], p["seed"])
-    save_csv(ds, p["output"])
-    print(f"generated {ds.n} series of length {ds.length} -> {p['output']}")
-    return 0
-
-
 INGEST_DEFAULTS = {"input": None, "format": "csv", "output": None, "manifest": None}
-
-
-def cmd_ingest(p):
-    from .datasets import load_csv, save_csv
-
-    ds = load_csv(p["input"], p["format"])
-    save_csv(ds, p["output"])
-    dropped = f" ({ds.n_constant_dropped} constant rows dropped)" if ds.n_constant_dropped else ""
-    print(f"ingested {ds.n} series of length {ds.length}{dropped} -> {p['output']}")
-    return 0
-
 
 SPLIT_DEFAULTS = {
     "data": None, "format": "csv_id", "ratios": "0.8,0.1,0.1", "seed": 0,
     "output": None, "manifest": None,
 }
-
-
-def cmd_split(p):
-    from .datasets import load_csv, split
-
-    ratios = _parse_ratios(p["ratios"])
-    ds = load_csv(p["data"], p["format"])
-    splits = split(ds, ratios, p["seed"])
-    _save_split(splits, p["output"])
-    print(
-        f"split {ds.n} series -> {len(splits.train_ids)} train / "
-        f"{len(splits.val_ids)} val / {len(splits.test_ids)} test"
-    )
-    return 0
-
 
 TRAIN_DEFAULTS = {
     "data": None, "format": "csv_id", "split": None, "ratios": "0.8,0.1,0.1",
@@ -293,76 +121,26 @@ TRAIN_DEFAULTS = {
     "seed": 0, "model_out": None, "log_out": None, "manifest": None,
 }
 
-
-def cmd_train(p):
-    from .datasets import load_csv, split
-    from .train import TrainConfig, desk_config, train
-
-    # the profile's values fill what no flag or config set, and the manifest records them
-    given = {f.name: p[f.name] for f in dataclasses.fields(TrainConfig) if p.get(f.name) is not None}
-    try:
-        cfg = (desk_config if p["desk"] else TrainConfig)(loss_kind=p["loss"], **given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    p.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in p})
-    if not p["log_out"]:  # unset or "", as an empty --manifest falls back to its default
-        p["log_out"] = str(p["model_out"]) + ".log.csv"  # in --model-out's directory, which `_run` checked
-    ds = load_csv(p["data"], p["format"])
-    splits = _load_split(p["split"]) if p["split"] else split(ds, _parse_ratios(p["ratios"]), p["seed"])
-    params = train(ds, splits, cfg, log_path=p["log_out"])
-    save_model(params, p["model_out"])
-    with open(p["log_out"]) as fh:
-        lines = fh.read().strip().splitlines()
-    first, last = lines[1].split(","), lines[-1].split(",")
-    print(
-        f"trained {p['loss']} m={p['m']}: train loss {float(first[1]):.4g} -> "
-        f"{float(last[1]):.4g} over {last[0]} iterations ({float(last[3]) / 1e3:.1f} s)"
-    )
-    print(f"model -> {p['model_out']}")
-    return 0
-
-
 INDEX_DEFAULTS = {
     "data": None, "format": "csv_id", "split": None, "partition": "all",
     "method": "dft", "m": None, "model": None, "output": None, "manifest": None,
 }
 
-
-def cmd_index(p):
-    from .datasets import load_csv
-
-    ds = load_csv(p["data"], p["format"])
-    if p["partition"] != "all":
-        if not p["split"]:
-            raise UsageError("--partition needs --split")
-        splits = _load_split(p["split"])
-        rows = ds.rows_for(getattr(splits, f"{p['partition']}_ids"))
-    else:
-        rows = slice(None)
-    if p["method"] in FIXED_EMBEDDERS and p["m"] is None:
-        raise UsageError(f"method {p['method']} requires --m")
-    for key in ("split", "model"):  # unread with --partition all or a fixed method, but the manifest hashes them
-        if p[key] and not os.path.isfile(p[key]):
-            raise MissingArtifact(f"{key} file not found: {p[key]}")
-    embedder = _embedder_for(p["method"], p["m"], p["model"])
-    tree = KdTree(embedder.embed_matrix(ds.normalized_matrix(rows)), ds.ids[rows])
-    meta = {
-        "method": p["method"],
-        "m": int(embedder.m),
-        "series_length": int(ds.length),
-        "model": str(p["model"]) if p["model"] else None,
-    }
-    if isinstance(embedder, LearnedEmbedder):
-        meta["model_sha256"] = _sha256(p["model"])  # `query` answers only with a model of these bytes
-    save_index(tree, p["output"], meta)
-    print(f"indexed {tree.n} series (method={p['method']}, m={embedder.m}) -> {p['output']}")
-    return 0
-
-
 QUERY_DEFAULTS = {
     "index": None, "model": None, "data": None, "format": "csv_id",
     "query_id": None, "query_file": None, "k": 10, "threshold": None, "slack": 1.0,
     "exact": False,
+}
+
+EVAL_DEFAULTS = {
+    "data": None, "format": "csv_id", "methods": None, "m_values": "8",
+    "k_values": "10,100", "seed": 0, "ratios": "0.8,0.1,0.1", "desk": False,
+    "max_queries": None, "timing": True, "report_out": None, "manifest": None,
+}
+
+BENCH_DEFAULTS = {
+    "n": 10000, "m": 16, "k": 100, "queries": 200, "length": 128,
+    "hidden_size": 128, "seed": 0, "model": None, "report_out": None, "manifest": None,
 }
 
 
@@ -397,18 +175,23 @@ def cmd_query(p):
     else:
         if not p["index"]:
             raise UsageError("--index is required (or pass --exact)")
-        tree, meta = load_index(p["index"])
+        tree, meta, model = load_index(p["index"], with_model=True)
         length = meta.get("series_length")
         if not (
-            meta.get("method") in _EMBEDDER_METHODS and _is_int(meta.get("m")) and meta["m"] == tree.m
-            and (length is None or _is_int(length) and length > 0)
+            meta.get("method") in (_EMBEDDER_METHODS if model is None else LOSS_OF)
+            and _is_int(meta.get("m")) and meta["m"] == tree.m and (length is None or _is_int(length) and length > 0)
         ):
             raise CorruptArtifact(
                 f"{p['index']}: index metadata lacks method or m, or does not fit its points of width {tree.m}: "
                 f"method {meta.get('method')!r}, m {meta.get('m')!r}, series_length {length!r}"
             )
-        # loaded even when unused: its errors show, a model that did not build the index among them
-        embedder = _embedder_for(meta["method"], meta["m"], p["model"] or meta.get("model"), meta.get("model_sha256"))
+        if model is not None:  # a version-3 index holds the model that built it
+            if p["model"]:
+                raise UsageError(f"--model is not taken with {p['index']}: the index holds the model that built it")
+            embedder = LearnedEmbedder(model)
+        else:  # loaded even when unused: its errors show, a model that did not build the index among them
+            model_path = p["model"] or meta.get("model")
+            embedder = embedder_for(meta["method"], meta["m"], model_path, meta.get("model_sha256"))
 
         def search(q, k):
             if k is None:
@@ -466,64 +249,6 @@ def _query_series(p, ds):
     values = normalize_rows(qds.values, qds.ids)
     # labelled by data row: dropped constant rows keep their numbers
     return [(f"{p['query_file']}[{rid}]", row, None) for rid, row in zip(qds.ids, values)]
-
-
-EVAL_DEFAULTS = {
-    "data": None, "format": "csv_id", "methods": None, "m_values": "8",
-    "k_values": "10,100", "seed": 0, "ratios": "0.8,0.1,0.1", "desk": False,
-    "max_queries": None, "timing": True, "report_out": None, "manifest": None,
-}
-
-
-def cmd_eval(p):
-    from .datasets import load_csv
-    from .evaluation import SweepConfig, sweep
-
-    methods = _parse_str_list(p["methods"])
-    for method in methods:
-        if method not in METHODS:
-            raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
-    m_values, k_values = _parse_int_list(p["m_values"]), _parse_int_list(p["k_values"])
-    _bounded("k_values", 1, None, *k_values)
-    if LOSS_OF.keys() & set(methods):  # a fixed embedder reports its own m range (InvalidM)
-        _bounded("m_values", *SIZE, *m_values)
-    ratios = _parse_ratios(p["ratios"])
-    try:
-        cfg = SweepConfig(
-            seed=p["seed"], ratios=ratios, profile="desk" if p["desk"] else "full",
-            max_queries=p["max_queries"], timing=bool(p["timing"]),
-        )
-    except ValueError as exc:  # --max-queries below 1
-        raise UsageError(str(exc)) from None
-    ds = load_csv(p["data"], p["format"])
-    report = sweep(ds, methods, m_values, k_values, cfg)
-    report.save_csv(p["report_out"])
-    print(report.table())
-    print(f"report -> {p['report_out']}")
-    return 0
-
-
-BENCH_DEFAULTS = {
-    "n": 10000, "m": 16, "k": 100, "queries": 200, "length": 128,
-    "hidden_size": 128, "seed": 0, "model": None, "report_out": None, "manifest": None,
-}
-
-
-def cmd_bench(p):
-    from .evaluation import latency_benchmark
-
-    params = load_model(p["model"]) if p["model"] else None
-    stats = latency_benchmark(
-        p["n"], p["m"], p["k"], n_queries=p["queries"], seed=p["seed"],
-        series_length=p["length"], hidden_size=p["hidden_size"], params=params,
-    )
-    for key in ("q50_us", "q99_us", "embed_q50_us", "traverse_q50_us", "scanned_q50", "refined_q50", "build_ms"):
-        print(f"{key} = {stats[key]:.1f}")
-    if p["report_out"]:
-        with open(p["report_out"], "w") as fh:
-            json.dump(stats, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0
 
 
 # ------------------------------------------------------------------- plumbing
@@ -610,7 +335,7 @@ SUBCOMMANDS = {
 
 def _add_flags(parser, name):
     for key in ("config", *SUBCOMMANDS[name].defaults):
-        parser.add_argument(_flag(key), **FLAGS[key])
+        parser.add_argument(flag(key), **FLAGS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -654,8 +379,9 @@ def _parse(argv):
 
 def _command(name):
     # looked up when it runs, not bound at import: a wrapper installed on
-    # the module later (perfbench's tracer) must see the call
-    return globals()[f"cmd_{name}"]
+    # the module later (perfbench's tracer) must see the call; `cmd_query`
+    # is this module's own, the others `__getattr__` takes from `commands`
+    return getattr(sys.modules[__name__], f"cmd_{name}")
 
 
 def _run(name, p) -> int:
@@ -664,15 +390,15 @@ def _run(name, p) -> int:
     output, and an output that is a directory or in a missing one; write the
     manifest at --manifest or beside the first output."""
     spec = SUBCOMMANDS[name]
-    missing = [_flag(key) for key in spec.required if p[key] is None or p[key] == ""]
+    missing = [flag(key) for key in spec.required if p[key] is None or p[key] == ""]
     if missing:
         raise UsageError(f"{' and '.join(missing)} {'is' if len(missing) == 1 else 'are'} required")
     for key, (low, high) in spec.limits.items():
         if p[key] is not None:
-            _bounded(key, low, high, p[key])
+            check_range(key, low, high, p[key])
     outputs = [p[key] for key in spec.outputs.values() if p[key]]
     if p.get("manifest") and not outputs:
-        flags, artifacts = " or ".join(map(_flag, spec.outputs.values())), " or ".join(spec.outputs)
+        flags, artifacts = " or ".join(map(flag, spec.outputs.values())), " or ".join(spec.outputs)
         raise UsageError(f"--manifest needs {flags}: without a {artifacts} {name} writes no artifact")
     manifest = p.get("manifest") or (f"{outputs[0]}.manifest.json" if outputs else None)
     for path in (*outputs, manifest):
@@ -682,7 +408,9 @@ def _run(name, p) -> int:
             raise MissingArtifact(f"output file not found: {path} is a directory")
     code = _command(name)(p)
     if manifest:  # after the command: `train` resolves its parameters as it runs
-        _write_manifest(manifest, name, p)
+        from .commands import write_manifest
+
+        write_manifest(manifest, name, spec, p)
     return code
 
 
@@ -701,7 +429,10 @@ def replay_manifest(manifest_path, check_inputs=True) -> int:
     MissingArtifact for a missing manifest or input, or an input whose hash
     changed; CorruptArtifact for a manifest of the wrong shape; UsageError
     for a param its flag refuses; and the command's own errors."""
-    doc = _read_json(manifest_path, "manifest", CorruptArtifact)
+    from .commands import file_sha256
+    from .files import read_json
+
+    doc = read_json(manifest_path, "manifest", CorruptArtifact)
     if not (
         isinstance(doc, dict) and doc.get("subcommand") in tuple(SUBCOMMANDS)  # a tuple: a list or dict is no key
         and isinstance(doc.get("params"), dict) and isinstance(doc.get("inputs"), dict)
@@ -717,7 +448,7 @@ def replay_manifest(manifest_path, check_inputs=True) -> int:
         for name, entry in doc["inputs"].items():
             if not os.path.isfile(entry["path"]):
                 raise MissingArtifact(f"input {name} of manifest {manifest_path} not found: {entry['path']}")
-            if _sha256(entry["path"]) != entry["sha256"]:
+            if file_sha256(entry["path"]) != entry["sha256"]:
                 raise MissingArtifact(f"input {name} changed since manifest: {entry['path']}")
     return _run(doc["subcommand"], params)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import is_constant, normalize_rows
 from .errors import EmptyFile, InvalidM, MissingArtifact, ParseError, RaggedRows, TooSmall
+from .files import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -260,7 +261,7 @@ def save_csv(ds: Dataset, path) -> None:
     17. Rows are converted one at a time, so the matrix is never held as
     Python floats.
     """
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.writelines(
             f"{rid}," + ",".join(map(repr, row.tolist())) + "\n" for rid, row in zip(ds.ids.tolist(), ds.values)
         )

@@ -7,7 +7,6 @@ estimate 2 - 2*corr(s, r).
 """
 
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +14,9 @@ from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, Invali
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
+# The widest count the CHR1 and CIX1 headers store (u32: a layer's rows and
+# columns, an index's n and m) and the model's u64 training seed.
+U32, U64 = 2**32 - 1, 2**64 - 1
 
 # Values per FFT block in `features_matrix`. The FFT of a block holds two
 # complex copies of it (the cast input and the output): 2 MB a block, where
@@ -61,7 +63,6 @@ def layer_views(buf: np.ndarray, shapes) -> tuple:
     return blocks, weights, biases
 
 
-@dataclass
 class NetworkParams:
     """Dense-layer weights/biases plus the seed they were initialized from.
 
@@ -71,25 +72,21 @@ class NetworkParams:
     float64 buffer, `flat`, and `weights` and `biases` become views into it.
     """
 
-    weights: list
-    biases: list
-    seed: int
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
+    def __init__(self, weights: list, biases: list, seed: int):
+        if len(weights) != len(biases):
             raise ValueError("weights/biases layer counts differ")
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(weights, biases):
             if w.shape[0] != b.shape[0]:
                 raise ValueError(f"bias shape {b.shape} does not match weight {w.shape}")
-        for prev, nxt in zip(self.weights[:-1], self.weights[1:]):
+        for prev, nxt in zip(weights[:-1], weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise ValueError("layer shapes do not chain")
-        given = self.weights + self.biases
+        given = weights + biases
         self.flat = np.empty(sum(a.size for a in given))
-        _, self.weights, self.biases = layer_views(self.flat, [w.shape for w in self.weights])
+        _, self.weights, self.biases = layer_views(self.flat, [w.shape for w in weights])
         for view, array in zip(self.weights + self.biases, given):
             view[...] = array
+        self.seed = seed
 
     @property
     def input_width(self):
@@ -194,47 +191,60 @@ LOSS_OF = {"learned-approx": APPROXIMATE, "learned-order": ORDER}
 METHODS = ("exact", *FIXED_EMBEDDERS, *LOSS_OF)
 
 
-def save_model(p: NetworkParams, path) -> None:
-    """Write the CHR1 model file.
+def embedder_for(method, m, model_path, model_sha256=None):
+    """The embedder of an index's `method`: a fixed one of width `m`, or a
+    learned one that loads `model_path`, whose bytes must hash to
+    `model_sha256` when it is given (`load_model`)."""
+    if method in FIXED_EMBEDDERS:
+        return FIXED_EMBEDDERS[method](m)
+    if not model_path:
+        raise MissingArtifact(f"method {method} requires --model")
+    return LearnedEmbedder(load_model(model_path, model_sha256))
+
+
+def model_bytes(p: NetworkParams, path) -> bytes:
+    """The CHR1 bytes of `p`, which `save_model` writes to a model file and
+    `save_index` into a version-3 index.
 
     Little-endian layout: magic "CHR1", u32 layer count, then per layer
     u32 rows, u32 cols, its [W|b] block: rows*cols f64 row-major weights,
     rows f64 biases; trailing u64 training seed. Round-trips bit-exactly.
-    Parameters that are not all finite, which `load_model` would refuse,
-    raise `DegenerateOutput` before the file is opened.
+    Parameters that are not all finite, which `parse_model` would refuse,
+    raise `DegenerateOutput`, saying that `path` was not written.
     """
     if not np.isfinite(p.flat).all():
         raise DegenerateOutput(f"{path}: not written: the model holds a non-finite weight or bias")
     blocks, _, _ = layer_views(p.flat, [w.shape for w in p.weights])
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blocks)))
-        for w, block in zip(p.weights, blocks):
-            fh.write(struct.pack("<II", *w.shape))
-            fh.write(block.astype("<f8", copy=False).tobytes())
-        fh.write(struct.pack("<Q", p.seed))
+    parts = [MODEL_MAGIC, struct.pack("<I", len(blocks))]
+    for w, block in zip(p.weights, blocks):
+        parts += [struct.pack("<II", *w.shape), block.astype("<f8", copy=False).tobytes()]
+    parts.append(struct.pack("<Q", p.seed))
+    return b"".join(parts)
 
 
-def load_model(path, sha256: str | None = None) -> NetworkParams:
-    """Read a CHR1 model file written by `save_model`.
+def save_model(p: NetworkParams, path) -> None:
+    """Write the CHR1 model file (`model_bytes`); nothing is written when it raises."""
+    data = model_bytes(p, path)
+    from .files import atomic_write  # imported here: a query loads no writer
 
-    A missing file raises `MissingArtifact`; a file that is not a whole CHR1
-    model, or whose weights or biases are not all finite, `CorruptArtifact`.
-    When `sha256` is given, a whole model whose bytes hash to another hex
-    digest raises `ModelMismatch`.
+    with atomic_write(path, "wb") as fh:
+        fh.write(data)
+
+
+def parse_model(data, source) -> NetworkParams:
+    """The model of the CHR1 bytes `data`, read from `source` (a file, or
+    an index's model block): the one CHR1 reader.
+
+    Bytes that are not a whole CHR1 model, or whose weights or biases are
+    not all finite, raise `CorruptArtifact`.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingArtifact(f"model file not found: {path}") from None
     if data[:4] != MODEL_MAGIC:
-        raise CorruptArtifact(f"{path}: not a CHR1 model file")
+        raise CorruptArtifact(f"{source}: not a CHR1 model file")
     off = 4
 
     def need(size):
         if off + size > len(data):
-            raise CorruptArtifact(f"{path}: needs {size} bytes at byte {off}, the file has {len(data)}")
+            raise CorruptArtifact(f"{source}: needs {size} bytes at byte {off}, the file has {len(data)}")
 
     need(4)
     (n_layers,) = struct.unpack_from("<I", data, off)
@@ -248,7 +258,7 @@ def load_model(path, sha256: str | None = None) -> NetworkParams:
         block = np.frombuffer(data, dtype="<f8", count=rows * (cols + 1), offset=off)
         off += block.nbytes
         if not np.isfinite(block).all():
-            raise CorruptArtifact(f"{path}: layer {len(weights)} holds a non-finite weight or bias")
+            raise CorruptArtifact(f"{source}: layer {len(weights)} holds a non-finite weight or bias")
         _, (w,), (b,) = layer_views(block, [(rows, cols)])
         weights.append(w)
         biases.append(b)
@@ -256,15 +266,31 @@ def load_model(path, sha256: str | None = None) -> NetworkParams:
     (seed,) = struct.unpack_from("<Q", data, off)
     off += 8
     if off != len(data):
-        raise CorruptArtifact(f"{path}: {len(data) - off} bytes after the model")
+        raise CorruptArtifact(f"{source}: {len(data) - off} bytes after the model")
     if n_layers == 0:
-        raise CorruptArtifact(f"{path}: model has no layers")
+        raise CorruptArtifact(f"{source}: model has no layers")
     try:
-        params = NetworkParams(weights=weights, biases=biases, seed=seed)  # copies the blocks into `flat`
+        return NetworkParams(weights=weights, biases=biases, seed=seed)  # copies the blocks into `flat`
     except ValueError as exc:  # layer shapes that do not chain
-        raise CorruptArtifact(f"{path}: {exc}")
+        raise CorruptArtifact(f"{source}: {exc}")
+
+
+def load_model(path, sha256: str | None = None) -> NetworkParams:
+    """Read a CHR1 model file written by `save_model`.
+
+    A missing file raises `MissingArtifact`; a file that is not a whole CHR1
+    model, or whose weights or biases are not all finite, `CorruptArtifact`
+    (`parse_model`). When `sha256` is given, a whole model whose bytes hash
+    to another hex digest raises `ModelMismatch`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifact(f"model file not found: {path}") from None
+    params = parse_model(data, path)
     if sha256 is not None:
-        import hashlib  # imported only here: it loads OpenSSL, memory that a load without a check need not hold
+        import hashlib  # imported only here: it loads OpenSSL, which a query of a version-3 index never needs
 
         digest = hashlib.sha256(data).hexdigest()
         if digest != sha256:

@@ -1,7 +1,8 @@
 """Exception classes shared across the package.
 
 Every error carries a stable process exit code so the CLI can map failure
-classes to distinct codes (see cli.py and the README).
+classes to distinct codes (see cli.py and the README). `check_range` is the
+one out-of-range check of a flag's values.
 """
 
 
@@ -124,3 +125,17 @@ class UsageError(CorrSpaceError):
     """Invalid command-line arguments."""
 
     exit_code = 2
+
+
+def flag(key):
+    """The command-line flag of the parameter `key`: --model-out for model_out."""
+    return "--" + key.replace("_", "-")
+
+
+def check_range(key, low, high, *values):
+    """UsageError when a value of the flag `key` is below `low` or above
+    `high`; None is no bound."""
+    if low is not None and min(values) < low:
+        raise UsageError(f"{flag(key)} must be at least {low}, got {min(values)}")
+    if high is not None and max(values) > high:
+        raise UsageError(f"{flag(key)} must be at most {high}, got {max(values)}")

@@ -15,6 +15,7 @@ import numpy as np
 from .datasets import Dataset, split
 from .embed import FIXED_EMBEDDERS, LOSS_OF, METHODS, LearnedEmbedder, feature_width
 from .errors import KTooLarge, SizeMismatch
+from .files import atomic_write
 from .index import KdTree, rank
 from .train import TrainConfig, desk_config, init_params, train
 
@@ -91,7 +92,7 @@ class EvalReport:
         return "\n".join(out) + "\n"
 
     def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_csv())
 
     def table(self) -> str:

@@ -31,15 +31,18 @@ only approximation in the pipeline lives in the embedding itself.
 import json
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from .embed import model_bytes, parse_model
 from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact, RepeatedId
 
 INDEX_MAGIC = b"CIX1"
-INDEX_VERSION = 2  # 1: rows in input order, still read by rebuilding the tree
+# 2: rows in tree order. 3: version 2 plus the model that embedded the rows.
+# 1: rows in input order, still read by rebuilding the tree.
+INDEX_VERSION, INDEX_VERSION_WITH_MODEL = 2, 3
 _HEADER = struct.Struct("<4sIIII")  # magic, version, n, m, meta length
+_MODEL_LENGTH = struct.Struct("<Q")  # version 3: the model block's length, after the header
 
 BUCKET = 128  # most points per bucket (README "Index" has the measurements)
 # `top_k` takes its bound from this many times the nearest buckets needed to
@@ -55,7 +58,6 @@ _TINY = 2.0**-900
 _HUGE = 2.0**1000
 
 
-@dataclass(frozen=True)
 class QueryResult:
     """Matches ordered by ascending distance², ties by ascending id.
 
@@ -63,10 +65,11 @@ class QueryResult:
     `refined` counts those whose exact distance² it computed.
     """
 
-    ids: np.ndarray
-    distances_sq: np.ndarray
-    scanned: int = 0
-    refined: int = 0
+    def __init__(self, ids: np.ndarray, distances_sq: np.ndarray, scanned: int = 0, refined: int = 0):
+        self.ids = ids
+        self.distances_sq = distances_sq
+        self.scanned = scanned
+        self.refined = refined
 
     def __len__(self):
         return len(self.ids)
@@ -356,25 +359,37 @@ def threshold_radius_sq(eta: float, slack: float = 1.0) -> float:
     return slack * (1.0 - eta)
 
 
-def save_index(tree: KdTree, path, meta: dict | None = None) -> None:
+def save_index(tree: KdTree, path, meta: dict | None = None, model=None) -> None:
     """Versioned dump of ids + points in tree order, which `load_index` lays
-    out again without rebuilding the tree."""
+    out again without rebuilding the tree. With `model`, the `NetworkParams`
+    that embedded the points, it is a version-3 dump that holds the model's
+    CHR1 bytes (`model_bytes`) after the metadata."""
     blob = json.dumps(meta or {}, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, tree.n, tree.m, len(blob)))
-        fh.write(blob)
+    if model is None:
+        front = _HEADER.pack(INDEX_MAGIC, INDEX_VERSION, tree.n, tree.m, len(blob)) + blob
+    else:
+        block = model_bytes(model, path)
+        front = _HEADER.pack(INDEX_MAGIC, INDEX_VERSION_WITH_MODEL, tree.n, tree.m, len(blob))
+        front += _MODEL_LENGTH.pack(len(block)) + blob + block
+    from .files import atomic_write  # imported here: a query loads no writer
+
+    with atomic_write(path, "wb") as fh:
+        fh.write(front)
         fh.write(tree._ids.ravel()[tree._slots].astype("<i8", copy=False).tobytes())
         fh.write(tree._pts.reshape(-1, tree.m)[tree._slots].astype("<f8", copy=False).tobytes())
 
 
-def load_index(path):
-    """Load a dump written by `save_index`; returns (KdTree, meta).
+def load_index(path, with_model=False):
+    """Load a dump written by `save_index`; returns (KdTree, meta), or
+    (KdTree, meta, model) `with_model`, where model is the `NetworkParams` a
+    version-3 dump holds and None for the other versions.
 
-    Version 2 holds the rows in tree order, so they are only laid out again;
-    a version-1 dump holds them in input order and rebuilds the tree. A
-    missing path, or a directory, raises `MissingArtifact`; a file that is
-    not a whole `CIX1` dump, whose points are not all finite or whose ids
-    repeat, raises `CorruptArtifact`.
+    Versions 2 and 3 hold the rows in tree order, so they are only laid out
+    again; a version-1 dump holds them in input order and rebuilds the tree.
+    A missing path, or a directory, raises `MissingArtifact`; a file that is
+    not a whole `CIX1` dump, whose points are not all finite, whose ids
+    repeat or whose model is not a whole CHR1 model of output width m,
+    raises `CorruptArtifact`.
     """
     try:
         fh = open(path, "rb")
@@ -388,11 +403,17 @@ def load_index(path):
         if len(head) < _HEADER.size:
             raise CorruptArtifact(f"{path}: {len(head)} bytes, shorter than the {_HEADER.size}-byte header")
         _, version, n, m, blob_len = _HEADER.unpack(head)
-        if version not in (1, INDEX_VERSION):
+        if version not in (1, INDEX_VERSION, INDEX_VERSION_WITH_MODEL):
             raise CorruptArtifact(f"{path}: unsupported index version {version}")
         if n == 0 or m == 0:  # `save_index` writes neither: `KdTree` holds at least one point of width >= 1
             raise CorruptArtifact(f"{path}: header describes {n} points of width {m}")
-        want = _HEADER.size + blob_len + 8 * n * (1 + m)
+        model_len = 0
+        if version == INDEX_VERSION_WITH_MODEL:
+            word = fh.read(_MODEL_LENGTH.size)
+            if len(word) < _MODEL_LENGTH.size:
+                raise CorruptArtifact(f"{path}: shorter than the version-3 header")
+            (model_len,) = _MODEL_LENGTH.unpack(word)
+        want = fh.tell() + blob_len + model_len + 8 * n * (1 + m)
         if size != want:
             raise CorruptArtifact(f"{path}: {size} bytes, but its header describes {want}")
         try:
@@ -401,11 +422,15 @@ def load_index(path):
             raise CorruptArtifact(f"{path}: unreadable metadata ({exc})")
         if not isinstance(meta, dict):
             raise CorruptArtifact(f"{path}: metadata is not a JSON object")
+        model = parse_model(fh.read(model_len), f"{path}: its model") if model_len else None
+        if version == INDEX_VERSION_WITH_MODEL and (model is None or model.output_width != m):
+            raise CorruptArtifact(f"{path}: holds no model of output width {m}")
         rows = np.empty(8 * n * (1 + m), dtype=np.uint8)  # read straight into an array: no copy of the file
         if fh.readinto(rows) != rows.size:  # the file shrank since `fstat`
             raise CorruptArtifact(f"{path}: shorter than its header describes")
     ids, pts = rows[: 8 * n].view("<i8"), rows[8 * n :].view("<f8").reshape(n, m)
     try:
-        return (KdTree(pts, ids) if version == 1 else KdTree._from_tree_order(pts, ids)), meta
+        tree = KdTree(pts, ids) if version == 1 else KdTree._from_tree_order(pts, ids)
     except (DegenerateOutput, RepeatedId) as exc:  # the tree's own checks: finite points, unique ids
         raise CorruptArtifact(f"{path}: {exc}")
+    return (tree, meta, model) if with_model else (tree, meta)

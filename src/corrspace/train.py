@@ -21,6 +21,7 @@ from .embed import (
     APPROXIMATE, ORDER, SMOOTH_EPS, NetworkParams, feature_width, features_matrix, forward_trace, layer_views,
 )
 from .errors import InsufficientData
+from .files import atomic_write
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -240,7 +241,7 @@ def train(ds: Dataset, splits: SplitDataset, cfg: TrainConfig, log_path=None) ->
             record(it, loss)
 
     if log_path is not None:
-        with open(log_path, "w") as fh:
+        with atomic_write(log_path) as fh:
             fh.write("iter,train_loss,val_loss,wall_ms\n")
             for it, tr, vl, ms in log_rows:
                 fh.write(f"{it},{tr:.9g},{vl:.9g},{ms:.3f}\n")

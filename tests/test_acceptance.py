@@ -477,18 +477,24 @@ def test_criterion_09_manifest_reproducibility(tmp_path, capsys):
     assert main(["eval", "--data", str(data), "--methods", "dft,downsample",
                  "--m-values", "4", "--k-values", "5", "--no-timing", "--desk",
                  "--report-out", str(report)]) == 0
-    model_bytes, report_bytes = model.read_bytes(), report.read_bytes()
+    index = tmp_path / "learned.cix1"  # version 3: it holds the model
+    assert main(["index", "--data", str(data), "--method", "learned-order", "--model", str(model),
+                 "--output", str(index)]) == 0
+    model_bytes, report_bytes, index_bytes = model.read_bytes(), report.read_bytes(), index.read_bytes()
     assert replay_manifest(str(tmp_path / "model.bin.manifest.json")) == 0
     assert replay_manifest(str(tmp_path / "report.csv.manifest.json")) == 0
+    assert replay_manifest(str(tmp_path / "learned.cix1.manifest.json")) == 0
     capsys.readouterr()
     model_same = model.read_bytes() == model_bytes
     report_same = report.read_bytes() == report_bytes
-    ok = model_same and report_same
+    index_same = index.read_bytes() == index_bytes
+    ok = model_same and report_same and index_same
     record(
         9,
         ok,
         "manifest replay bit-identical: model "
-        f"{'yes' if model_same else 'NO'}, report {'yes' if report_same else 'NO'}",
+        f"{'yes' if model_same else 'NO'}, report {'yes' if report_same else 'NO'}, "
+        f"learned index {'yes' if index_same else 'NO'}",
     )
 
 
@@ -508,6 +514,11 @@ def test_criterion_10_artifact_round_trips(trained_small, tmp_path):
     loaded, meta = load_index(str(i1))
     save_index(loaded, str(i2), meta=meta)
     index_ok = i1.read_bytes() == i2.read_bytes()
+    # version 3, which holds the model
+    save_index(tree, str(i1), meta={"method": "learned-approx", "m": 8}, model=params)
+    loaded, meta, held = load_index(str(i1), with_model=True)
+    save_index(loaded, str(i2), meta=meta, model=held)
+    index_ok &= i1.read_bytes() == i2.read_bytes()
 
     q = emb.embed_matrix(ds.normalized_matrix())[0]
     answers_ok = np.array_equal(tree.top_k(q, 25).ids, loaded.top_k(q, 25).ids)

@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 
 from corrspace import cli
 from corrspace.cli import (
-    FLAGS, GEN_DEFAULTS, SUBCOMMANDS, U32, U64, _flag, _load_split, _parse, _resolve, build_parser, main,
+    FLAGS, GEN_DEFAULTS, SUBCOMMANDS, U32, U64, _parse, _resolve, build_parser, main,
     replay_manifest,
 )
+from corrspace.commands import _load_split
 from corrspace.datasets import Dataset, load_csv, save_csv
 from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
 from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, UsageError
+from corrspace.errors import flag as _flag
 from corrspace.index import load_index, save_index
 from corrspace.train import desk_config, init_params
 from oracles import by_correlation
@@ -599,9 +601,19 @@ def test_corrupt_index_and_model_exit_code(capsys, tmp_path, damage):
         path.write_bytes(blob)
 
 
+def as_version_2(idx):
+    """`idx` rewritten as a version-2 index, as `index` wrote it before an
+    index held its model: the same rows and metadata, which name the model
+    file and its sha256, without the model."""
+    tree, meta = load_index(str(idx))
+    save_index(tree, str(idx), meta)
+    assert struct.unpack_from("<I", idx.read_bytes(), 4) == (2,)
+    return idx
+
+
 def test_non_finite_model_weight_exit_code(capsys, tmp_path):
-    # a model that turns NaN after the index was built must not answer
-    # with an empty hit list
+    # a model that turns NaN after a version-2 index was built must not
+    # answer with an empty hit list
     data = gen_small(capsys, tmp_path)
     model = tmp_path / "model.chr1"
     code, _, err = run(
@@ -609,7 +621,7 @@ def test_non_finite_model_weight_exit_code(capsys, tmp_path):
         "--model-out", str(model), "--log-out", str(tmp_path / "log.csv"),
     )
     assert code == 0, err
-    idx = build_index(capsys, tmp_path, data, method="learned-order", m="4", extra=("--model", str(model)))
+    idx = as_version_2(build_index(capsys, tmp_path, data, method="learned-order", m="4", extra=("--model", str(model))))
     blob = bytearray(model.read_bytes())  # `save_model` writes no NaN: put one in the first weight's bytes
     blob[16:24] = struct.pack("<d", np.nan)
     model.write_bytes(blob)
@@ -650,11 +662,11 @@ def test_index_records_the_sha256_of_its_model(capsys, tmp_path):
 
 
 def test_query_with_a_retrained_model_is_a_model_mismatch(capsys, tmp_path):
-    # a model trained again to the path the index records must not answer
-    # for the index the first model built
+    # a model trained again to the path a version-2 index records must not
+    # answer for the index the first model built
     data = gen_small(capsys, tmp_path, n=200)
     model = train_model(capsys, tmp_path, data, seed=0)
-    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    idx = as_version_2(build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model))))
     queries = tmp_path / "queries.csv"
     queries.write_text("".join(line.split(",", 1)[1] for line in data.read_text().splitlines(True)[:3]))
     argv = ("query", "--index", str(idx), "--query-file", str(queries), "--k", "5")
@@ -692,11 +704,11 @@ def test_index_without_a_model_hash_is_not_checked(capsys, tmp_path):
 
 
 def test_damaged_model_hash_in_an_index_never_answers(capsys, tmp_path):
-    # every single-byte change to the recorded digest, or to the quotes
-    # around it, is a typed error with nothing printed
+    # every single-byte change to the digest a version-2 index records, or
+    # to the quotes around it, is a typed error with nothing printed
     data = gen_small(capsys, tmp_path)
     model = train_model(capsys, tmp_path, data, seed=0)
-    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    idx = as_version_2(build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model))))
     blob = idx.read_bytes()
     digest = hashlib.sha256(model.read_bytes()).hexdigest().encode()
     at = blob.index(digest)
@@ -707,6 +719,112 @@ def test_damaged_model_hash_in_an_index_never_answers(capsys, tmp_path):
             assert code in (24, 26) and stdout == "", (off, value, err)
     idx.write_bytes(blob)
     assert run(capsys, "query", "--index", str(idx), "--query-id", "3", "--k", "4")[0] == 0
+
+
+def test_learned_index_holds_its_model(capsys, tmp_path):
+    # `index` with a learned method writes version 3: version 2's layout plus
+    # the model's CHR1 bytes, exactly as `save_model` writes them
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    blob = idx.read_bytes()
+    version, _, _, meta_len, model_len = struct.unpack_from("<IIIIQ", blob, 4)
+    assert (version, model_len) == (3, model.stat().st_size)
+    assert blob[28 + meta_len : 28 + meta_len + model_len] == model.read_bytes()
+    tree, meta, held = load_index(str(idx), with_model=True)
+    assert held.flat.tobytes() == load_model(str(model)).flat.tobytes()
+    for method in ("dft", "downsample"):  # a fixed embedder needs no model
+        assert struct.unpack_from("<I", build_index(capsys, tmp_path, data, method, "4").read_bytes(), 4) == (2,)
+
+
+# every form of `query`; {d} is the data file, {q} a query-series file
+QUERY_FORMS = {
+    "held id": "--query-id 3 --k 5",
+    "held id, threshold": "--query-id 3 --threshold 0.3 --slack 1.5",
+    "id the index lacks": "--query-id {lacking} --data {d} --k 5",
+    "query file": "--query-file {q} --k 4",
+    "query file, threshold": "--query-file {q} --threshold 0.5",
+}
+
+
+@pytest.mark.parametrize("form", list(QUERY_FORMS.values()), ids=list(QUERY_FORMS))
+def test_version_3_answers_as_version_2(capsys, tmp_path, form):
+    # the model inside the index answers as the model file it was built with
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    split_path = tmp_path / "split.json"
+    assert run(capsys, "split", "--data", str(data), "--output", str(split_path))[0] == 0
+    v3 = build_index(capsys, tmp_path, data, "learned-order", "4", (
+        "--model", str(model), "--split", str(split_path), "--partition", "train",
+    ))
+    v2 = tmp_path / "v2.idx"
+    v2.write_bytes(v3.read_bytes())
+    as_version_2(v2)
+    queries = tmp_path / "queries.csv"
+    queries.write_text("".join(line.split(",", 1)[1] for line in data.read_text().splitlines(True)[:3]))
+    lacking = json.loads(split_path.read_text())["test_ids"][0]
+    argv = form.format(d=data, q=queries, lacking=lacking).split()
+    outputs = []
+    for idx in (v3, v2):
+        code, stdout, err = run(capsys, "query", "--index", str(idx), *argv)
+        assert code == 0, err
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) > 2  # a block with a hit, at least
+
+
+def test_version_3_index_answers_from_any_directory(capsys, tmp_path, monkeypatch):
+    # an index built with a relative --model answers alike from another
+    # working directory: it reads no model file, so the path does not matter
+    data = gen_small(capsys, tmp_path)
+    train_model(capsys, tmp_path, data, seed=0, model=tmp_path / "m.chr1")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "index", "--data", "data.csv", "--method", "learned-order", "--model", "m.chr1",
+                       "--output", "learned.idx")
+    assert code == 0, err
+    queries = tmp_path / "queries.csv"
+    queries.write_text("".join(line.split(",", 1)[1] for line in data.read_text().splitlines(True)[:2]))
+    argvs = [("--query-id", "3", "--k", "5"), ("--query-file", str(queries), "--k", "5")]
+    here = [run(capsys, "query", "--index", "learned.idx", *argv) for argv in argvs]
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    there = [run(capsys, "query", "--index", str(tmp_path / "learned.idx"), *argv) for argv in argvs]
+    assert [code for code, _, _ in here] == [0, 0]
+    assert there == here
+
+
+def test_version_3_index_reads_no_model_file(capsys, tmp_path):
+    # the model file may change or go once the index holds its model
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    argv = ("query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "5")
+    code, before, err = run(capsys, *argv)
+    assert code == 0, err
+    train_model(capsys, tmp_path, data, seed=1, model=model)
+    assert run(capsys, *argv) == (0, before, "")
+    model.unlink()
+    assert run(capsys, *argv) == (0, before, "")
+
+
+def test_model_flag_with_a_version_3_index_is_a_usage_error(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--model", str(model))
+    assert code == 2 and stdout == ""
+    assert err == f"error: --model is not taken with {idx}: the index holds the model that built it\n"
+
+
+def test_version_3_index_of_a_fixed_method_is_corrupt(capsys, tmp_path):
+    # only a learned method embeds with a model: a dft index that holds one is damaged
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    tree, meta, held = load_index(str(idx), with_model=True)
+    save_index(tree, str(idx), {**meta, "method": "dft"}, held)
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3")
+    assert code == 24 and stdout == "" and "method 'dft'" in err
 
 
 @pytest.mark.parametrize("method", ["dft", "learned-order"])
@@ -1531,6 +1649,18 @@ def test_one_subcommand_parse_gives_the_full_parsers_namespace(monkeypatch, name
         with monkeypatch.context() as patch:
             patch.setattr(cli, "build_parser", lambda: pytest.fail("the full parser was built"))
             assert vars(_parse(argv)) == want, argv
+
+
+def test_every_command_is_a_cli_attribute():
+    # `query` is defined in `cli`, the others in `commands`, reached through
+    # `cli`'s module `__getattr__` so that a wrapper set on either is called
+    from corrspace import commands
+
+    assert cli.cmd_query.__module__ == "corrspace.cli"
+    for name in set(SUBCOMMANDS) - {"query"}:
+        assert getattr(cli, f"cmd_{name}") is getattr(commands, f"cmd_{name}")
+    with pytest.raises(AttributeError, match="has no attribute 'cmd_nope'"):
+        cli.cmd_nope
 
 
 def test_python_m_matches_in_process_main(capsys, tmp_path):

@@ -685,6 +685,14 @@ def small_model(tmp_path):
     return path, path.read_bytes()
 
 
+def small_learned_index(tmp_path):
+    """A version-3 index: it holds the model of output width m = 3 that embedded its points."""
+    tree, _, _ = random_tree(5, 3, seed=39)
+    path = tmp_path / "idx.cix1"
+    save_index(tree, str(path), meta=LEARNED_META, model=init_params(4, 3, 3, seed=41))
+    return path, path.read_bytes()
+
+
 def loads_or_corrupt(loader, path, blob):
     """Loading `blob` either succeeds or raises CorruptArtifact, nothing else."""
     path.write_bytes(blob)
@@ -695,14 +703,18 @@ def loads_or_corrupt(loader, path, blob):
     return True
 
 
-@pytest.mark.parametrize("make,loader", [(small_index, load_index), (small_model, load_model)])
+@pytest.mark.parametrize(
+    "make,loader", [(small_index, load_index), (small_model, load_model), (small_learned_index, load_index)]
+)
 def test_truncated_artifact_is_corrupt_at_every_length(tmp_path, make, loader):
     path, blob = make(tmp_path)
     for size in range(len(blob)):
         assert not loads_or_corrupt(loader, path, blob[:size]), size
 
 
-@pytest.mark.parametrize("make,loader", [(small_index, load_index), (small_model, load_model)])
+@pytest.mark.parametrize(
+    "make,loader", [(small_index, load_index), (small_model, load_model), (small_learned_index, load_index)]
+)
 def test_trailing_bytes_are_corrupt(tmp_path, make, loader):
     path, blob = make(tmp_path)
     for tail in (b"\x00", b"junk", bytes(8)):
@@ -718,6 +730,63 @@ def test_corrupt_index_header_and_meta_bytes_give_only_typed_errors(tmp_path):
                 loads_or_corrupt(load_index, path, blob[:off] + bytes([value]) + blob[off + 1 :])
         for off in range(4, 20):  # any change to a size field breaks the length check
             assert not loads_or_corrupt(load_index, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
+
+
+def test_version_3_index_layout_and_round_trip(tmp_path):
+    # version 2's header plus the model block's u64 length, the metadata,
+    # the model's CHR1 bytes as `save_model` writes them, then the rows
+    path, blob = small_learned_index(tmp_path)
+    model_path = tmp_path / "model.chr1"
+    save_model(init_params(4, 3, 3, seed=41), model_path)
+    model_blob = model_path.read_bytes()
+    magic, version, n, m, meta_len, model_len = struct.unpack_from("<4sIIIIQ", blob)
+    assert (magic, version, n, m, model_len) == (INDEX_MAGIC, 3, 5, 3, len(model_blob))
+    assert json.loads(blob[28 : 28 + meta_len]) == LEARNED_META
+    assert blob[28 + meta_len : 28 + meta_len + model_len] == model_blob
+    assert len(blob) == 28 + meta_len + model_len + 5 * 8 * (1 + 3)
+    tree, meta, model = load_index(str(path), with_model=True)
+    assert meta == LEARNED_META and model.flat.tobytes() == load_model(model_path).flat.tobytes()
+    save_index(tree, str(path), meta, model)
+    assert path.read_bytes() == blob
+    # without `with_model` the index loads as any other; saved so, it is version 2
+    tree, meta = load_index(str(path))
+    save_index(tree, str(path), meta)
+    assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+    assert load_index(str(path), with_model=True)[2] is None
+
+
+def test_version_3_header_and_model_damage_gives_only_typed_errors(tmp_path):
+    path, blob = small_learned_index(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", blob, 16)
+    for off in range(4, 28):  # any change to a size field or the model length breaks the length check
+        assert not loads_or_corrupt(load_index, path, blob[:off] + bytes([blob[off] ^ 0x01]) + blob[off + 1 :])
+    model_at = 28 + meta_len
+    for off in range(model_at, model_at + 16):  # the model's magic, layer count and first layer's shape
+        for value in {0x00, 0x01, 0xFF, blob[off] ^ 0x01} - {blob[off]}:
+            assert not loads_or_corrupt(load_index, path, blob[:off] + bytes([value]) + blob[off + 1 :])
+    first_weight = model_at + 16
+    damaged = blob[:first_weight] + struct.pack("<d", np.nan) + blob[first_weight + 8 :]
+    with pytest.raises(CorruptArtifact, match="its model: layer 0 holds a non-finite"):
+        path.write_bytes(damaged)
+        load_index(str(path))
+
+
+def test_version_3_model_must_give_the_points_width(tmp_path):
+    tree, _, _ = random_tree(5, 3, seed=39)
+    path = tmp_path / "idx.cix1"
+    save_index(tree, str(path), meta=LEARNED_META, model=init_params(4, 3, 2, seed=41))
+    with pytest.raises(CorruptArtifact, match="holds no model of output width 3"):
+        load_index(str(path))
+
+
+def test_save_index_refuses_a_non_finite_model(tmp_path):
+    tree, _, _ = random_tree(5, 3, seed=39)
+    params = init_params(4, 3, 3, seed=41)
+    params.flat[0] = np.nan
+    path = tmp_path / "idx.cix1"
+    with pytest.raises(DegenerateOutput, match="not written"):
+        save_index(tree, str(path), meta=LEARNED_META, model=params)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corrupt_model_header_bytes_give_only_typed_errors(tmp_path):

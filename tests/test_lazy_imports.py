@@ -1,6 +1,7 @@
 """What a process imports. The package loads `core`, `datasets`, `evaluation`
-and `train` on first use, and `cli` imports them in the commands that use
-them, so a `query` of a held id pays for none of them. Each case runs in a fresh
+and `train` on first use, `cli` imports `commands` only to run a command
+other than `query`, and those commands import the modules they use, so a
+`query` of a held id pays for none of them. Each case runs in a fresh
 interpreter, because this one has imported every module already.
 """
 
@@ -43,8 +44,13 @@ def python(code):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def modules_after(argv):
-    """(exit code, the corrspace modules loaded) after `cli.main(argv)` in a fresh interpreter."""
+# what a query of a version-3 index needs none of: OpenSSL's hash, and `dataclasses`
+UNUSED_BY_QUERY = {"hashlib", "_hashlib", "dataclasses", "corrspace.commands"}
+
+
+def modules_after(argv, also=()):
+    """(exit code, the corrspace modules loaded, then those of `also`) after
+    `cli.main(argv)` in a fresh interpreter."""
     return python(
         "import json, sys\n"
         "from corrspace import cli\n"
@@ -52,7 +58,8 @@ def modules_after(argv):
         f"    code = cli.main({list(map(str, argv))!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'corrspace')]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        f"                                if m.split('.')[0] == 'corrspace' or m in {sorted(also)!r})]))\n"
     )
 
 
@@ -76,11 +83,46 @@ def corpus(tmp_path_factory):
 
 
 def test_query_of_a_held_id_loads_only_the_query_path(corpus):
+    # the index is version 3: it holds its model, so no model file is hashed
     code, modules = modules_after(
-        ["query", "--index", corpus / "learned.cix1", "--data", corpus / "data.csv", "--query-id", "3", "--k", "5"]
+        ["query", "--index", corpus / "learned.cix1", "--data", corpus / "data.csv", "--query-id", "3", "--k", "5"],
+        also=UNUSED_BY_QUERY,
     )
     assert code == 0
     assert set(modules) == QUERY_MODULES
+
+
+def test_query_of_a_version_2_index_hashes_its_model(corpus, tmp_path):
+    # a version-2 index names its model file and that file's sha256, which the query checks
+    v2 = tmp_path / "v2.cix1"
+    assert python(
+        "import json\n"
+        "from corrspace.index import load_index, save_index\n"
+        f"tree, meta = load_index({str(corpus / 'learned.cix1')!r})\n"
+        f"save_index(tree, {str(v2)!r}, meta)\n"
+        "print(json.dumps('model_sha256' in meta))\n"
+    )
+    code, modules = modules_after(["query", "--index", v2, "--query-id", "3", "--k", "5"], also=UNUSED_BY_QUERY)
+    assert code == 0
+    assert "hashlib" in modules and "corrspace.commands" not in modules
+
+
+@pytest.mark.parametrize("name", ["ingest", "index"])
+def test_a_command_run_as_main_imports_no_second_cli(corpus, tmp_path, name):
+    # under `python -m corrspace.cli` the module is `__main__`: the commands
+    # module must not import `corrspace.cli`, which would compile and run it again
+    argv = {
+        "ingest": ["ingest", "--input", corpus / "data.csv", "--output", tmp_path / "out.csv"],
+        "index": ["index", "--data", corpus / "data.csv", "--method", "learned-order", "--model",
+                  corpus / "model.chr1", "--output", tmp_path / "out.cix1"],
+    }[name]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "corrspace.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "corrspace.commands" in imported
+    assert "corrspace.cli" not in imported
 
 
 def test_ingest_loads_no_training_or_evaluation(corpus, tmp_path):
@@ -93,7 +135,7 @@ def test_ingest_loads_no_training_or_evaluation(corpus, tmp_path):
 def test_version_loads_none_of_the_lazy_modules():
     code, modules = modules_after(["--version"])
     assert code == 0
-    assert not LAZY & set(modules)
+    assert not (LAZY | {"corrspace.commands"}) & set(modules)
 
 
 def test_every_export_is_its_modules_own_object():

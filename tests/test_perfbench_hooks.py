@@ -66,7 +66,8 @@ def test_traced_train_records_every_training_span():
 
 def test_traced_cli_records_one_span_per_command(tmp_path):
     # the `cli.*` metrics come from the tracer's wrappers on `cli.cmd_*`,
-    # installed after import; `main` must reach the commands through them
+    # installed after import; `main` must reach the commands through them,
+    # `cmd_ingest` and `cmd_index` too, which `cli` reaches in `commands`
     code = (
         "import collections, json, sys\n"
         f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
@@ -82,13 +83,15 @@ def test_traced_cli_records_one_span_per_command(tmp_path):
         "    ['query', '--index', tmp + '/data.cix', '--query-id', '3', '--k', '5'],\n"
         "]\n"
         "codes = [cli.main(argv) for argv in argvs]\n"
-        "print(json.dumps([codes, collections.Counter(s[0] for s in t.spans if s[0].startswith('cli.'))]))\n"
+        "spans = collections.Counter(s[0] for s in t.spans if s[0].startswith('cli.'))\n"
+        "print(json.dumps([codes, spans, sorted(name for name in t.missing if name.startswith('cli.'))]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    codes, spans = json.loads(out.stdout.splitlines()[-1])
+    codes, spans, missing = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert spans == {"cli.ingest": 1, "cli.index": 1, "cli.query": 1}
+    assert missing == []
 
 
 def corrspace_names(path):
