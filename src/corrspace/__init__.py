@@ -7,8 +7,10 @@ queries then run through an exact k-d tree over the embeddings. DFT
 truncation and down-sampling baselines plus an evaluation harness
 (precision, gap, approximation loss, latency) round out the toolkit.
 
-The exports of `core`, `datasets`, `evaluation` and `train` load on first
-access (PEP 562), so a process that only queries an index never imports them.
+Every export is loaded on first access (PEP 562) from the submodule that
+defines it (`_LAZY`): `import corrspace` imports no submodule and no numpy,
+and a process that only queries an index never imports `core`, `datasets`,
+`evaluation` or `train`.
 """
 
 __version__ = "0.2.0"
@@ -17,26 +19,19 @@ import importlib
 import sys
 import types
 
-from . import errors
-from .embed import (
-    DftTruncationEmbedder,
-    DownSampleEmbedder,
-    LearnedEmbedder,
-    NetworkParams,
-    feature_width,
-    features_matrix,
-    load_model,
-    save_model,
-)
-from .index import KdTree, QueryResult, load_index, save_index, threshold_radius_sq
-
-# the exports loaded on first access, by the submodule that defines them
+# every export, by the submodule that defines it; `errors` is exported as the module itself
 _LAZY = {
+    "errors": (),
     "core": ("NormalizedSeries", "TimeSeries", "normalize"),
     "datasets": ("Dataset", "SplitDataset", "gen_example1", "gen_example2", "load_csv", "save_csv", "split"),
+    "embed": (
+        "DftTruncationEmbedder", "DownSampleEmbedder", "LearnedEmbedder", "NetworkParams", "feature_width",
+        "features_matrix", "load_model", "save_model",
+    ),
     "evaluation": (
         "EvalReport", "SweepConfig", "approximation_loss", "latency_benchmark", "pair_rows", "precision", "sweep",
     ),
+    "index": ("KdTree", "QueryResult", "load_index", "save_index", "threshold_radius_sq"),
     "train": (
         "TrainConfig", "adam_step", "batch_loss", "desk_config", "init_params", "loss_and_gradient",
         "pair_batch_from", "train", "triple_batch_from", "xavier_init",
@@ -44,13 +39,7 @@ _LAZY = {
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "errors",
-    "DftTruncationEmbedder", "DownSampleEmbedder", "LearnedEmbedder", "NetworkParams", "feature_width",
-    "features_matrix", "load_model", "save_model",
-    "KdTree", "QueryResult", "load_index", "save_index", "threshold_radius_sq",
-    *_MODULE_OF,
-]
+__all__ = ["errors", *_MODULE_OF]
 
 
 def __getattr__(name):
@@ -59,7 +48,7 @@ def __getattr__(name):
         for export in _LAZY[_MODULE_OF[name]]:
             globals()[export] = getattr(module, export)
         return globals()[name]
-    if name in _LAZY:  # a submodule not imported yet: `corrspace.datasets` names the module
+    if name in _LAZY:  # a submodule not imported yet: `corrspace.index` names the module
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

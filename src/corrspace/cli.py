@@ -22,18 +22,16 @@ import numpy as np
 
 from . import __version__
 from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, U32, U64, LearnedEmbedder, embedder_for
-from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError, check_range, flag
+from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError, check_range, flag, is_int
 from .index import load_index, rank, threshold_radius_sq
 
 # `core` and `datasets` are imported by the query modes that use them: a
 # `query` answered from the index loads neither.
 
-# the commands that `commands` defines, reached as attributes of this module
-_IN_COMMANDS = ("cmd_gen", "cmd_ingest", "cmd_split", "cmd_train", "cmd_index", "cmd_eval", "cmd_bench")
-
 
 def __getattr__(name):
-    if name in _IN_COMMANDS:
+    # `cmd_<subcommand>` for every subcommand but `query`, which is defined below
+    if name.startswith("cmd_") and name[4:] in SUBCOMMANDS:
         from . import commands
 
         return getattr(commands, name)
@@ -84,10 +82,6 @@ def _config_value(source, key, value):
     ):
         raise UsageError(f"{source}: {key} = {json.dumps(value)} is not a valid {flag(key)}")
     return typed
-
-
-def _is_int(value):
-    return type(value) is int  # not a bool, float or string
 
 
 # the methods an index is built with
@@ -179,7 +173,7 @@ def cmd_query(p):
         length = meta.get("series_length")
         if not (
             meta.get("method") in (_EMBEDDER_METHODS if model is None else LOSS_OF)
-            and _is_int(meta.get("m")) and meta["m"] == tree.m and (length is None or _is_int(length) and length > 0)
+            and is_int(meta.get("m")) and meta["m"] == tree.m and (length is None or is_int(length) and length > 0)
         ):
             raise CorruptArtifact(
                 f"{p['index']}: index metadata lacks method or m, or does not fit its points of width {tree.m}: "
@@ -423,7 +417,7 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
-def replay_manifest(manifest_path, check_inputs=True) -> int:
+def replay_manifest(manifest_path) -> int:
     """Rerun a recorded run; binary outputs must come out bit-identical. The
     recorded params get the checks a --config file's values get. Raises
     MissingArtifact for a missing manifest or input, or an input whose hash
@@ -444,12 +438,11 @@ def replay_manifest(manifest_path, check_inputs=True) -> int:
         )
     defaults = SUBCOMMANDS[doc["subcommand"]].defaults
     params = {**defaults, **_checked(doc["params"], f"manifest {manifest_path}", defaults)}
-    if check_inputs:
-        for name, entry in doc["inputs"].items():
-            if not os.path.isfile(entry["path"]):
-                raise MissingArtifact(f"input {name} of manifest {manifest_path} not found: {entry['path']}")
-            if file_sha256(entry["path"]) != entry["sha256"]:
-                raise MissingArtifact(f"input {name} changed since manifest: {entry['path']}")
+    for name, entry in doc["inputs"].items():
+        if not os.path.isfile(entry["path"]):
+            raise MissingArtifact(f"input {name} of manifest {manifest_path} not found: {entry['path']}")
+        if file_sha256(entry["path"]) != entry["sha256"]:
+            raise MissingArtifact(f"input {name} changed since manifest: {entry['path']}")
     return _run(doc["subcommand"], params)
 
 

@@ -15,12 +15,14 @@ import os
 import numpy as np
 
 from . import __version__
+from .datasets import SplitDataset, gen_example1, gen_example2, load_csv, save_csv, split
 from .embed import FIXED_EMBEDDERS, LOSS_OF, METHODS, U32, LearnedEmbedder, embedder_for, load_model, save_model
-from .errors import CorruptArtifact, MissingArtifact, UsageError, check_range
+from .errors import CorruptArtifact, MissingArtifact, UsageError, check_range, is_int
 from .files import atomic_write, read_json
 from .index import KdTree, save_index
 
-# `datasets`, `train` and `evaluation` are imported by the commands that use them.
+# `train` and `evaluation` are imported by the commands that use them: `ingest`
+# and `index` load neither.
 
 
 def file_sha256(path):
@@ -54,16 +56,6 @@ def write_manifest(path, subcommand, spec, params):
         fh.write("\n")
 
 
-def _parse_items(value, convert):
-    """The items of a comma-separated string or a JSON list, each through
-    `convert`; UsageError for an item it does not take."""
-    items = value.split(",") if isinstance(value, str) else value
-    try:
-        return [convert(x) for x in items]
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"cannot read {json.dumps(value)} as a list of {convert.__name__} values") from None
-
-
 def _number(x):
     if isinstance(x, bool):
         raise TypeError("a bool is no number")
@@ -76,15 +68,29 @@ def _integer(x):
     return int(x)
 
 
+# the item reader of each kind of list a flag takes
+_ITEM_OF = {"numbers": _number, "integers": _integer}
+
+
+def _parse_items(value, kind):
+    """The items of a comma-separated string or a JSON list, each read as one
+    of `kind`; UsageError, naming the kind, for an item that is not."""
+    items = value.split(",") if isinstance(value, str) else value
+    try:
+        return [_ITEM_OF[kind](x) for x in items]
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"cannot read {json.dumps(value)} as a list of {kind}") from None
+
+
 def _parse_ratios(value):
-    parts = _parse_items(value, _number)
+    parts = _parse_items(value, "numbers")
     if len(parts) != 3 or not (min(parts) >= 0 and abs(sum(parts) - 1.0) <= 1e-9):  # NaN fails too
         raise UsageError("ratios must be three comma-separated nonnegative numbers summing to 1")
     return tuple(parts)
 
 
 def _parse_int_list(value):
-    out = _parse_items(value, _integer)
+    out = _parse_items(value, "integers")
     if not out:
         raise UsageError("expected a non-empty comma-separated list")
     return out
@@ -111,21 +117,15 @@ def _save_split(splits, path):
         fh.write("\n")
 
 
-def _is_int(value):
-    return type(value) is int  # not a bool, float or string
-
-
 def _load_split(path):
-    from .datasets import SplitDataset
-
     doc = read_json(path, "split file", CorruptArtifact)
     keys = ("train_ids", "val_ids", "test_ids")
     if not (
         isinstance(doc, dict)
         and {"seed", "ratios", *keys} <= doc.keys()
-        and _is_int(doc["seed"])
+        and is_int(doc["seed"])
         and isinstance(doc["ratios"], list)
-        and all(isinstance(doc[key], list) and all(map(_is_int, doc[key])) for key in keys)
+        and all(isinstance(doc[key], list) and all(map(is_int, doc[key])) for key in keys)
     ):
         raise CorruptArtifact(
             f"split file {path} is not an object of seed, ratios and the integer lists {', '.join(keys)}"
@@ -139,8 +139,6 @@ def _load_split(path):
 
 
 def cmd_gen(p):
-    from .datasets import gen_example1, gen_example2, save_csv
-
     if not np.isfinite(p["eps"]):
         raise UsageError(f"--eps must be finite, got {p['eps']}")
     if p["family"] == "example1":
@@ -153,8 +151,6 @@ def cmd_gen(p):
 
 
 def cmd_ingest(p):
-    from .datasets import load_csv, save_csv
-
     ds = load_csv(p["input"], p["format"])
     save_csv(ds, p["output"])
     dropped = f" ({ds.n_constant_dropped} constant rows dropped)" if ds.n_constant_dropped else ""
@@ -163,8 +159,6 @@ def cmd_ingest(p):
 
 
 def cmd_split(p):
-    from .datasets import load_csv, split
-
     ratios = _parse_ratios(p["ratios"])
     ds = load_csv(p["data"], p["format"])
     splits = split(ds, ratios, p["seed"])
@@ -177,7 +171,6 @@ def cmd_split(p):
 
 
 def cmd_train(p):
-    from .datasets import load_csv, split
     from .train import TrainConfig, desk_config, train
 
     # the profile's values fill what no flag or config set, and the manifest records them
@@ -189,8 +182,9 @@ def cmd_train(p):
     p.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in p})
     if not p["log_out"]:  # unset or "", as an empty --manifest falls back to its default
         p["log_out"] = str(p["model_out"]) + ".log.csv"  # in --model-out's directory, which `_run` checked
+    ratios = None if p["split"] else _parse_ratios(p["ratios"])  # read before the data, as every flag is
     ds = load_csv(p["data"], p["format"])
-    splits = _load_split(p["split"]) if p["split"] else split(ds, _parse_ratios(p["ratios"]), p["seed"])
+    splits = _load_split(p["split"]) if p["split"] else split(ds, ratios, p["seed"])
     params = train(ds, splits, cfg, log_path=p["log_out"])
     save_model(params, p["model_out"])
     with open(p["log_out"]) as fh:
@@ -205,18 +199,18 @@ def cmd_train(p):
 
 
 def cmd_index(p):
-    from .datasets import load_csv
-
+    if p["method"] in FIXED_EMBEDDERS and p["m"] is None:
+        raise UsageError(f"method {p['method']} requires --m")
+    if p["partition"] != "all" and not p["split"]:
+        raise UsageError("--partition needs --split")
+    if p["method"] not in FIXED_EMBEDDERS and not p["model"]:  # 23, as `embedder_for` says it to `query`
+        raise MissingArtifact(f"method {p['method']} requires --model")
     ds = load_csv(p["data"], p["format"])
     if p["partition"] != "all":
-        if not p["split"]:
-            raise UsageError("--partition needs --split")
         splits = _load_split(p["split"])
         rows = ds.rows_for(getattr(splits, f"{p['partition']}_ids"))
     else:
         rows = slice(None)
-    if p["method"] in FIXED_EMBEDDERS and p["m"] is None:
-        raise UsageError(f"method {p['method']} requires --m")
     for key in ("split", "model"):  # unread with --partition all or a fixed method, but the manifest hashes them
         if p[key] and not os.path.isfile(p[key]):
             raise MissingArtifact(f"{key} file not found: {p[key]}")
@@ -239,7 +233,6 @@ def cmd_index(p):
 
 
 def cmd_eval(p):
-    from .datasets import load_csv
     from .evaluation import SweepConfig, sweep
 
     methods = _parse_str_list(p["methods"])

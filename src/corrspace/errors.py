@@ -2,7 +2,8 @@
 
 Every error carries a stable process exit code so the CLI can map failure
 classes to distinct codes (see cli.py and the README). `check_range` is the
-one out-of-range check of a flag's values.
+one out-of-range check of a flag's values, and `is_int` the one test of a
+JSON integer in an artifact's metadata.
 """
 
 
@@ -130,6 +131,11 @@ class UsageError(CorrSpaceError):
 def flag(key):
     """The command-line flag of the parameter `key`: --model-out for model_out."""
     return "--" + key.replace("_", "-")
+
+
+def is_int(value):
+    """Whether `value` is an int itself: not a bool, float or string."""
+    return type(value) is int
 
 
 def check_range(key, low, high, *values):

@@ -16,7 +16,7 @@ from .datasets import Dataset, split
 from .embed import FIXED_EMBEDDERS, LOSS_OF, METHODS, LearnedEmbedder, feature_width
 from .errors import KTooLarge, SizeMismatch
 from .files import atomic_write
-from .index import KdTree, rank
+from .index import KdTree, _dist_sq, rank
 from .train import TrainConfig, desk_config, init_params, train
 
 # Query rows per oracle GEMM. On OpenBLAS a block this tall gives each row the
@@ -58,9 +58,7 @@ def pair_rows(ds: Dataset, ids, seed: int):
 
 def approximation_loss(embedder, h_s, h_r) -> float:
     """Mean |2*||f(s)-f(r)||^2 - (2 - 2*corr)| over normalized row pairs (h_s[i], h_r[i])."""
-    e_s = embedder.embed_matrix(h_s)
-    e_r = embedder.embed_matrix(h_r)
-    d2e = np.einsum("ij,ij->i", e_s - e_r, e_s - e_r)
+    d2e = _dist_sq(embedder.embed_matrix(h_s), embedder.embed_matrix(h_r))  # the index's d², row by row
     corr = np.einsum("ij,ij->i", h_s, h_r)
     return float(np.mean(np.abs(2.0 * d2e - (2.0 - 2.0 * corr))))
 

@@ -76,7 +76,8 @@ class QueryResult:
 
 
 def _dist_sq(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distance from q to each row: the one kernel behind every d²."""
+    """Squared distance from q to each row, or from each row of a matrix q to
+    the same row of `rows`: the one kernel behind every d²."""
     diff = rows - q
     return np.einsum("ij,ij->i", diff, diff)
 

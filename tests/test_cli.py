@@ -315,6 +315,20 @@ def test_index_learned_method_requires_model(capsys, tmp_path):
     assert code == 23  # missing model artifact
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("index", "--method", "dft"), 2, "method dft requires --m"),
+    (("index", "--method", "dft", "--m", "4", "--partition", "train"), 2, "--partition needs --split"),
+    (("index", "--method", "learned-order"), 23, "method learned-order requires --model"),
+    (("train", "--m", "4", "--ratios", "bogus"), 2, 'cannot read "bogus" as a list of numbers'),
+], ids=["index-m", "index-split", "index-model", "train-ratios"])
+def test_own_flags_are_checked_before_the_data_is_read(capsys, tmp_path, argv, code, message):
+    # --data names no file, which would exit 23 ("data file not found") were it read first
+    out = "--output" if argv[0] == "index" else "--model-out"
+    got, stdout, err = run(capsys, *argv, "--data", str(tmp_path / "absent.csv"), out, str(tmp_path / "out"))
+    assert (got, stdout) == (code, "") and message in err and "not found" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -------------------------------------------------------------------- query
 
 def oracle_ids(data_path, query_id, k):
@@ -1343,6 +1357,28 @@ def test_list_flags_that_do_not_parse_are_usage_errors(capsys, tmp_path, flag, v
     argv = ("eval", "--data", str(data), "--methods", "dft", "--report-out", str(tmp_path / "r.csv"), flag, value)
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == "" and "error:" in err
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("ratios", "bogus", "numbers"),
+    ("ratios", [0.8, "x", 0.1], "numbers"),
+    ("m_values", "x", "integers"),
+    ("m_values", [4.5], "integers"),
+    ("k_values", "10,ten", "integers"),
+    ("k_values", ["ten"], "integers"),
+], ids=["ratios-flag", "ratios-config", "m-values-flag", "m-values-config", "k-values-flag", "k-values-config"])
+def test_a_list_that_does_not_parse_names_its_item_kind(capsys, tmp_path, key, value, kind):
+    data = gen_small(capsys, tmp_path)
+    argv = _SPLIT if key == "ratios" else (*_EVAL, "--methods", "dft")
+    argv = [arg.format(tmp=tmp_path, data=data) for arg in argv] + ["--data", str(data)]
+    if isinstance(value, str):  # as a flag
+        argv += [_flag(key), value]
+    else:  # as a --config list
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot read {json.dumps(value)} as a list of {kind}\n"
 
 
 def test_config_lists_read_as_their_flags_do(capsys, tmp_path):

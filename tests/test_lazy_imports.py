@@ -1,8 +1,8 @@
-"""What a process imports. The package loads `core`, `datasets`, `evaluation`
-and `train` on first use, `cli` imports `commands` only to run a command
-other than `query`, and those commands import the modules they use, so a
-`query` of a held id pays for none of them. Each case runs in a fresh
-interpreter, because this one has imported every module already.
+"""What a process imports. The package loads each export on first access,
+`cli` imports `commands` only to run a command other than `query`, and
+`commands` imports `train` and `evaluation` only in the commands that use
+them, so a `query` of a held id pays for none of them. Each case runs in a
+fresh interpreter, because this one has imported every module already.
 """
 
 import json
@@ -16,6 +16,27 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 LAZY = {"corrspace.datasets", "corrspace.evaluation", "corrspace.train"}
 QUERY_MODULES = {"corrspace", "corrspace.cli", "corrspace.embed", "corrspace.errors", "corrspace.index"}
+# what every command that `commands` defines loads
+COMMAND_MODULES = QUERY_MODULES | {"corrspace.commands", "corrspace.core", "corrspace.datasets", "corrspace.files"}
+
+# each subcommand's success path, and `--version`: its argv ({corpus}: the
+# `corpus` fixture's files, {tmp}: the test's own directory) and the
+# corrspace modules it loads
+LOADED_BY = {
+    "gen": (["gen", "--family", "example1", "--n", "40", "--length", "16", "--output", "{tmp}/d.csv"], COMMAND_MODULES),
+    "ingest": (["ingest", "--input", "{corpus}/data.csv", "--output", "{tmp}/d.csv"], COMMAND_MODULES),
+    "split": (["split", "--data", "{corpus}/data.csv", "--output", "{tmp}/s.json"], COMMAND_MODULES),
+    "train": (["train", "--data", "{corpus}/data.csv", "--m", "4", "--desk", "--iterations", "5",
+               "--model-out", "{tmp}/m.chr1"], COMMAND_MODULES | {"corrspace.train"}),
+    "index": (["index", "--data", "{corpus}/data.csv", "--method", "learned-order", "--model", "{corpus}/model.chr1",
+               "--output", "{tmp}/i.cix1"], COMMAND_MODULES),
+    "eval": (["eval", "--data", "{corpus}/data.csv", "--methods", "dft", "--m-values", "4", "--k-values", "3",
+              "--no-timing", "--report-out", "{tmp}/r.csv"], COMMAND_MODULES | {"corrspace.train", "corrspace.evaluation"}),
+    "bench": (["bench", "--n", "50", "--m", "4", "--k", "3", "--queries", "5", "--length", "16", "--hidden-size", "8"],
+              COMMAND_MODULES | {"corrspace.train", "corrspace.evaluation"}),
+    "query": (["query", "--index", "{corpus}/learned.cix1", "--query-id", "3", "--k", "5"], QUERY_MODULES),
+    "--version": (["--version"], QUERY_MODULES),
+}
 
 # every name the package exports, by the module that defines it
 EXPORTS = {
@@ -132,6 +153,44 @@ def test_ingest_loads_no_training_or_evaluation(corpus, tmp_path):
     assert not {"corrspace.train", "corrspace.evaluation"} & set(modules)
 
 
+@pytest.mark.parametrize("name", list(LOADED_BY))
+def test_each_subcommand_loads_only_the_modules_it_uses(corpus, tmp_path, name):
+    argv, loaded = LOADED_BY[name]
+    code, modules = modules_after([arg.format(corpus=corpus, tmp=tmp_path) for arg in argv])
+    assert code == 0
+    assert set(modules) == loaded
+
+
+def test_import_corrspace_loads_no_submodule_and_no_numpy():
+    assert python(
+        "import json, sys\n"
+        "import corrspace\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('corrspace.') or m.split('.')[0] == 'numpy')))\n"
+    ) == []
+
+
+def test_an_unknown_command_is_no_cli_attribute():
+    assert python(
+        "import json, sys\n"
+        "from corrspace import cli\n"
+        "try:\n"
+        "    cli.cmd_bogus\n"
+        "    raised = False\n"
+        "except AttributeError:\n"
+        "    raised = True\n"
+        "print(json.dumps([raised, 'corrspace.commands' in sys.modules]))\n"
+    ) == [True, False]
+
+
+def test_commands_defines_every_subcommand_but_query():
+    defined, subcommands = python(
+        "import json\n"
+        "from corrspace import cli, commands\n"
+        "print(json.dumps([sorted(name for name in vars(commands) if name.startswith('cmd_')), list(cli.SUBCOMMANDS)]))\n"
+    )
+    assert defined == sorted(f"cmd_{name}" for name in subcommands if name != "query")
+
+
 def test_version_loads_none_of_the_lazy_modules():
     code, modules = modules_after(["--version"])
     assert code == 0
@@ -147,7 +206,7 @@ def test_every_export_is_its_modules_own_object():
         f"exports = {EXPORTS!r}\n"
         "wrong = [name for module, names in exports.items() for name in names\n"
         "         if getattr(corrspace, name) is not getattr(importlib.import_module(module), name)]\n"
-        "wrong += [name for name in ('errors', 'core', 'datasets', 'evaluation')  # the submodules themselves\n"
+        "wrong += [name for name in ('errors', 'core', 'datasets', 'embed', 'evaluation', 'index')  # the submodules\n"
         "          if getattr(corrspace, name) is not importlib.import_module(f'corrspace.{name}')]\n"
         "listed = dir(corrspace)\n"
         f"wrong += [name for name in {names!r} if name not in listed or name not in corrspace.__all__]\n"
