@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, U32, U64, LearnedEmbedder, embedder_for
+from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, U32, U64, embedder_for, load_model
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError, check_range, flag, is_int
 from .index import load_index, rank, threshold_radius_sq
 
@@ -179,13 +179,18 @@ def cmd_query(p):
                 f"{p['index']}: index metadata lacks method or m, or does not fit its points of width {tree.m}: "
                 f"method {meta.get('method')!r}, m {meta.get('m')!r}, series_length {length!r}"
             )
-        if model is not None:  # a version-3 index holds the model that built it
-            if p["model"]:
-                raise UsageError(f"--model is not taken with {p['index']}: the index holds the model that built it")
-            embedder = LearnedEmbedder(model)
-        else:  # loaded even when unused: its errors show, a model that did not build the index among them
+        if p["model"] and model is not None:  # a version-3 index holds the model that built it
+            raise UsageError(f"--model is not taken with {p['index']}: the index holds the model that built it")
+        if p["model"] and meta["method"] in FIXED_EMBEDDERS:
+            raise UsageError(f"--model is not taken with {p['index']}: method {meta['method']} uses no model")
+        if model is None and meta["method"] in LOSS_OF:
+            # version 2: the model file, loaded even when unused so that its errors show,
+            # a model that did not build the index among them
             model_path = p["model"] or meta.get("model")
-            embedder = embedder_for(meta["method"], meta["m"], model_path, meta.get("model_sha256"))
+            if not model_path:
+                raise MissingArtifact(f"method {meta['method']} requires --model")
+            model = load_model(model_path, meta.get("model_sha256"))
+        embedder = embedder_for(meta["method"], meta["m"], model)
 
         def search(q, k):
             if k is None:

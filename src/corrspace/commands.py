@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import SplitDataset, gen_example1, gen_example2, load_csv, save_csv, split
-from .embed import FIXED_EMBEDDERS, LOSS_OF, METHODS, U32, LearnedEmbedder, embedder_for, load_model, save_model
+from .embed import LOSS_OF, METHODS, U32, embedder_for, load_model, save_model
 from .errors import CorruptArtifact, MissingArtifact, UsageError, check_range, is_int
 from .files import atomic_write, read_json
 from .index import KdTree, save_index
@@ -187,24 +187,28 @@ def cmd_train(p):
     splits = _load_split(p["split"]) if p["split"] else split(ds, ratios, p["seed"])
     params = train(ds, splits, cfg, log_path=p["log_out"])
     save_model(params, p["model_out"])
-    with open(p["log_out"]) as fh:
-        lines = fh.read().strip().splitlines()
-    first, last = lines[1].split(","), lines[-1].split(",")
-    print(
-        f"trained {p['loss']} m={p['m']}: train loss {float(first[1]):.4g} -> "
-        f"{float(last[1]):.4g} over {last[0]} iterations ({float(last[3]) / 1e3:.1f} s)"
-    )
+    if os.path.isfile(p["log_out"]):  # the losses and time are read back from the log
+        with open(p["log_out"]) as fh:
+            lines = fh.read().strip().splitlines()
+        first, last = lines[1].split(","), lines[-1].split(",")
+        print(
+            f"trained {p['loss']} m={p['m']}: train loss {float(first[1]):.4g} -> "
+            f"{float(last[1]):.4g} over {last[0]} iterations ({float(last[3]) / 1e3:.1f} s)"
+        )
+    else:  # /dev/null or a pipe keeps nothing to read back
+        print(f"trained {p['loss']} m={p['m']} over {cfg.iterations} iterations")
     print(f"model -> {p['model_out']}")
     return 0
 
 
 def cmd_index(p):
-    if p["method"] in FIXED_EMBEDDERS and p["m"] is None:
+    learned = p["method"] in LOSS_OF
+    if not learned and p["m"] is None:
         raise UsageError(f"method {p['method']} requires --m")
     if p["partition"] != "all" and not p["split"]:
         raise UsageError("--partition needs --split")
-    if p["method"] not in FIXED_EMBEDDERS and not p["model"]:  # 23, as `embedder_for` says it to `query`
-        raise MissingArtifact(f"method {p['method']} requires --model")
+    if learned and not p["model"]:
+        raise UsageError(f"method {p['method']} requires --model")
     ds = load_csv(p["data"], p["format"])
     if p["partition"] != "all":
         splits = _load_split(p["split"])
@@ -214,7 +218,8 @@ def cmd_index(p):
     for key in ("split", "model"):  # unread with --partition all or a fixed method, but the manifest hashes them
         if p[key] and not os.path.isfile(p[key]):
             raise MissingArtifact(f"{key} file not found: {p[key]}")
-    embedder = embedder_for(p["method"], p["m"], p["model"])
+    model = load_model(p["model"]) if learned else None
+    embedder = embedder_for(p["method"], p["m"], model)
     tree = KdTree(embedder.embed_matrix(ds.normalized_matrix(rows)), ds.ids[rows])
     meta = {
         "method": p["method"],
@@ -222,11 +227,8 @@ def cmd_index(p):
         "series_length": int(ds.length),
         "model": str(p["model"]) if p["model"] else None,
     }
-    model = None
-    if isinstance(embedder, LearnedEmbedder):
-        # the index holds the model (version 3), and records which file it came from
+    if learned:  # the index holds the model (version 3), and records which file it came from
         meta["model_sha256"] = file_sha256(p["model"])
-        model = embedder.params
     save_index(tree, p["output"], meta, model)
     print(f"indexed {tree.n} series (method={p['method']}, m={embedder.m}) -> {p['output']}")
     return 0
@@ -246,7 +248,7 @@ def cmd_eval(p):
     ratios = _parse_ratios(p["ratios"])
     try:
         cfg = SweepConfig(
-            seed=p["seed"], ratios=ratios, profile="desk" if p["desk"] else "full",
+            seed=p["seed"], ratios=ratios, desk=p["desk"],
             max_queries=p["max_queries"], timing=bool(p["timing"]),
         )
     except ValueError as exc:  # --max-queries below 1

@@ -32,7 +32,6 @@ class Dataset:
     ids: np.ndarray
     values: np.ndarray
     provenance: str = ""
-    seed: int | None = None
     n_constant_dropped: int = 0
 
     def __post_init__(self):
@@ -328,7 +327,6 @@ def gen_example1(n: int, big_m: int, seed: int = 0) -> Dataset:
         ids=np.arange(n),
         values=values,
         provenance=f"gen_example1(n={n}, M={big_m}, seed={seed})",
-        seed=seed,
     )
 
 
@@ -378,5 +376,4 @@ def gen_example2(n: int, big_m: int, m: int, eps: float = 0.01, seed: int = 0) -
         ids=np.arange(n),
         values=values,
         provenance=f"gen_example2(n={n}, M={big_m}, m={m}, eps={eps}, seed={seed})",
-        seed=seed,
     )

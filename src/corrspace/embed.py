@@ -191,15 +191,12 @@ LOSS_OF = {"learned-approx": APPROXIMATE, "learned-order": ORDER}
 METHODS = ("exact", *FIXED_EMBEDDERS, *LOSS_OF)
 
 
-def embedder_for(method, m, model_path, model_sha256=None):
-    """The embedder of an index's `method`: a fixed one of width `m`, or a
-    learned one that loads `model_path`, whose bytes must hash to
-    `model_sha256` when it is given (`load_model`)."""
+def embedder_for(method, m, params=None):
+    """The embedder of `method`: a fixed one of width `m`, or the learned one
+    of the model `params` (`NetworkParams`)."""
     if method in FIXED_EMBEDDERS:
         return FIXED_EMBEDDERS[method](m)
-    if not model_path:
-        raise MissingArtifact(f"method {method} requires --model")
-    return LearnedEmbedder(load_model(model_path, model_sha256))
+    return LearnedEmbedder(params)
 
 
 def model_bytes(p: NetworkParams, path) -> bytes:

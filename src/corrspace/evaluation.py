@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, split
-from .embed import FIXED_EMBEDDERS, LOSS_OF, METHODS, LearnedEmbedder, feature_width
+from .embed import LOSS_OF, METHODS, LearnedEmbedder, embedder_for, feature_width
 from .errors import KTooLarge, SizeMismatch
 from .files import atomic_write
 from .index import KdTree, _dist_sq, rank
@@ -108,30 +108,13 @@ class EvalReport:
 class SweepConfig:
     seed: int = 0
     ratios: tuple = (0.8, 0.1, 0.1)
-    profile: str = "desk"  # training profile for learned methods: "desk" | "full"
+    desk: bool = True  # learned methods train with `desk_config`, else with the full `TrainConfig`
     max_queries: int | None = None
     timing: bool = True
 
     def __post_init__(self):
         if self.max_queries is not None and self.max_queries < 1:
             raise ValueError(f"max_queries must be at least 1, got {self.max_queries}")
-
-
-def _train_config(method, m, cfg):
-    kind = LOSS_OF[method]
-    if cfg.profile == "desk":
-        return desk_config(m=m, loss_kind=kind, seed=cfg.seed)
-    return TrainConfig(m=m, loss_kind=kind, seed=cfg.seed)
-
-
-def build_embedder(method: str, m: int, ds: Dataset, splits, cfg: SweepConfig):
-    """Construct (training if needed) the embedder for one method/m cell."""
-    if method in FIXED_EMBEDDERS:
-        return FIXED_EMBEDDERS[method](m)
-    if method in LOSS_OF:
-        params = train(ds, splits, _train_config(method, m, cfg))
-        return LearnedEmbedder(params)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConfig()) -> EvalReport:
@@ -161,6 +144,7 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
             raise KTooLarge(f"k={k} exceeds pool size {n_pool}")
 
     pair_s, pair_r = pair_rows(ds, splits.test_ids, cfg.seed)
+    profile = desk_config if cfg.desk else TrainConfig  # the learned methods' training profile
     by_id = np.argsort(pool_ids)  # pool column of each answer id, by `searchsorted`
     rank_lat = {k: [] for k in k_values}
     # (method, m, k, approx_loss, embed_us, latencies, each query's top-k as pool columns or None for "exact")
@@ -170,7 +154,8 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
             cells += [("exact", 0, k, 0.0, 0.0, rank_lat[k], None) for k in k_values]
             continue
         for m in m_values:
-            embedder = build_embedder(method, m, ds, splits, cfg)
+            params = train(ds, splits, profile(m, LOSS_OF[method], seed=cfg.seed)) if method in LOSS_OF else None
+            embedder = embedder_for(method, m, params)
             t0 = time.perf_counter()
             emb_q = embedder.embed_matrix(q_h)
             embed_us = (time.perf_counter() - t0) / n_q * 1e6 if cfg.timing else float("nan")

@@ -76,30 +76,26 @@ def init_params(input_width: int, hidden_size: int, m: int, seed: int) -> Networ
 
 
 @dataclass(frozen=True)
-class PairBatch:
-    f_s: np.ndarray  # (B, input_width) features of s
-    f_r: np.ndarray
-    target: np.ndarray  # 2*(1 - corr(s, r)), shape (B,)
+class Batch:
+    """A pair or triple batch: the feature rows of every s, then every r,
+    then (triples) every u, stacked, and one target per element."""
+
+    f: np.ndarray  # (2B or 3B, input_width)
+    target: np.ndarray  # pairs 2*(1 - corr(s, r)), triples 2*(corr(r, u) - corr(r, s)); shape (B,)
 
 
-@dataclass(frozen=True)
-class TripleBatch:
-    f_s: np.ndarray
-    f_r: np.ndarray  # the reference series
-    f_u: np.ndarray
-    target: np.ndarray  # 2*(corr(r, u) - corr(r, s)), shape (B,)
-
-
-def pair_batch_from(h: np.ndarray, f: np.ndarray, idx_s, idx_r) -> PairBatch:
+def pair_batch_from(h: np.ndarray, f: np.ndarray, idx_s, idx_r) -> Batch:
     """Assemble a pair batch from normalized rows `h` and feature rows `f`."""
     corr = np.einsum("ij,ij->i", h[idx_s], h[idx_r])
-    return PairBatch(f_s=f[idx_s], f_r=f[idx_r], target=2.0 * (1.0 - corr))
+    return Batch(f=f[np.concatenate([idx_s, idx_r])], target=2.0 * (1.0 - corr))
 
 
-def triple_batch_from(h: np.ndarray, f: np.ndarray, idx_s, idx_r, idx_u) -> TripleBatch:
-    corr_rs = np.einsum("ij,ij->i", h[idx_r], h[idx_s])
-    corr_ru = np.einsum("ij,ij->i", h[idx_r], h[idx_u])
-    return TripleBatch(f_s=f[idx_s], f_r=f[idx_r], f_u=f[idx_u], target=2.0 * (corr_ru - corr_rs))
+def triple_batch_from(h: np.ndarray, f: np.ndarray, idx_s, idx_r, idx_u) -> Batch:
+    """Assemble a triple batch, r the reference series, from `h` and `f`."""
+    h_r = h[idx_r]
+    corr_rs = np.einsum("ij,ij->i", h_r, h[idx_s])
+    corr_ru = np.einsum("ij,ij->i", h_r, h[idx_u])
+    return Batch(f=f[np.concatenate([idx_s, idx_r, idx_u])], target=2.0 * (corr_ru - corr_rs))
 
 
 def _backward(p: NetworkParams, acts, v, n, y_bar) -> np.ndarray:
@@ -118,18 +114,17 @@ def _backward(p: NetworkParams, acts, v, n, y_bar) -> np.ndarray:
     return grad
 
 
-def _forward_loss(p: NetworkParams, batch):
-    """(acts, v, n, inner, gaps) for a PairBatch or TripleBatch: the forward
+def _forward_loss(p: NetworkParams, batch: Batch):
+    """(acts, v, n, inner, gaps) for a pair or triple batch: the forward
     trace of its stacked rows, each element's signed loss term and the
     embedding gaps it was computed from, (y_s − y_r,) for pairs and
     (y_r − y_s, y_r − y_u) for triples."""
     b = batch.target.shape[0]
-    if isinstance(batch, PairBatch):
-        acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r]))
+    acts, v, n, y = forward_trace(p, batch.f)
+    if len(y) == 2 * b:
         diff = y[:b] - y[b:]
         inner = 2.0 * np.sum(diff * diff, axis=1) - batch.target
         return acts, v, n, inner, (diff,)
-    acts, v, n, y = forward_trace(p, np.vstack([batch.f_s, batch.f_r, batch.f_u]))
     d_rs = y[b : 2 * b] - y[:b]
     d_ru = y[b : 2 * b] - y[2 * b :]
     inner = 2.0 * (np.sum(d_rs * d_rs, axis=1) - np.sum(d_ru * d_ru, axis=1)) - batch.target
@@ -146,13 +141,13 @@ def _output_gradient(inner, gaps):
     return np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
 
 
-def batch_loss(p: NetworkParams, batch) -> float:
+def batch_loss(p: NetworkParams, batch: Batch) -> float:
     """Mean per-element loss over the batch."""
     return float(np.mean(np.abs(_forward_loss(p, batch)[3])))
 
 
-def loss_and_gradient(p: NetworkParams, batch):
-    """(mean loss, parameter gradient laid out like `p.flat`) for a PairBatch or TripleBatch."""
+def loss_and_gradient(p: NetworkParams, batch: Batch):
+    """(mean loss, parameter gradient laid out like `p.flat`) for a pair or triple batch."""
     acts, v, n, inner, gaps = _forward_loss(p, batch)
     return float(np.mean(np.abs(inner))), _backward(p, acts, v, n, _output_gradient(inner, gaps))
 

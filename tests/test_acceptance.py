@@ -82,7 +82,7 @@ def example1_desk():
 
 
 EXAMPLE2_ARGS = dict(n=2000, big_m=128, m=8, eps=0.01, seed=0)
-EXAMPLE2_SWEEP = SweepConfig(profile="desk", timing=False)
+EXAMPLE2_SWEEP = SweepConfig(desk=True, timing=False)
 
 
 @pytest.fixture(scope="module")
@@ -235,17 +235,18 @@ def _loss_with_kink_diag(params, batch):
         n = np.linalg.norm(v, axis=1)
         return v / (n + 1e-12)[:, None], z, n
 
-    if hasattr(batch, "f_u"):
-        y_s, z1, n1 = emb(batch.f_s)
-        y_r, z2, n2 = emb(batch.f_r)
-        y_u, z3, n3 = emb(batch.f_u)
+    b = len(batch.target)
+    if len(batch.f) == 3 * b:  # the rows of s, r and u
+        y_s, z1, n1 = emb(batch.f[:b])
+        y_r, z2, n2 = emb(batch.f[b : 2 * b])
+        y_u, z3, n3 = emb(batch.f[2 * b :])
         d_rs = np.sum((y_r - y_s) ** 2, axis=1)
         d_ru = np.sum((y_r - y_u) ** 2, axis=1)
         e = 2.0 * (d_rs - d_ru) - batch.target
         z_all, n_all = np.concatenate([z1, z2, z3], axis=None), np.concatenate([n1, n2, n3])
-    else:
-        y_s, z1, n1 = emb(batch.f_s)
-        y_r, z2, n2 = emb(batch.f_r)
+    else:  # the rows of s and r
+        y_s, z1, n1 = emb(batch.f[:b])
+        y_r, z2, n2 = emb(batch.f[b:])
         e = 2.0 * np.sum((y_s - y_r) ** 2, axis=1) - batch.target
         z_all, n_all = np.concatenate([z1, z2], axis=None), np.concatenate([n1, n2])
     margin = min(np.abs(z_all).min(), np.abs(e).min(), n_all.min())

@@ -89,6 +89,14 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    import corrspace
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == corrspace.__version__
+
+
 # ------------------------------------------------------------------- ingest
 
 def test_ingest_canonicalizes_and_reports_drops(capsys, tmp_path):
@@ -233,6 +241,23 @@ def test_train_empty_log_out_is_the_default(capsys, tmp_path):
     assert doc["params"]["log_out"] == doc["outputs"]["log"]["path"] == str(log)
 
 
+def test_train_log_out_that_keeps_nothing(capsys, tmp_path):
+    # a log at /dev/null cannot be read back for the summary: the run still
+    # writes the model and the manifest, and says what it trained
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "model.bin"
+    code, stdout, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk",
+        "--iterations", "5", "--model-out", str(model), "--log-out", os.devnull,
+    )
+    assert (code, err) == (0, "")
+    assert stdout == f"trained approximate m=4 over 5 iterations\nmodel -> {model}\n"
+    assert model.read_bytes()[:4] == b"CHR1"
+    doc = json.loads((tmp_path / "model.bin.manifest.json").read_text())
+    assert doc["outputs"]["log"]["path"] == os.devnull
+    assert doc["outputs"]["model"]["sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
+
+
 def test_train_zero_iterations_saves_init(capsys, tmp_path):
     data = gen_small(capsys, tmp_path)
     model = tmp_path / "model.bin"
@@ -312,13 +337,13 @@ def test_index_learned_method_requires_model(capsys, tmp_path):
         capsys, "index", "--data", str(data), "--method", "learned-approx",
         "--output", str(tmp_path / "x.idx"),
     )
-    assert code == 23  # missing model artifact
+    assert code == 2 and "method learned-approx requires --model" in err  # a usage error, as every required flag
 
 
 @pytest.mark.parametrize("argv, code, message", [
     (("index", "--method", "dft"), 2, "method dft requires --m"),
     (("index", "--method", "dft", "--m", "4", "--partition", "train"), 2, "--partition needs --split"),
-    (("index", "--method", "learned-order"), 23, "method learned-order requires --model"),
+    (("index", "--method", "learned-order"), 2, "method learned-order requires --model"),
     (("train", "--m", "4", "--ratios", "bogus"), 2, 'cannot read "bogus" as a list of numbers'),
 ], ids=["index-m", "index-split", "index-model", "train-ratios"])
 def test_own_flags_are_checked_before_the_data_is_read(capsys, tmp_path, argv, code, message):
@@ -828,6 +853,29 @@ def test_model_flag_with_a_version_3_index_is_a_usage_error(capsys, tmp_path):
     code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--model", str(model))
     assert code == 2 and stdout == ""
     assert err == f"error: --model is not taken with {idx}: the index holds the model that built it\n"
+
+
+@pytest.mark.parametrize("method", ["dft", "downsample"])
+@pytest.mark.parametrize("exists", [False, True], ids=["missing-model", "model"])
+def test_model_flag_with_a_fixed_index_is_a_usage_error(capsys, tmp_path, method, exists):
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data, method, "4")
+    model = train_model(capsys, tmp_path, data, seed=0) if exists else tmp_path / "absent.chr1"
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--model", str(model))
+    assert code == 2 and stdout == ""
+    assert err == f"error: --model is not taken with {idx}: method {method} uses no model\n"
+
+
+def test_version_2_index_that_names_no_model(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    tree, meta = load_index(str(idx))
+    save_index(tree, str(idx), {**meta, "model": None})
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3")
+    assert (code, stdout, err) == (23, "", "error: method learned-order requires --model\n")
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--model", str(model))
+    assert code == 0 and stdout.startswith("# query id 3 (method=learned-order, m=4)\n"), err
 
 
 def test_version_3_index_of_a_fixed_method_is_corrupt(capsys, tmp_path):

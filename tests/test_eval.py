@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corrspace.datasets import Dataset, gen_example1, split
-from corrspace.embed import DftTruncationEmbedder, DownSampleEmbedder
+from corrspace.embed import DftTruncationEmbedder, DownSampleEmbedder, embedder_for
 from corrspace.errors import KTooLarge, SizeMismatch
 from corrspace.index import KdTree, rank
 from corrspace.evaluation import (
@@ -19,7 +19,6 @@ from corrspace.evaluation import (
     _oracle_rows,
     _true_d2,
     approximation_loss,
-    build_embedder,
     latency_benchmark,
     pair_rows,
     precision,
@@ -248,7 +247,7 @@ def reference_sweep(ds, methods, m_values, k_values, cfg):
             rows += [("exact", 0, k, 1.0, 0.0, 0.0) for k in k_values]
             continue
         for m in m_values:
-            embedder = build_embedder(method, m, ds, splits, cfg)
+            embedder = embedder_for(method, m)
             emb_q = embedder.embed_matrix(q_h)
             tree = KdTree(embedder.embed_matrix(pool_h), pool_ids)
             approx = approximation_loss(embedder, h[pair_s], h[pair_r])

@@ -14,9 +14,8 @@ from corrspace.train import (
     APPROXIMATE,
     ORDER,
     AdamState,
-    PairBatch,
+    Batch,
     TrainConfig,
-    TripleBatch,
     adam_step,
     batch_loss,
     desk_config,
@@ -200,7 +199,7 @@ def test_gradient_zero_when_loss_zero():
     # identical pairs: distance 0, target 0, |0| with sign(0) = 0 subgradient
     p = init_params(8, 8, 4, seed=0)
     f = features_matrix(rows(norm_ts(np.random.default_rng(17).standard_normal(8))))
-    batch = PairBatch(f_s=f, f_r=f, target=np.zeros(1))
+    batch = Batch(f=np.vstack([f, f]), target=np.zeros(1))
     assert np.all(loss_and_gradient(p, batch)[1] == 0.0)
 
 
