@@ -151,6 +151,9 @@ def cmd_query(p):
         raise UsageError(f"--slack must be positive, got {p['slack']}")
     ds = embedder = held = None
     if p["exact"]:
+        for key in ("index", "model"):
+            if p[key]:
+                raise UsageError(f"{flag(key)} is not taken with --exact: it answers from every series of --data")
         if not p["data"]:
             raise UsageError("--exact requires --data")
         from .datasets import load_csv
@@ -386,8 +389,9 @@ def _command(name):
 def _run(name, p) -> int:
     """Run `cmd_<name>` on the resolved parameters `p` after refusing an unset or
     empty required parameter, a number outside its limits, a --manifest with no
-    output, and an output that is a directory or in a missing one; write the
-    manifest at --manifest or beside the first output."""
+    output, an output that is a directory or in a missing one, and two outputs
+    that name one file; write the manifest at --manifest or beside the first
+    output."""
     spec = SUBCOMMANDS[name]
     missing = [flag(key) for key in spec.required if p[key] is None or p[key] == ""]
     if missing:
@@ -400,11 +404,17 @@ def _run(name, p) -> int:
         flags, artifacts = " or ".join(map(flag, spec.outputs.values())), " or ".join(spec.outputs)
         raise UsageError(f"--manifest needs {flags}: without a {artifacts} {name} writes no artifact")
     manifest = p.get("manifest") or (f"{outputs[0]}.manifest.json" if outputs else None)
-    for path in (*outputs, manifest):
+    written = {}  # the key of each output file, by its real path
+    for key in (*spec.outputs.values(), "manifest"):
+        path = manifest if key == "manifest" else p[key]
         if path and not os.path.isdir(os.path.dirname(str(path)) or "."):
             raise MissingArtifact(f"output directory not found: {path}")
         if path and os.path.isdir(path):
             raise MissingArtifact(f"output file not found: {path} is a directory")
+        if path and (os.path.isfile(path) or not os.path.exists(path)):  # /dev/null or a pipe may take several
+            first = written.setdefault(os.path.realpath(path), key)
+            if first != key:
+                raise UsageError(f"{flag(first)} and {flag(key)} name the same file: {path}")
     code = _command(name)(p)
     if manifest:  # after the command: `train` resolves its parameters as it runs
         from .commands import write_manifest

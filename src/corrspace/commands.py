@@ -175,10 +175,7 @@ def cmd_train(p):
 
     # the profile's values fill what no flag or config set, and the manifest records them
     given = {f.name: p[f.name] for f in dataclasses.fields(TrainConfig) if p.get(f.name) is not None}
-    try:
-        cfg = (desk_config if p["desk"] else TrainConfig)(loss_kind=p["loss"], **given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = (desk_config if p["desk"] else TrainConfig)(loss_kind=p["loss"], **given)
     p.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in p})
     if not p["log_out"]:  # unset or "", as an empty --manifest falls back to its default
         p["log_out"] = str(p["model_out"]) + ".log.csv"  # in --model-out's directory, which `_run` checked
@@ -246,13 +243,9 @@ def cmd_eval(p):
     if LOSS_OF.keys() & set(methods):  # a fixed embedder reports its own m range (InvalidM)
         check_range("m_values", 1, U32, *m_values)
     ratios = _parse_ratios(p["ratios"])
-    try:
-        cfg = SweepConfig(
-            seed=p["seed"], ratios=ratios, desk=p["desk"],
-            max_queries=p["max_queries"], timing=bool(p["timing"]),
-        )
-    except ValueError as exc:  # --max-queries below 1
-        raise UsageError(str(exc)) from None
+    cfg = SweepConfig(
+        seed=p["seed"], ratios=ratios, desk=p["desk"], max_queries=p["max_queries"], timing=bool(p["timing"])
+    )
     ds = load_csv(p["data"], p["format"])
     report = sweep(ds, methods, m_values, k_values, cfg)
     report.save_csv(p["report_out"])

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact, ModelMismatch
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact, ModelMismatch, UsageError
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
@@ -135,8 +135,6 @@ class LearnedEmbedder:
     (`feature_width`); any other length raises DimensionMismatch.
     """
 
-    name = "learned"
-
     def __init__(self, params: NetworkParams):
         self.params = params
         self.m = params.output_width
@@ -152,8 +150,6 @@ class DftTruncationEmbedder:
     4*d_{m/2}^2, the symmetry-corrected estimate of 2 - 2*corr.
     """
 
-    name = "dft"
-
     def __init__(self, m: int):
         self.m = m
 
@@ -166,8 +162,6 @@ class DftTruncationEmbedder:
 
 class DownSampleEmbedder:
     """Down-sampling baseline: every floor(j*M/m)-th value, rescaled by sqrt(M/m)."""
-
-    name = "downsample"
 
     def __init__(self, m: int):
         self.m = m
@@ -193,9 +187,11 @@ METHODS = ("exact", *FIXED_EMBEDDERS, *LOSS_OF)
 
 def embedder_for(method, m, params=None):
     """The embedder of `method`: a fixed one of width `m`, or the learned one
-    of the model `params` (`NetworkParams`)."""
+    of the model `params` (`NetworkParams`), which a learned method requires."""
     if method in FIXED_EMBEDDERS:
         return FIXED_EMBEDDERS[method](m)
+    if params is None:
+        raise UsageError(f"method {method} requires a model")
     return LearnedEmbedder(params)
 
 

@@ -122,8 +122,8 @@ class ModelMismatch(CorrSpaceError):
     exit_code = 26
 
 
-class UsageError(CorrSpaceError):
-    """Invalid command-line arguments."""
+class UsageError(CorrSpaceError, ValueError):
+    """Invalid command-line arguments, `TrainConfig` or `SweepConfig` values."""
 
     exit_code = 2
 

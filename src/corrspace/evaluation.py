@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Dataset, split
 from .embed import LOSS_OF, METHODS, LearnedEmbedder, embedder_for, feature_width
-from .errors import KTooLarge, SizeMismatch
+from .errors import EmptyInput, KTooLarge, SizeMismatch, UsageError
 from .files import atomic_write
 from .index import KdTree, _dist_sq, rank
 from .train import TrainConfig, desk_config, init_params, train
@@ -114,7 +114,7 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.max_queries is not None and self.max_queries < 1:
-            raise ValueError(f"max_queries must be at least 1, got {self.max_queries}")
+            raise UsageError(f"max_queries must be at least 1, got {self.max_queries}")
 
 
 def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConfig()) -> EvalReport:
@@ -139,6 +139,8 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
     pool_h, pool_ids = h[train_rows], ds.ids[train_rows]
     q_h = h[test_rows]
     n_pool, n_q = len(train_rows), len(test_rows)
+    if n_q == 0:
+        raise EmptyInput("the test partition holds no series to query")
     for k in k_values:
         if k > n_pool:
             raise KTooLarge(f"k={k} exceeds pool size {n_pool}")
@@ -249,7 +251,7 @@ def latency_benchmark(
     pct = lambda xs, p: float(np.percentile(xs, p))
     return {
         "n": n,
-        "m": m,
+        "m": embedder.m,
         "k": k,
         "n_queries": n_queries,
         "build_ms": build_ms,

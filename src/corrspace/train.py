@@ -20,7 +20,7 @@ from .datasets import Dataset, SplitDataset
 from .embed import (
     APPROXIMATE, ORDER, SMOOTH_EPS, NetworkParams, feature_width, features_matrix, forward_trace, layer_views,
 )
-from .errors import InsufficientData
+from .errors import InsufficientData, UsageError
 from .files import atomic_write
 
 ADAM_BETA1 = 0.9
@@ -45,11 +45,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss_kind not in (APPROXIMATE, ORDER):
-            raise ValueError(f"loss_kind must be {APPROXIMATE!r} or {ORDER!r}")
+            raise UsageError(f"loss_kind must be {APPROXIMATE!r} or {ORDER!r}")
         if self.m < 1 or self.hidden_size < 1 or self.batch_size < 1:
-            raise ValueError("m, hidden_size and batch_size must be positive")
+            raise UsageError("m, hidden_size and batch_size must be positive")
         if self.iterations < 0 or not 0 < self.learning_rate < np.inf or self.seed < 0:  # NaN fails too
-            raise ValueError("bad iterations/learning_rate/seed")
+            raise UsageError("bad iterations/learning_rate/seed")
 
 
 def desk_config(m, loss_kind=APPROXIMATE, seed=0, **overrides) -> TrainConfig:
@@ -115,30 +115,20 @@ def _backward(p: NetworkParams, acts, v, n, y_bar) -> np.ndarray:
 
 
 def _forward_loss(p: NetworkParams, batch: Batch):
-    """(acts, v, n, inner, gaps) for a pair or triple batch: the forward
-    trace of its stacked rows, each element's signed loss term and the
-    embedding gaps it was computed from, (y_s − y_r,) for pairs and
-    (y_r − y_s, y_r − y_u) for triples."""
+    """(acts, v, n, inner, y_bar) for a pair or triple batch: the forward
+    trace of its stacked rows, each element's signed loss term and dL/dy of
+    the stacked rows, both from the embedding gaps y_r − y_s (and y_r − y_u)."""
     b = batch.target.shape[0]
     acts, v, n, y = forward_trace(p, batch.f)
-    if len(y) == 2 * b:
-        diff = y[:b] - y[b:]
-        inner = 2.0 * np.sum(diff * diff, axis=1) - batch.target
-        return acts, v, n, inner, (diff,)
     d_rs = y[b : 2 * b] - y[:b]
+    if len(y) == 2 * b:
+        inner = 2.0 * np.sum(d_rs * d_rs, axis=1) - batch.target
+        g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
+        return acts, v, n, inner, np.vstack([-g * d_rs, g * d_rs])
     d_ru = y[b : 2 * b] - y[2 * b :]
     inner = 2.0 * (np.sum(d_rs * d_rs, axis=1) - np.sum(d_ru * d_ru, axis=1)) - batch.target
-    return acts, v, n, inner, (d_rs, d_ru)
-
-
-def _output_gradient(inner, gaps):
-    """dL/dy of the stacked rows, from `_forward_loss`'s inner and gaps."""
-    g = np.sign(inner)[:, np.newaxis] * (4.0 / len(inner))
-    if len(gaps) == 1:
-        (diff,) = gaps
-        return np.vstack([g * diff, -g * diff])
-    d_rs, d_ru = gaps
-    return np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
+    g = np.sign(inner)[:, np.newaxis] * (4.0 / b)
+    return acts, v, n, inner, np.vstack([-g * d_rs, g * (d_rs - d_ru), g * d_ru])
 
 
 def batch_loss(p: NetworkParams, batch: Batch) -> float:
@@ -148,8 +138,8 @@ def batch_loss(p: NetworkParams, batch: Batch) -> float:
 
 def loss_and_gradient(p: NetworkParams, batch: Batch):
     """(mean loss, parameter gradient laid out like `p.flat`) for a pair or triple batch."""
-    acts, v, n, inner, gaps = _forward_loss(p, batch)
-    return float(np.mean(np.abs(inner))), _backward(p, acts, v, n, _output_gradient(inner, gaps))
+    acts, v, n, inner, y_bar = _forward_loss(p, batch)
+    return float(np.mean(np.abs(inner))), _backward(p, acts, v, n, y_bar)
 
 
 @dataclass

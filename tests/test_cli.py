@@ -405,6 +405,18 @@ def test_query_exact_threshold_self_excluded(capsys, tmp_path):
     np.testing.assert_allclose([h[1] for h in hits], 2.0 - 2.0 * corr[keep], atol=1e-8)
 
 
+@pytest.mark.parametrize("given, message", [
+    (("--index", "{tmp}/absent.cix1"), "--index is not taken with --exact: it answers from every series of --data"),
+    (("--model", "{tmp}/absent.chr1"), "--model is not taken with --exact: it answers from every series of --data"),
+    ((), "--exact requires --data"),
+], ids=["index", "model", "no-data"])
+def test_exact_query_refusals_come_before_any_file_is_read(capsys, tmp_path, given, message):
+    # --data names no file, which would exit 23 were it read first
+    data = () if not given else ("--data", str(tmp_path / "absent.csv"))
+    argv = ("query", "--exact", *data, *(arg.format(tmp=tmp_path) for arg in given), "--query-id", "1")
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("bad, exit_code", [
     (("--k", "0"), 2),
     (("--threshold", "2"), 2),
@@ -638,6 +650,26 @@ def test_corrupt_index_and_model_exit_code(capsys, tmp_path, damage):
         assert code == 24, err
         assert err.startswith(f"error: {path}: ")
         path.write_bytes(blob)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"CHR1" + struct.pack("<I", 0) + struct.pack("<Q", 0), "model has no layers"),
+    (
+        b"CHR1" + struct.pack("<I", 2) + struct.pack("<II", 3, 16) + bytes(8 * 3 * 17)
+        + struct.pack("<II", 2, 5) + bytes(8 * 2 * 6) + struct.pack("<Q", 0),
+        "layer shapes do not chain",
+    ),
+], ids=["no-layers", "unchained"])
+def test_model_that_is_no_network_is_corrupt(capsys, tmp_path, blob, message):
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "model.chr1"
+    model.write_bytes(blob)
+    out = tmp_path / "learned.idx"
+    code, stdout, err = run(
+        capsys, "index", "--data", str(data), "--method", "learned-order", "--model", str(model), "--output", str(out),
+    )
+    assert (code, stdout, err) == (24, "", f"error: {model}: {message}\n")
+    assert not out.exists()
 
 
 def as_version_2(idx):
@@ -980,6 +1012,21 @@ def test_directory_given_for_a_file_is_missing(capsys, tmp_path, argv):
     assert code == 23 and stdout == "" and "not found" in err
 
 
+@pytest.mark.parametrize("flag", ["--log-out", "--manifest"])
+def test_two_outputs_that_name_one_file_are_a_usage_error(capsys, tmp_path, flag):
+    # the later write would replace the earlier: train's log, read back for
+    # its summary, or the model under its manifest
+    data = gen_small(capsys, tmp_path)
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(data), "--m", "4", "--desk", "--iterations", "5", "--model-out", str(out)]
+    code, stdout, err = run(capsys, *argv, flag, str(tmp_path / "." / "out"))
+    assert (code, stdout) == (2, "") and f"--model-out and {flag} name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.manifest.json"]
+    # a file that keeps nothing may take more than one output
+    code, _, err = run(capsys, *argv[:-1], os.devnull, "--log-out", os.devnull, "--manifest", str(tmp_path / "m.json"))
+    assert code == 0, err
+
+
 def test_output_in_a_missing_directory_fails_before_reading(capsys, tmp_path, monkeypatch):
     data = gen_small(capsys, tmp_path)
     monkeypatch.setattr("corrspace.datasets.load_csv", lambda *a, **k: pytest.fail("input read"))
@@ -1178,6 +1225,19 @@ def test_bench_smoke_and_report(capsys, tmp_path):
     assert stats["q50_us"] > 0.0
 
 
+def test_bench_report_records_the_models_m(capsys, tmp_path):
+    # --m (default 16) sizes a fresh network only: a given model has its own width
+    model = tmp_path / "model.chr1"
+    save_model(init_params(32, 8, 4, seed=0), model)
+    report = tmp_path / "bench.json"
+    code, _, err = run(
+        capsys, "bench", "--n", "100", "--k", "5", "--queries", "5", "--length", "32", "--model", str(model),
+        "--report-out", str(report),
+    )
+    assert code == 0, err
+    assert json.loads(report.read_text())["m"] == 4
+
+
 def test_bench_prints_points_scanned(capsys, tmp_path):
     report = tmp_path / "bench.json"
     code, stdout, _ = run(
@@ -1275,6 +1335,17 @@ def test_too_few_training_rows_exit_code(capsys, tmp_path):
         "--model-out", str(tmp_path / "m.chr1"),
     )
     assert code == 20 and "training series" in err
+
+
+def test_eval_with_an_empty_test_partition_is_empty_input(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    report = tmp_path / "r.csv"
+    code, stdout, err = run(
+        capsys, "eval", "--data", str(data), "--methods", "dft", "--m-values", "4", "--k-values", "3",
+        "--ratios", "0.5,0.5,0", "--report-out", str(report),
+    )
+    assert (code, stdout, err) == (15, "", "error: the test partition holds no series to query\n")
+    assert not report.exists()
 
 
 def test_k_larger_than_eval_pool_exit_code(capsys, tmp_path):
@@ -1390,6 +1461,8 @@ def test_config_values_of_the_flags_type_are_kept(capsys, tmp_path):
     (_SPLIT, {"ratios": [0.5, 0.5, 0.5]}),  # not summing to 1
     (_EVAL, {"methods": "dft", "m_values": [4.5]}),
     (_EVAL, {"methods": "dft", "k_values": ["ten"]}),
+    (_EVAL, {"methods": "dft", "k_values": []}),  # an empty list
+    (_EVAL, {"methods": []}),
 ])
 def test_config_list_items_get_checked(capsys, tmp_path, argv, doc):
     data = gen_small(capsys, tmp_path)
@@ -1399,7 +1472,9 @@ def test_config_list_items_get_checked(capsys, tmp_path, argv, doc):
     assert code == 2 and stdout == "" and "error:" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--ratios", "a,b,c"), ("--ratios", "0.9,0.2,nan"), ("--m-values", "x")])
+@pytest.mark.parametrize("flag, value", [
+    ("--ratios", "a,b,c"), ("--ratios", "0.9,0.2,nan"), ("--m-values", "x"), ("--methods", ","),
+])
 def test_list_flags_that_do_not_parse_are_usage_errors(capsys, tmp_path, flag, value):
     data = gen_small(capsys, tmp_path)
     argv = ("eval", "--data", str(data), "--methods", "dft", "--report-out", str(tmp_path / "r.csv"), flag, value)

@@ -93,6 +93,12 @@ def test_load_csv_directory_is_missing(tmp_path):
         load_csv(tmp_path, "csv")
 
 
+def test_load_csv_unknown_format(tmp_path):
+    p = write(tmp_path / "d.csv", "1,2,3\n4,5,7\n")
+    with pytest.raises(ValueError, match="unknown format 'tsv'"):
+        load_csv(p, "tsv")
+
+
 def test_load_csv_short_series(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,3\n")
     with pytest.raises(ParseError):
@@ -435,6 +441,13 @@ def test_split_deterministic_and_disjoint():
     np.testing.assert_array_equal(a.test_ids, b.test_ids)
     union = np.concatenate([a.train_ids, a.val_ids, a.test_ids])
     assert sorted(union.tolist()) == list(range(50))
+
+
+@pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.2), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+def test_split_ratios_must_be_three_summing_to_one(ratios):
+    ds = Dataset(ids=np.arange(20), values=np.random.default_rng(13).standard_normal((20, 8)))
+    with pytest.raises(ValueError, match="ratios must be three values summing to 1"):
+        split(ds, ratios)
 
 
 def test_split_too_small():

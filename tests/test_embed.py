@@ -18,9 +18,10 @@ from corrspace.embed import (
     features_matrix,
     forward_batch,
     load_model,
+    embedder_for,
     save_model,
 )
-from corrspace.errors import DegenerateOutput, DimensionMismatch, InvalidM
+from corrspace.errors import DegenerateOutput, DimensionMismatch, InvalidM, UsageError
 from corrspace.train import init_params
 from oracles import corr_direct, dft_direct
 
@@ -238,9 +239,15 @@ def test_downsample_m_validation():
 
 def test_embedder_names_and_m():
     p = init_params(8, 4, 3, seed=0)
-    assert LearnedEmbedder(p).name == "learned" and LearnedEmbedder(p).m == 3
-    assert DftTruncationEmbedder(4).name == "dft"
-    assert DownSampleEmbedder(5).name == "downsample"
+    assert LearnedEmbedder(p).m == 3
+    assert DftTruncationEmbedder(4).m == 4
+    assert DownSampleEmbedder(5).m == 5
+
+
+@pytest.mark.parametrize("method", ["learned-order", "learned-approx"])
+def test_learned_method_without_a_model_is_a_usage_error(method):
+    with pytest.raises(UsageError, match=f"method {method} requires a model"):
+        embedder_for(method, 4)
 
 
 def test_learned_embedder_rejects_too_long_series():

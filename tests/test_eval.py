@@ -9,7 +9,7 @@ import pytest
 
 from corrspace.datasets import Dataset, gen_example1, split
 from corrspace.embed import DftTruncationEmbedder, DownSampleEmbedder, embedder_for
-from corrspace.errors import KTooLarge, SizeMismatch
+from corrspace.errors import EmptyInput, KTooLarge, SizeMismatch, UsageError
 from corrspace.index import KdTree, rank
 from corrspace.evaluation import (
     EvalReport,
@@ -228,6 +228,18 @@ def test_sweep_max_queries_limits_work():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             SweepConfig(max_queries=bad)
+
+
+def test_sweep_config_error_is_a_usage_error():
+    with pytest.raises(UsageError) as exc:
+        SweepConfig(max_queries=0)
+    assert str(exc.value) == "max_queries must be at least 1, got 0" and isinstance(exc.value, ValueError)
+
+
+def test_sweep_without_test_series_is_empty_input():
+    ds = random_dataset(40, 16, seed=17)
+    with pytest.raises(EmptyInput, match="the test partition holds no series to query"):
+        sweep(ds, ["dft"], [4], [1], SweepConfig(ratios=(0.5, 0.5, 0.0), timing=False))
 
 
 def reference_sweep(ds, methods, m_values, k_values, cfg):

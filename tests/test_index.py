@@ -95,6 +95,12 @@ def test_non_finite_query_is_degenerate(bad):
         tree.within_radius(q, 1.0)
 
 
+def test_negative_radius_is_refused():
+    tree = KdTree(np.random.default_rng(0).standard_normal((10, 4)))
+    with pytest.raises(ValueError, match="radius² must be nonnegative"):
+        tree.within_radius(np.zeros(4), -1e-12)
+
+
 def test_k_out_of_range():
     tree = KdTree(np.random.default_rng(0).standard_normal((10, 4)))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ them, so a `query` of a held id pays for none of them. Each case runs in a
 fresh interpreter, because this one has imported every module already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -256,3 +257,31 @@ def test_train_is_the_function_whatever_was_imported_first(prelude, tmp_path):
         "print(json.dumps([train is function, corrspace.train is function]))\n"
     )
     assert same == [True, True]
+
+
+def unused_imports(source):
+    """The names `source` imports at any depth and never reads: a name
+    counts as read where an expression loads it, or where `__all__` lists it."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_the_scan_finds_an_unused_import():
+    assert unused_imports("import os\nfrom dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    pass\n") == [
+        "field (line 2)", "os (line 1)",
+    ]
+    assert unused_imports("import os.path\nfrom .x import y as z\n__all__ = ['z']\nos.sep\n") == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "corrspace").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []

@@ -8,7 +8,7 @@ import pytest
 from corrspace.core import TimeSeries, normalize
 from corrspace.datasets import Dataset, SplitDataset, gen_example1, split
 from corrspace.embed import NetworkParams, features_matrix, forward_trace
-from corrspace.errors import DegenerateOutput, InsufficientData
+from corrspace.errors import DegenerateOutput, InsufficientData, UsageError
 from corrspace.train import (
     ADAM_EPS,
     APPROXIMATE,
@@ -98,6 +98,18 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(m=4, iterations=-1)
     TrainConfig(m=4, iterations=0)  # zero iterations = init only, allowed
+
+
+@pytest.mark.parametrize("args, message", [
+    ({"m": 0}, "m, hidden_size and batch_size must be positive"),
+    ({"m": 4, "loss_kind": "nope"}, "loss_kind must be 'approximate' or 'order'"),
+    ({"m": 4, "iterations": -1}, "bad iterations/learning_rate/seed"),
+])
+def test_train_config_errors_are_usage_errors(args, message):
+    # typed where they are raised: `corrspace train` exits 2 on them as they are
+    with pytest.raises(UsageError) as exc:
+        TrainConfig(**args)
+    assert str(exc.value) == message and isinstance(exc.value, ValueError)
 
 
 def test_desk_config_profile():
