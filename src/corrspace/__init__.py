@@ -13,7 +13,7 @@ and a process that only queries an index never imports `core`, `datasets`,
 `evaluation` or `train`.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 import importlib
 import sys

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, U32, U64, embedder_for, load_model
+from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, U32, U64, embedder_for
 from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError, check_range, flag, is_int
 from .index import load_index, rank, threshold_radius_sq
 
@@ -121,7 +121,7 @@ INDEX_DEFAULTS = {
 }
 
 QUERY_DEFAULTS = {
-    "index": None, "model": None, "data": None, "format": "csv_id",
+    "index": None, "data": None, "format": "csv_id",
     "query_id": None, "query_file": None, "k": 10, "threshold": None, "slack": 1.0,
     "exact": False,
 }
@@ -151,9 +151,8 @@ def cmd_query(p):
         raise UsageError(f"--slack must be positive, got {p['slack']}")
     ds = embedder = held = None
     if p["exact"]:
-        for key in ("index", "model"):
-            if p[key]:
-                raise UsageError(f"{flag(key)} is not taken with --exact: it answers from every series of --data")
+        if p["index"]:
+            raise UsageError("--index is not taken with --exact: it answers from every series of --data")
         if not p["data"]:
             raise UsageError("--exact requires --data")
         from .datasets import load_csv
@@ -174,25 +173,17 @@ def cmd_query(p):
             raise UsageError("--index is required (or pass --exact)")
         tree, meta, model = load_index(p["index"], with_model=True)
         length = meta.get("series_length")
+        # a learned version-2 index names a model file; tuples: a list or dict method is no key
+        if model is None and meta.get("method") in tuple(LOSS_OF):
+            raise CorruptArtifact(f"{p['index']}: holds no {meta['method']} model: rebuild it with `corrspace index`")
         if not (
-            meta.get("method") in (_EMBEDDER_METHODS if model is None else LOSS_OF)
+            meta.get("method") in tuple(FIXED_EMBEDDERS if model is None else LOSS_OF)
             and is_int(meta.get("m")) and meta["m"] == tree.m and (length is None or is_int(length) and length > 0)
         ):
             raise CorruptArtifact(
                 f"{p['index']}: index metadata lacks method or m, or does not fit its points of width {tree.m}: "
                 f"method {meta.get('method')!r}, m {meta.get('m')!r}, series_length {length!r}"
             )
-        if p["model"] and model is not None:  # a version-3 index holds the model that built it
-            raise UsageError(f"--model is not taken with {p['index']}: the index holds the model that built it")
-        if p["model"] and meta["method"] in FIXED_EMBEDDERS:
-            raise UsageError(f"--model is not taken with {p['index']}: method {meta['method']} uses no model")
-        if model is None and meta["method"] in LOSS_OF:
-            # version 2: the model file, loaded even when unused so that its errors show,
-            # a model that did not build the index among them
-            model_path = p["model"] or meta.get("model")
-            if not model_path:
-                raise MissingArtifact(f"method {meta['method']} requires --model")
-            model = load_model(model_path, meta.get("model_sha256"))
         embedder = embedder_for(meta["method"], meta["m"], model)
 
         def search(q, k):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import is_constant, normalize_rows
-from .errors import EmptyFile, InvalidM, MissingArtifact, ParseError, RaggedRows, TooSmall
+from .errors import EmptyFile, InvalidM, MissingArtifact, ParseError, RaggedRows, TooSmall, UsageError
 from .files import atomic_write
 
 log = logging.getLogger(__name__)
@@ -235,7 +235,7 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
     same values or raises the error naming the first bad line.
     """
     if fmt not in _DELIMITERS:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise UsageError(f"unknown format {fmt!r}")
     rows = _vectorised_rows(path, fmt)
     ids, values, n_constant = _loop_rows(path, fmt) if rows is None else rows
 
@@ -272,7 +272,7 @@ def split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:
     if n < 10:
         raise TooSmall(f"need at least 10 series to split, got {n}")
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be three values summing to 1")
+        raise UsageError("ratios must be three values summing to 1")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_val = int(n * ratios[1])

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact, ModelMismatch, UsageError
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact, UsageError
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
@@ -268,24 +268,16 @@ def parse_model(data, source) -> NetworkParams:
         raise CorruptArtifact(f"{source}: {exc}")
 
 
-def load_model(path, sha256: str | None = None) -> NetworkParams:
+def load_model(path) -> NetworkParams:
     """Read a CHR1 model file written by `save_model`.
 
     A missing file raises `MissingArtifact`; a file that is not a whole CHR1
     model, or whose weights or biases are not all finite, `CorruptArtifact`
-    (`parse_model`). When `sha256` is given, a whole model whose bytes hash
-    to another hex digest raises `ModelMismatch`.
+    (`parse_model`).
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except (FileNotFoundError, IsADirectoryError):
         raise MissingArtifact(f"model file not found: {path}") from None
-    params = parse_model(data, path)
-    if sha256 is not None:
-        import hashlib  # imported only here: it loads OpenSSL, which a query of a version-3 index never needs
-
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != sha256:
-            raise ModelMismatch(f"{path}: sha256 {digest} is not the recorded {sha256}")
-    return params
+    return parse_model(data, path)

@@ -115,13 +115,6 @@ class RepeatedId(CorrSpaceError):
     exit_code = 25
 
 
-class ModelMismatch(CorrSpaceError):
-    """A model file's bytes do not hash to the sha256 recorded for it: an
-    index queried with another model than the one that built it."""
-
-    exit_code = 26
-
-
 class UsageError(CorrSpaceError, ValueError):
     """Invalid command-line arguments, `TrainConfig` or `SweepConfig` values."""
 

@@ -129,7 +129,7 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
     """
     for method in methods:
         if method not in METHODS:
-            raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
+            raise UsageError(f"unknown method {method!r} (choose from {METHODS})")
     splits = split(ds, cfg.ratios, cfg.seed)
     h = ds.normalized_matrix()
     train_rows = ds.rows_for(splits.train_ids)
@@ -146,6 +146,8 @@ def sweep(ds: Dataset, methods, m_values, k_values, cfg: SweepConfig = SweepConf
             raise KTooLarge(f"k={k} exceeds pool size {n_pool}")
 
     pair_s, pair_r = pair_rows(ds, splits.test_ids, cfg.seed)
+    if len(pair_s) == 0 and set(methods) - {"exact"}:  # an embedder's approx_loss is a mean over these pairs
+        raise EmptyInput("the test partition holds one series: approx_loss needs a pair of them")
     profile = desk_config if cfg.desk else TrainConfig  # the learned methods' training profile
     by_id = np.argsort(pool_ids)  # pool column of each answer id, by `searchsorted`
     rank_lat = {k: [] for k in k_values}

@@ -35,11 +35,10 @@ import struct
 import numpy as np
 
 from .embed import model_bytes, parse_model
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact, RepeatedId
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact, RepeatedId, UsageError
 
 INDEX_MAGIC = b"CIX1"
 # 2: rows in tree order. 3: version 2 plus the model that embedded the rows.
-# 1: rows in input order, still read by rebuilding the tree.
 INDEX_VERSION, INDEX_VERSION_WITH_MODEL = 2, 3
 _HEADER = struct.Struct("<4sIIII")  # magic, version, n, m, meta length
 _MODEL_LENGTH = struct.Struct("<Q")  # version 3: the model block's length, after the header
@@ -266,7 +265,7 @@ class KdTree:
         """Exact k nearest neighbors (k capped at n), ties by ascending id."""
         q = self._check_query(q)
         if k < 1:
-            raise ValueError("k must be at least 1")
+            raise UsageError("k must be at least 1")
         k = min(k, self.n)
         lb = self._box_bounds(q)
         near = np.argsort(lb)
@@ -285,7 +284,7 @@ class KdTree:
         """All points with distance² ≤ r_sq, ascending (distance², id)."""
         q = self._check_query(q)
         if r_sq < 0:
-            raise ValueError("radius² must be nonnegative")
+            raise UsageError("radius² must be nonnegative")
         hits = np.flatnonzero(self._box_bounds(q) <= r_sq)
         return self._ranked(*self._filtered_scan(hits, q, r_sq), r_sq, hits)
 
@@ -354,9 +353,9 @@ def _build_order(pts: np.ndarray, ids: np.ndarray, levels: int):
 def threshold_radius_sq(eta: float, slack: float = 1.0) -> float:
     """Radius² for a correlation threshold η: 2‖Δ‖² ≤ 2−2η ⇒ r² = slack·(1−η)."""
     if not -1.0 <= eta <= 1.0:
-        raise ValueError("threshold must be a correlation in [-1, 1]")
+        raise UsageError("threshold must be a correlation in [-1, 1]")
     if slack <= 0:
-        raise ValueError("slack must be positive")
+        raise UsageError("slack must be positive")
     return slack * (1.0 - eta)
 
 
@@ -383,14 +382,12 @@ def save_index(tree: KdTree, path, meta: dict | None = None, model=None) -> None
 def load_index(path, with_model=False):
     """Load a dump written by `save_index`; returns (KdTree, meta), or
     (KdTree, meta, model) `with_model`, where model is the `NetworkParams` a
-    version-3 dump holds and None for the other versions.
+    version-3 dump holds and None for version 2.
 
-    Versions 2 and 3 hold the rows in tree order, so they are only laid out
-    again; a version-1 dump holds them in input order and rebuilds the tree.
     A missing path, or a directory, raises `MissingArtifact`; a file that is
-    not a whole `CIX1` dump, whose points are not all finite, whose ids
-    repeat or whose model is not a whole CHR1 model of output width m,
-    raises `CorruptArtifact`.
+    not a whole version-2 or version-3 `CIX1` dump, whose points are not all
+    finite, whose ids repeat or whose model is not a whole CHR1 model of
+    output width m, raises `CorruptArtifact`.
     """
     try:
         fh = open(path, "rb")
@@ -404,8 +401,8 @@ def load_index(path, with_model=False):
         if len(head) < _HEADER.size:
             raise CorruptArtifact(f"{path}: {len(head)} bytes, shorter than the {_HEADER.size}-byte header")
         _, version, n, m, blob_len = _HEADER.unpack(head)
-        if version not in (1, INDEX_VERSION, INDEX_VERSION_WITH_MODEL):
-            raise CorruptArtifact(f"{path}: unsupported index version {version}")
+        if version not in (INDEX_VERSION, INDEX_VERSION_WITH_MODEL):
+            raise CorruptArtifact(f"{path}: unsupported index version {version}: rebuild it with `corrspace index`")
         if n == 0 or m == 0:  # `save_index` writes neither: `KdTree` holds at least one point of width >= 1
             raise CorruptArtifact(f"{path}: header describes {n} points of width {m}")
         model_len = 0
@@ -431,7 +428,7 @@ def load_index(path, with_model=False):
             raise CorruptArtifact(f"{path}: shorter than its header describes")
     ids, pts = rows[: 8 * n].view("<i8"), rows[8 * n :].view("<f8").reshape(n, m)
     try:
-        tree = KdTree(pts, ids) if version == 1 else KdTree._from_tree_order(pts, ids)
+        tree = KdTree._from_tree_order(pts, ids)
     except (DegenerateOutput, RepeatedId) as exc:  # the tree's own checks: finite points, unique ids
         raise CorruptArtifact(f"{path}: {exc}")
     return (tree, meta, model) if with_model else (tree, meta)

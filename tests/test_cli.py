@@ -26,10 +26,11 @@ from corrspace.cli import (
 )
 from corrspace.commands import _load_split
 from corrspace.datasets import Dataset, load_csv, save_csv
-from corrspace.embed import DftTruncationEmbedder, NetworkParams, load_model, save_model
+from corrspace.core import normalize_rows
+from corrspace.embed import DftTruncationEmbedder, LearnedEmbedder, NetworkParams, load_model, save_model
 from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, UsageError
 from corrspace.errors import flag as _flag
-from corrspace.index import load_index, save_index
+from corrspace.index import load_index, save_index, threshold_radius_sq
 from corrspace.train import desk_config, init_params
 from oracles import by_correlation
 
@@ -407,14 +408,19 @@ def test_query_exact_threshold_self_excluded(capsys, tmp_path):
 
 @pytest.mark.parametrize("given, message", [
     (("--index", "{tmp}/absent.cix1"), "--index is not taken with --exact: it answers from every series of --data"),
-    (("--model", "{tmp}/absent.chr1"), "--model is not taken with --exact: it answers from every series of --data"),
+    (("--model", "{tmp}/absent.chr1"), "unrecognized arguments: --model {tmp}/absent.chr1"),  # no flag of `query`
     ((), "--exact requires --data"),
 ], ids=["index", "model", "no-data"])
 def test_exact_query_refusals_come_before_any_file_is_read(capsys, tmp_path, given, message):
     # --data names no file, which would exit 23 were it read first
     data = () if not given else ("--data", str(tmp_path / "absent.csv"))
     argv = ("query", "--exact", *data, *(arg.format(tmp=tmp_path) for arg in given), "--query-id", "1")
-    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    try:
+        result = run(capsys, *argv)
+    except SystemExit as exc:  # argparse's usage error: its usage lines, then "corrspace: " and the message
+        out, err = capsys.readouterr()
+        result = (exc.code, out, err.splitlines()[-1].removeprefix("corrspace: ") + "\n")
+    assert result == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
 
 
 @pytest.mark.parametrize("bad, exit_code", [
@@ -613,7 +619,8 @@ def test_query_length_must_match_the_index(capsys, tmp_path, mode):
     {"m": "x"},
     {"m": 4},  # the points are 8 wide
     {"series_length": "16"},
-], ids=["no-method", "unknown-method", "m-not-an-integer", "m-not-the-width", "series-length-a-string"])
+    {"method": ["dft"]},
+], ids=["no-method", "unknown-method", "m-not-an-integer", "m-not-the-width", "series-length-a-string", "method-a-list"])
 def test_query_index_meta_without_method_is_corrupt(capsys, tmp_path, edit):
     data = gen_small(capsys, tmp_path)
     idx = build_index(capsys, tmp_path, data)
@@ -673,9 +680,9 @@ def test_model_that_is_no_network_is_corrupt(capsys, tmp_path, blob, message):
 
 
 def as_version_2(idx):
-    """`idx` rewritten as a version-2 index, as `index` wrote it before an
-    index held its model: the same rows and metadata, which name the model
-    file and its sha256, without the model."""
+    """`idx` rewritten as a version-2 index, as `index` wrote a learned index
+    before an index held its model: the same rows and metadata, which name
+    the model file and its sha256, without the model."""
     tree, meta = load_index(str(idx))
     save_index(tree, str(idx), meta)
     assert struct.unpack_from("<I", idx.read_bytes(), 4) == (2,)
@@ -683,8 +690,7 @@ def as_version_2(idx):
 
 
 def test_non_finite_model_weight_exit_code(capsys, tmp_path):
-    # a model that turns NaN after a version-2 index was built must not
-    # answer with an empty hit list
+    # a model file that holds a NaN weight builds no index
     data = gen_small(capsys, tmp_path)
     model = tmp_path / "model.chr1"
     code, _, err = run(
@@ -692,15 +698,15 @@ def test_non_finite_model_weight_exit_code(capsys, tmp_path):
         "--model-out", str(model), "--log-out", str(tmp_path / "log.csv"),
     )
     assert code == 0, err
-    idx = as_version_2(build_index(capsys, tmp_path, data, method="learned-order", m="4", extra=("--model", str(model))))
     blob = bytearray(model.read_bytes())  # `save_model` writes no NaN: put one in the first weight's bytes
     blob[16:24] = struct.pack("<d", np.nan)
     model.write_bytes(blob)
+    out = tmp_path / "learned.idx"
     code, stdout, err = run(
-        capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "5",
+        capsys, "index", "--data", str(data), "--method", "learned-order", "--model", str(model), "--output", str(out),
     )
-    assert code == 24 and stdout == ""
-    assert err.startswith(f"error: {model}: ") and "non-finite" in err
+    assert (code, stdout) == (24, "") and not out.exists()
+    assert err == f"error: {model}: layer 0 holds a non-finite weight or bias\n"
 
 
 def learned_index(capsys, tmp_path, data):
@@ -732,64 +738,20 @@ def test_index_records_the_sha256_of_its_model(capsys, tmp_path):
     assert "model_sha256" not in meta  # dft uses no model
 
 
-def test_query_with_a_retrained_model_is_a_model_mismatch(capsys, tmp_path):
-    # a model trained again to the path a version-2 index records must not
-    # answer for the index the first model built
-    data = gen_small(capsys, tmp_path, n=200)
-    model = train_model(capsys, tmp_path, data, seed=0)
-    idx = as_version_2(build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model))))
-    queries = tmp_path / "queries.csv"
-    queries.write_text("".join(line.split(",", 1)[1] for line in data.read_text().splitlines(True)[:3]))
-    argv = ("query", "--index", str(idx), "--query-file", str(queries), "--k", "5")
-    code, stdout, err = run(capsys, *argv)
-    assert code == 0, err
-    assert stdout.splitlines()[2].startswith("0 ")  # series 0 finds itself first
-    copy = tmp_path / "copy.chr1"
-    copy.write_bytes(model.read_bytes())
-    train_model(capsys, tmp_path, data, seed=1, model=model)
-    code, mismatch_out, err = run(capsys, *argv)
-    assert code == 26 and mismatch_out == ""
-    digests = [hashlib.sha256(m.read_bytes()).hexdigest() for m in (model, copy)]
-    assert err == f"error: {model}: sha256 {digests[0]} is not the recorded {digests[1]}\n"
-    # the same for a stored --query-id, which the model does not embed
-    code, out, _ = run(capsys, "query", "--index", str(idx), "--query-id", "0", "--k", "5")
-    assert code == 26 and out == ""
-    # a byte-identical copy of the first model still answers, and alike
-    code, copy_out, err = run(capsys, *argv, "--model", str(copy))
-    assert code == 0 and copy_out == stdout, err
-    code, out, _ = run(capsys, *argv, "--model", str(model))
-    assert code == 26 and out == ""
-
-
 def test_index_without_a_model_hash_is_not_checked(capsys, tmp_path):
-    # an index written before the key existed answers with any model it is given
+    # the model's sha256 is provenance: an index without it, whose model
+    # file has since been trained again, answers from the model it holds
     data = gen_small(capsys, tmp_path)
     model = train_model(capsys, tmp_path, data, seed=0)
     idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
-    tree, meta = load_index(str(idx))
+    argv = ("query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "4")
+    code, before, err = run(capsys, *argv)
+    assert code == 0 and len(parse_hits(before)) == 4, err
+    tree, meta, held = load_index(str(idx), with_model=True)
     del meta["model_sha256"]
-    save_index(tree, str(idx), meta)
+    save_index(tree, str(idx), meta, held)
     train_model(capsys, tmp_path, data, seed=1, model=model)
-    code, stdout, err = run(capsys, "query", "--index", str(idx), "--data", str(data), "--query-id", "3", "--k", "4")
-    assert code == 0 and len(parse_hits(stdout)) == 4, err
-
-
-def test_damaged_model_hash_in_an_index_never_answers(capsys, tmp_path):
-    # every single-byte change to the digest a version-2 index records, or
-    # to the quotes around it, is a typed error with nothing printed
-    data = gen_small(capsys, tmp_path)
-    model = train_model(capsys, tmp_path, data, seed=0)
-    idx = as_version_2(build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model))))
-    blob = idx.read_bytes()
-    digest = hashlib.sha256(model.read_bytes()).hexdigest().encode()
-    at = blob.index(digest)
-    for off in range(at - 1, at + len(digest) + 1):
-        for value in {ord("0"), ord("f"), ord("g"), ord('"'), 0xFF, blob[off] ^ 0x01} - {blob[off]}:
-            idx.write_bytes(blob[:off] + bytes([value]) + blob[off + 1 :])
-            code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--k", "4")
-            assert code in (24, 26) and stdout == "", (off, value, err)
-    idx.write_bytes(blob)
-    assert run(capsys, "query", "--index", str(idx), "--query-id", "3", "--k", "4")[0] == 0
+    assert run(capsys, *argv) == (0, before, "")
 
 
 def test_learned_index_holds_its_model(capsys, tmp_path):
@@ -818,29 +780,44 @@ QUERY_FORMS = {
 }
 
 
-@pytest.mark.parametrize("form", list(QUERY_FORMS.values()), ids=list(QUERY_FORMS))
+@pytest.mark.parametrize("form", list(QUERY_FORMS), ids=list(QUERY_FORMS))
 def test_version_3_answers_as_version_2(capsys, tmp_path, form):
-    # the model inside the index answers as the model file it was built with
+    # the model inside the index answers as the model file it was built with,
+    # from which a version-2 index embedded its queries: each block lists the
+    # index's own search for that file's embedding
     data = gen_small(capsys, tmp_path)
     model = train_model(capsys, tmp_path, data, seed=0)
     split_path = tmp_path / "split.json"
     assert run(capsys, "split", "--data", str(data), "--output", str(split_path))[0] == 0
-    v3 = build_index(capsys, tmp_path, data, "learned-order", "4", (
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", (
         "--model", str(model), "--split", str(split_path), "--partition", "train",
     ))
-    v2 = tmp_path / "v2.idx"
-    v2.write_bytes(v3.read_bytes())
-    as_version_2(v2)
     queries = tmp_path / "queries.csv"
     queries.write_text("".join(line.split(",", 1)[1] for line in data.read_text().splitlines(True)[:3]))
     lacking = json.loads(split_path.read_text())["test_ids"][0]
-    argv = form.format(d=data, q=queries, lacking=lacking).split()
-    outputs = []
-    for idx in (v3, v2):
-        code, stdout, err = run(capsys, "query", "--index", str(idx), *argv)
-        assert code == 0, err
-        outputs.append(stdout)
-    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) > 2  # a block with a hit, at least
+    argv = QUERY_FORMS[form].format(d=data, q=queries, lacking=lacking).split()
+    code, stdout, err = run(capsys, "query", "--index", str(idx), *argv)
+    assert code == 0, err
+    tree, _ = load_index(str(idx))
+    embed = LearnedEmbedder(load_model(str(model))).embed_matrix
+    ds, qds = load_csv(str(data), "csv_id"), load_csv(str(queries), "csv")
+    if form.startswith("held id"):
+        wanted = [(tree.point(3), 3)]
+    elif form == "id the index lacks":
+        wanted = [(embed(ds.normalized_matrix(ds.rows_for([lacking])))[0], lacking)]
+    else:
+        wanted = [(embed(row[np.newaxis])[0], None) for row in normalize_rows(qds.values, qds.ids)]
+    opts = dict(zip(argv[::2], argv[1::2]))
+    blocks = []
+    for q, self_id in wanted:
+        if "--threshold" in opts:
+            res = tree.within_radius(q, threshold_radius_sq(float(opts["--threshold"]), float(opts.get("--slack", 1))))
+        else:
+            res = tree.top_k(q, int(opts["--k"]) + 1)
+        hits = [f"{i} {d2:.9g}" for i, d2 in zip(res.ids, res.distances_sq) if i != self_id]
+        blocks.append(hits if "--threshold" in opts else hits[: int(opts["--k"])])
+    printed = [[" ".join(line.split()[:2]) for line in block.splitlines()[2:]] for block in stdout.split("# query")[1:]]
+    assert printed == blocks and all(blocks)  # a hit in every block, at least
 
 
 def test_version_3_index_answers_from_any_directory(capsys, tmp_path, monkeypatch):
@@ -878,13 +855,26 @@ def test_version_3_index_reads_no_model_file(capsys, tmp_path):
     assert run(capsys, *argv) == (0, before, "")
 
 
+def query_with_model(capsys, idx, model):
+    """`query --model` of `idx`: argparse's usage error, as for any flag
+    `query` does not take; an index holds what it embeds with."""
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--index", str(idx), "--query-id", "3", "--model", str(model)])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: unrecognized arguments: --model {model}\n")
+
+
 def test_model_flag_with_a_version_3_index_is_a_usage_error(capsys, tmp_path):
+    # a learned index holds its model: `query` takes no --model, nor a `model` key in its --config file
     data = gen_small(capsys, tmp_path)
     model = train_model(capsys, tmp_path, data, seed=0)
     idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
-    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--model", str(model))
-    assert code == 2 and stdout == ""
-    assert err == f"error: --model is not taken with {idx}: the index holds the model that built it\n"
+    query_with_model(capsys, idx, model)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": str(model)}))
+    code, stdout, err = run(capsys, "query", "--config", str(config), "--index", str(idx), "--query-id", "3")
+    assert (code, stdout, err) == (2, "", f"error: config file {config}: unknown keys ['model']\n")
 
 
 @pytest.mark.parametrize("method", ["dft", "downsample"])
@@ -893,21 +883,32 @@ def test_model_flag_with_a_fixed_index_is_a_usage_error(capsys, tmp_path, method
     data = gen_small(capsys, tmp_path)
     idx = build_index(capsys, tmp_path, data, method, "4")
     model = train_model(capsys, tmp_path, data, seed=0) if exists else tmp_path / "absent.chr1"
-    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--model", str(model))
-    assert code == 2 and stdout == ""
-    assert err == f"error: --model is not taken with {idx}: method {method} uses no model\n"
+    query_with_model(capsys, idx, model)
 
 
 def test_version_2_index_that_names_no_model(capsys, tmp_path):
+    # a learned version-2 index named its model file: refused whether or not
+    # it names one, with the way to a version `query` reads
     data = gen_small(capsys, tmp_path)
     model = train_model(capsys, tmp_path, data, seed=0)
-    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    idx = as_version_2(build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model))))
     tree, meta = load_index(str(idx))
-    save_index(tree, str(idx), {**meta, "model": None})
+    for named in (meta["model"], None):
+        save_index(tree, str(idx), {**meta, "model": named})
+        code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3")
+        assert (code, stdout) == (24, "")
+        assert err == f"error: {idx}: holds no learned-order model: rebuild it with `corrspace index`\n"
+
+
+def test_version_1_index_is_corrupt(capsys, tmp_path):
+    # a version-1 index held its rows in input order: it is rebuilt, not read
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    idx.write_bytes(idx.read_bytes()[:4] + struct.pack("<I", 1) + idx.read_bytes()[8:])
     code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3")
-    assert (code, stdout, err) == (23, "", "error: method learned-order requires --model\n")
-    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3", "--model", str(model))
-    assert code == 0 and stdout.startswith("# query id 3 (method=learned-order, m=4)\n"), err
+    assert (code, stdout, err) == (
+        24, "", f"error: {idx}: unsupported index version 1: rebuild it with `corrspace index`\n"
+    )
 
 
 def test_version_3_index_of_a_fixed_method_is_corrupt(capsys, tmp_path):
@@ -919,6 +920,17 @@ def test_version_3_index_of_a_fixed_method_is_corrupt(capsys, tmp_path):
     save_index(tree, str(idx), {**meta, "method": "dft"}, held)
     code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3")
     assert code == 24 and stdout == "" and "method 'dft'" in err
+
+
+@pytest.mark.parametrize("method", [["learned-order"], {"learned-order": 1}], ids=["list", "object"])
+def test_version_3_index_whose_method_is_no_string_is_corrupt(capsys, tmp_path, method):
+    data = gen_small(capsys, tmp_path)
+    model = train_model(capsys, tmp_path, data, seed=0)
+    idx = build_index(capsys, tmp_path, data, "learned-order", "4", ("--model", str(model)))
+    tree, meta, held = load_index(str(idx), with_model=True)
+    save_index(tree, str(idx), {**meta, "method": method}, held)
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "3")
+    assert (code, stdout) == (24, "") and "lacks method" in err
 
 
 @pytest.mark.parametrize("method", ["dft", "learned-order"])
@@ -1346,6 +1358,18 @@ def test_eval_with_an_empty_test_partition_is_empty_input(capsys, tmp_path):
     )
     assert (code, stdout, err) == (15, "", "error: the test partition holds no series to query\n")
     assert not report.exists()
+
+
+def test_eval_with_one_test_series_is_empty_input(capsys, tmp_path):
+    # one test series makes no pair to average approx_loss over
+    data = gen_small(capsys, tmp_path, length=64)
+    report = tmp_path / "r.csv"
+    code, stdout, err = run(
+        capsys, "eval", "--data", str(data), "--methods", "dft", "--m-values", "4", "--k-values", "3",
+        "--ratios", "0.89,0.1,0.01", "--no-timing", "--report-out", str(report),
+    )
+    assert (code, stdout) == (15, "") and not report.exists()
+    assert err == "error: the test partition holds one series: approx_loss needs a pair of them\n"
 
 
 def test_k_larger_than_eval_pool_exit_code(capsys, tmp_path):

@@ -3,7 +3,9 @@ succeeds (`BASE`) has up to three of its parameters redrawn from what
 `cli.FLAGS` allows, or dropped, and is given as argv, as a `--config` file or
 as a replayed manifest's params, then run in-process on a small corpus.
 Every run must end in 0 or a documented exit code (the `exit_code` of a
-`CorrSpaceError`); nothing but argparse's `SystemExit` may escape.
+`CorrSpaceError`); nothing but argparse's `SystemExit` may escape. A
+manifest of such a run whose structure is broken must end in a documented
+exit code other than 0.
 
 Sizes come from small ranges, or lie just past their subcommand's
 `SUBCOMMANDS[name].limits`, which are refused before any work. A size that
@@ -17,6 +19,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +27,9 @@ from hypothesis import strategies as st
 
 from corrspace import errors
 from corrspace.cli import FLAGS, SUBCOMMANDS, U64, main, replay_manifest
+from corrspace.commands import file_sha256
 from corrspace.errors import CorrSpaceError, flag
+from corrspace.index import load_index, save_index
 
 EXIT_CODES = {0} | {
     cls.exit_code for cls in vars(errors).values()
@@ -59,12 +64,13 @@ BASE = {
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """{name: path} of the files an input flag is given: a dataset, its
-    split, a model, a dft and a learned index, a query file, a garbage file,
-    a directory, a missing path; and `out`, the outputs' directory, and
+    split, a model, a dft and a learned index, a version-1 and a learned
+    version-2 index, which `query` refuses, a query file, a garbage file, a
+    directory, a missing path; and `out`, the outputs' directory, and
     `work`, where a drawn config file or manifest is written."""
     d = tmp_path_factory.mktemp("fuzz")
-    names = ("data.csv", "split.json", "model.chr1", "dft.cix1", "learned.cix1", "queries.csv", "garbage.bin", "dir",
-             "absent", "out")
+    names = ("data.csv", "split.json", "model.chr1", "dft.cix1", "learned.cix1", "v1.cix1", "v2.cix1", "queries.csv",
+             "garbage.bin", "dir", "absent", "out")
     corpus = {name.split(".")[0]: str(d / name) for name in names}
     for argv in (
         "gen --family example1 --n 60 --length 16 --output {data}",
@@ -75,6 +81,13 @@ def corpus(tmp_path_factory):
     ):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv.format(**corpus).split()) == 0, argv
+    dft = (d / "dft.cix1").read_bytes()
+    (d / "v1.cix1").write_bytes(dft[:4] + struct.pack("<I", 1) + dft[8:])
+    tree, meta = load_index(corpus["learned"])
+    save_index(tree, corpus["v2"], meta)  # the learned index without its model
+    for name in ("v1", "v2"):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["query", "--index", corpus[name], "--query-id", "3"]) == 24, name
     rows = (d / "data.csv").read_text().splitlines()[:3]
     (d / "queries.csv").write_text("".join(row.split(",", 1)[1] + "\n" for row in rows))
     (d / "garbage.bin").write_bytes(b"\x00\xffCHR1CIX1,1,2\n")
@@ -101,7 +114,7 @@ def values(name, key, corpus):
     if spec.get("type") is float:
         return st.sampled_from(FLOATS)
     if key in INPUTS:
-        names = ("data", "split", "model", "dft", "learned", "queries", "garbage", "dir", "absent")
+        names = ("data", "split", "model", "dft", "learned", "v1", "v2", "queries", "garbage", "dir", "absent")
         return st.sampled_from([corpus[name] for name in names] + [""])
     if key in OUTPUTS:
         out = corpus["out"]
@@ -123,12 +136,16 @@ def as_argv(key, value):
     return [flag(key), repr(value) if isinstance(value, float) else str(value)]
 
 
+def base(name, corpus):
+    return {key: value.format(**corpus) if isinstance(value, str) else value for key, value in BASE[name].items()}
+
+
 @st.composite
 def runs(draw, name, corpus):
     """(params, how): `BASE[name]` with up to three parameters redrawn or
     dropped (never a size), given as argv, in a --config file or as a
     manifest's params."""
-    params = {key: value.format(**corpus) if isinstance(value, str) else value for key, value in BASE[name].items()}
+    params = base(name, corpus)
     for key in draw(st.sets(st.sampled_from(list(SUBCOMMANDS[name].defaults)), max_size=3)):
         value = draw(values(name, key, corpus) if key in SMALL else st.none() | values(name, key, corpus))
         if value is None:
@@ -174,5 +191,57 @@ def test_every_drawn_run_ends_in_a_documented_exit_code(corpus, name):
         params, how = run
         code = outcome(name, params, how, corpus["work"])
         assert code in EXIT_CODES or code == ("SystemExit", 2), (params, how, code)
+
+    check()
+
+
+# what a broken manifest puts where it breaks one part; `GONE` drops the part
+GONE = "(gone)"
+JUNK = (GONE, None, 0, 2.5, True, "", "bogus", [], ["query"], {"path": 1})
+
+
+@st.composite
+def broken_manifests(draw, corpus):
+    """A manifest of a `BASE` run, with its inputs hashed, and one part of its
+    structure broken: the document, its subcommand, params or inputs, an
+    input entry or its path or sha256 replaced by a value of the wrong type
+    or dropped, or an input's digest wrong."""
+    name = draw(st.sampled_from(list(SUBCOMMANDS)))
+    params = base(name, corpus)
+    inputs = {artifact: {"path": params[key], "sha256": file_sha256(params[key])}
+              for artifact, key in SUBCOMMANDS[name].inputs.items() if key in params}
+    doc = {"subcommand": name, "params": params, "inputs": inputs}
+    part = draw(st.sampled_from(["document", "subcommand", "params", "inputs", "entry", "path", "sha256", "digest"]))
+    # a manifest that records fewer inputs is whole: the document and an entry are replaced, never dropped
+    junk = st.sampled_from(JUNK[1:] if part in ("document", "entry") else JUNK)
+    if part == "document":
+        return draw(junk)
+    parent, key = doc, part
+    if part not in doc:  # an entry of the run's own inputs, or one more
+        artifact = draw(st.sampled_from([*inputs, "extra"]))
+        entry = inputs.setdefault(artifact, {"path": corpus["data"], "sha256": file_sha256(corpus["data"])})
+        parent, key = (inputs, artifact) if part == "entry" else (entry, "sha256" if part == "digest" else part)
+    if part == "digest":  # one hex digit changed
+        at, digest = draw(st.integers(0, 63)), parent[key]
+        parent[key] = digest[:at] + "0f"[digest[at] == "0"] + digest[at + 1 :]
+    elif (value := draw(junk)) == GONE:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+def test_every_broken_manifest_ends_in_a_documented_exit_code(corpus):
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(broken_manifests(corpus))
+    def check(doc):
+        path = f"{corpus['work']}/broken.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(CorrSpaceError) as exc:
+                replay_manifest(path)
+        assert exc.value.exit_code in EXIT_CODES - {0}, (doc, exc.value)
 
     check()

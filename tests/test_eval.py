@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrspace.datasets import Dataset, gen_example1, split
+from corrspace.datasets import Dataset, gen_example1, load_csv, split
 from corrspace.embed import DftTruncationEmbedder, DownSampleEmbedder, embedder_for
-from corrspace.errors import EmptyInput, KTooLarge, SizeMismatch, UsageError
-from corrspace.index import KdTree, rank
+from corrspace.errors import CorrSpaceError, EmptyInput, KTooLarge, SizeMismatch, UsageError
+from corrspace.index import KdTree, rank, threshold_radius_sq
 from corrspace.evaluation import (
     EvalReport,
     ReportRow,
@@ -240,6 +240,41 @@ def test_sweep_without_test_series_is_empty_input():
     ds = random_dataset(40, 16, seed=17)
     with pytest.raises(EmptyInput, match="the test partition holds no series to query"):
         sweep(ds, ["dft"], [4], [1], SweepConfig(ratios=(0.5, 0.5, 0.0), timing=False))
+
+
+def test_sweep_with_one_test_series_has_no_approx_loss_pair():
+    # one test series makes no (s, r) pair, so no embedder's approx_loss is defined;
+    # the exact method reports 0 and needs none
+    ds = random_dataset(100, 16, seed=17)
+    cfg = SweepConfig(ratios=(0.89, 0.1, 0.01), timing=False)
+    assert len(split(ds, cfg.ratios, cfg.seed).test_ids) == 1
+    for methods in (["dft"], ["exact", "downsample"]):
+        with pytest.raises(EmptyInput, match="the test partition holds one series: approx_loss needs a pair of them"):
+            sweep(ds, methods, [4], [3], cfg)
+    (row,) = sweep(ds, ["exact"], [4], [3], cfg).rows
+    assert (row.method, row.rho, row.delta, row.approx_loss) == ("exact", 1.0, 0.0, 0.0)
+
+
+# every library raise site of a value no caller may pass; each is a usage error
+LIBRARY_USAGE_ERRORS = {
+    "sweep-method": lambda ds, tree, path: sweep(ds, ["psychic"], [4], [1]),
+    "load_csv-format": lambda ds, tree, path: load_csv(path, "xml"),
+    "split-ratios": lambda ds, tree, path: split(ds, (0.5, 0.5)),
+    "top_k-k": lambda ds, tree, path: tree.top_k(np.zeros(4), 0),
+    "within_radius-r2": lambda ds, tree, path: tree.within_radius(np.zeros(4), -1.0),
+    "threshold-eta": lambda ds, tree, path: threshold_radius_sq(1.5),
+    "threshold-slack": lambda ds, tree, path: threshold_radius_sq(0.5, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", list(LIBRARY_USAGE_ERRORS.values()), ids=list(LIBRARY_USAGE_ERRORS))
+def test_library_raise_site_is_a_usage_error(tmp_path, call):
+    ds = random_dataset(40, 16, seed=17)
+    path = tmp_path / "d.csv"
+    path.write_text("1,2,3\n")
+    with pytest.raises(CorrSpaceError) as exc:
+        call(ds, KdTree(np.eye(4)), str(path))
+    assert type(exc.value) is UsageError and isinstance(exc.value, ValueError) and exc.value.exit_code == 2
 
 
 def reference_sweep(ds, methods, m_values, k_values, cfg):
