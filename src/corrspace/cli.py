@@ -147,8 +147,8 @@ def cmd_query(p):
         raise UsageError("exactly one of --query-id / --query-file is required")
     if p["threshold"] is not None and not -1.0 <= p["threshold"] <= 1.0:
         raise UsageError(f"--threshold must be a correlation in [-1, 1], got {p['threshold']}")
-    if not p["slack"] > 0:
-        raise UsageError(f"--slack must be positive, got {p['slack']}")
+    if not 0 < p["slack"] < np.inf:
+        raise UsageError(f"--slack must be positive and finite, got {p['slack']}")
     ds = embedder = held = None
     if p["exact"]:
         if p["index"]:

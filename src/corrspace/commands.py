@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .datasets import SplitDataset, gen_example1, gen_example2, load_csv, save_csv, split
+from .datasets import SplitDataset, gen_example1, gen_example2, load_csv, ratios_ok, save_csv, split
 from .embed import LOSS_OF, METHODS, U32, embedder_for, load_model, save_model
 from .errors import CorruptArtifact, MissingArtifact, UsageError, check_range, is_int
 from .files import atomic_write, read_json
@@ -84,7 +84,7 @@ def _parse_items(value, kind):
 
 def _parse_ratios(value):
     parts = _parse_items(value, "numbers")
-    if len(parts) != 3 or not (min(parts) >= 0 and abs(sum(parts) - 1.0) <= 1e-9):  # NaN fails too
+    if not ratios_ok(parts):
         raise UsageError("ratios must be three comma-separated nonnegative numbers summing to 1")
     return tuple(parts)
 
@@ -183,7 +183,12 @@ def cmd_train(p):
     ds = load_csv(p["data"], p["format"])
     splits = _load_split(p["split"]) if p["split"] else split(ds, ratios, p["seed"])
     params = train(ds, splits, cfg, log_path=p["log_out"])
-    save_model(params, p["model_out"])
+    try:
+        save_model(params, p["model_out"])
+    except BaseException:  # a run that writes no model keeps no log of it
+        if os.path.isfile(p["log_out"]):
+            os.remove(p["log_out"])
+        raise
     if os.path.isfile(p["log_out"]):  # the losses and time are read back from the log
         with open(p["log_out"]) as fh:
             lines = fh.read().strip().splitlines()

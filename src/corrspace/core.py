@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeries, DegenerateOutput
+from .errors import ConstantSeries, DegenerateOutput, UsageError
 
 _NORM_BLOCK = 2**16  # values per block of `normalize_rows`
 # A row's sum of squares inside this range was summed without overflow and
@@ -33,9 +33,9 @@ class TimeSeries:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 2:
-            raise ValueError("series must be a 1-d sequence of length >= 2")
+            raise UsageError("series must be a 1-d sequence of length >= 2")
         if not np.all(np.isfinite(v)):
-            raise ValueError(f"series {self.id}: non-finite values")
+            raise UsageError(f"series {self.id}: non-finite values")
         object.__setattr__(self, "values", v)
 
 

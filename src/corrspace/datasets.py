@@ -13,7 +13,6 @@ The synthetic families build a spectrum directly and inverse-transform it:
 import csv
 import logging
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -38,11 +37,11 @@ class Dataset:
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
-            raise ValueError("values must be a (n, M) matrix")
+            raise UsageError("values must be a (n, M) matrix")
         if self.ids.shape[0] != self.values.shape[0]:
-            raise ValueError("ids/values row counts differ")
+            raise UsageError("ids/values row counts differ")
         if len(np.unique(self.ids)) != len(self.ids):
-            raise ValueError("record ids must be unique")
+            raise UsageError("record ids must be unique")
 
     @property
     def n(self):
@@ -87,7 +86,7 @@ class SplitDataset:
         self.test_ids = np.asarray(self.test_ids, dtype=np.int64)
         all_ids = np.concatenate([self.train_ids, self.val_ids, self.test_ids])
         if len(np.unique(all_ids)) != len(all_ids):
-            raise ValueError("split partitions overlap")
+            raise UsageError("split partitions overlap")
 
 
 _DELIMITERS = {"csv": ",", "csv_id": ",", "ucr": "\t"}
@@ -95,62 +94,33 @@ _INT64_BOUND = 2**63  # an id v becomes an int64 iff -2**63 <= v < 2**63
 _EXACT_ID_BOUND = 2.0**53  # a float64 holds every integer of smaller magnitude exactly
 
 
-def _parse_rows(path, delimiter):
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingArtifact(f"data file not found: {path}") from None
-    rows, lineno = [], 0
-    with fh:
-        try:
-            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-                if row:
-                    rows.append((lineno, row))
-        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            raise ParseError(lineno + 1, str(exc))
-        except UnicodeDecodeError as exc:  # raised for a whole decoded chunk, so the line is found apart
-            raise ParseError(_first_line_not_utf8(path), f"not UTF-8 text ({exc.reason})") from None
-    return rows
-
-
-def _first_line_not_utf8(path) -> int:
-    """The 1-based number of the first line of `path` that does not decode as UTF-8."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):  # b"\n" never falls inside a UTF-8 sequence
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return 0  # the file changed while it was read
-
-
-def _has_long_line(path) -> bool:
-    """True when a line could hold a field longer than `csv`'s limit."""
+def _lines_within_field_limit(fh):
+    """The lines of `fh`, raising ValueError at the first longer than `csv`'s field limit."""
     limit = csv.field_size_limit()
-    if os.path.getsize(path) <= limit:
-        return False
-    with open(path, "rb") as fh:
-        return max(map(len, fh)) > limit
+    for line in fh:
+        if len(line) > limit:  # it could hold a field numpy takes and the loop refuses
+            raise ValueError(f"a line longer than {limit} characters")
+        yield line
 
 
 def _vectorised_rows(path, fmt):
     """`(ids, values, n_constant)` by the rules of `_loop_rows`, from one call to numpy's C reader.
 
     Returns None when that reader cannot take the file, when a row breaks a
-    rule whose error names its line (a repeated id, a field longer than `csv`
-    takes), since only the loop tracks lines, or when an id reaches 2**53 in
-    magnitude, where its float64 may not be the integer written. The reader
-    accepts a subset of what the loop accepts (no quotes, underscores or
-    non-ASCII digits), and its float conversion is correctly rounded like
-    `float`, so every value it returns has the bits the loop would give.
+    rule whose error names its line (a repeated id, a line past `csv`'s
+    field limit), since only the loop tracks lines, or when an id reaches
+    2**53 in magnitude, where its float64 may not be the integer written.
+    The reader accepts a subset of what the loop accepts (no quotes,
+    underscores or non-ASCII digits), and its float conversion is correctly
+    rounded like `float`, so every value it returns has the bits the loop
+    would give.
     """
     try:
-        if _has_long_line(path):  # numpy takes fields the loop refuses
-            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy only warns on a file with no data rows
-            with open(path, "r", encoding="utf-8") as fh:  # decoded as `_parse_rows` decodes it
-                table = np.loadtxt(fh, delimiter=_DELIMITERS[fmt], comments=None, ndmin=2, dtype=np.float64)
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = _lines_within_field_limit(fh)
+                table = np.loadtxt(lines, delimiter=_DELIMITERS[fmt], comments=None, ndmin=2, dtype=np.float64)
     except (OSError, ValueError, Warning):
         return None
     if not np.isfinite(table).all():
@@ -171,50 +141,69 @@ def _vectorised_rows(path, fmt):
     return ids[keep], values[keep], len(table) - int(np.count_nonzero(keep))
 
 
+def _not_utf8_or(error, lineno, text):
+    """A ParseError at `lineno` when `text` holds a byte that is not UTF-8 (a lone surrogate), else `error`."""
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(lineno, f"not UTF-8 text ({exc.reason})")
+    return error
+
+
 def _loop_rows(path, fmt):
     """`(ids, values, n_constant)` row by row, raising the typed error of the first bad line."""
-    rows = _parse_rows(path, _DELIMITERS[fmt])
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-
-    ids, data = [], []
-    line_of = {}  # kept id -> its line
-    width = None
-    n_constant = 0
-    for lineno, row in rows:
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise RaggedRows(lineno, f"expected {width} columns, got {len(row)}")
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifact(f"data file not found: {path}") from None
+    record = []  # the lines `csv` has read since it gave the last row, kept as `rows` reads them
+    ids, data, line_of = [], [], {}  # line_of: kept id -> its line
+    width, n_constant, lineno = None, 0, 0
+    with fh:
+        rows = csv.reader((record.append(line) or line for line in fh), delimiter=_DELIMITERS[fmt])
         try:
-            nums = [float(tok) for tok in row]
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc))
-        for tok, num in zip(row, nums):
-            if not math.isfinite(num):
-                raise ParseError(lineno, f"non-finite value {tok!r}")
-        if fmt == "csv_id":
-            try:
-                rid = int(row[0])  # exact at any size
-            except ValueError:
-                rid = int(nums[0])  # a token such as "3.0"
-            if not -_INT64_BOUND <= rid < _INT64_BOUND:
-                raise ParseError(lineno, f"id {row[0]!r} is outside the int64 range")
-            vals = nums[1:]
-        elif fmt == "ucr":
-            rid, vals = len(ids) + n_constant, nums[1:]  # label column dropped
-        else:
-            rid, vals = len(ids) + n_constant, nums
-        if len(vals) < 4:
-            raise ParseError(lineno, f"series length {len(vals)} < 4")
-        if is_constant(max(vals), min(vals)):
-            n_constant += 1
-            continue
-        if rid in line_of:
-            raise ParseError(lineno, f"id {rid} repeats the id of line {line_of[rid]}")
-        line_of[rid] = lineno
-        ids.append(rid)
-        data.append(vals)
+            for lineno, row in enumerate(rows, start=1):
+                text = "".join(record)
+                record.clear()
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise _not_utf8_or(RaggedRows(lineno, f"expected {width} columns, got {len(row)}"), lineno, text)
+                try:
+                    nums = [float(tok) for tok in row]
+                except ValueError as exc:
+                    raise _not_utf8_or(ParseError(lineno, str(exc)), lineno, text) from None
+                for tok, num in zip(row, nums):
+                    if not math.isfinite(num):
+                        raise ParseError(lineno, f"non-finite value {tok!r}")
+                if fmt == "csv_id":
+                    try:
+                        rid = int(row[0])  # exact at any size
+                    except ValueError:
+                        rid = int(nums[0])  # a token such as "3.0"
+                    if not -_INT64_BOUND <= rid < _INT64_BOUND:
+                        raise ParseError(lineno, f"id {row[0]!r} is outside the int64 range")
+                    vals = nums[1:]
+                elif fmt == "ucr":
+                    rid, vals = len(ids) + n_constant, nums[1:]  # label column dropped
+                else:
+                    rid, vals = len(ids) + n_constant, nums
+                if len(vals) < 4:
+                    raise ParseError(lineno, f"series length {len(vals)} < 4")
+                if is_constant(max(vals), min(vals)):
+                    n_constant += 1
+                    continue
+                if rid in line_of:
+                    raise ParseError(lineno, f"id {rid} repeats the id of line {line_of[rid]}")
+                line_of[rid] = lineno
+                ids.append(rid)
+                data.append(vals)
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise _not_utf8_or(ParseError(lineno + 1, str(exc)), lineno + 1, "".join(record)) from None
+    if width is None:
+        raise EmptyFile(f"{path}: no data rows")
     return ids, data, n_constant
 
 
@@ -266,12 +255,17 @@ def save_csv(ds: Dataset, path) -> None:
         )
 
 
+def ratios_ok(ratios) -> bool:
+    """True for three nonnegative ratios summing to 1; NaN fails the sum."""
+    return len(ratios) == 3 and min(ratios) >= 0 and abs(sum(ratios) - 1.0) <= 1e-9
+
+
 def split(ds: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:
     """Seeded shuffle, then partition record ids; remainder goes to train."""
     n = ds.n
     if n < 10:
         raise TooSmall(f"need at least 10 series to split, got {n}")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
+    if not ratios_ok(ratios):
         raise UsageError("ratios must be three values summing to 1")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)

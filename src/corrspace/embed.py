@@ -74,13 +74,13 @@ class NetworkParams:
 
     def __init__(self, weights: list, biases: list, seed: int):
         if len(weights) != len(biases):
-            raise ValueError("weights/biases layer counts differ")
+            raise UsageError("weights/biases layer counts differ")
         for w, b in zip(weights, biases):
             if w.shape[0] != b.shape[0]:
-                raise ValueError(f"bias shape {b.shape} does not match weight {w.shape}")
+                raise UsageError(f"bias shape {b.shape} does not match weight {w.shape}")
         for prev, nxt in zip(weights[:-1], weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
-                raise ValueError("layer shapes do not chain")
+                raise UsageError("layer shapes do not chain")
         given = weights + biases
         self.flat = np.empty(sum(a.size for a in given))
         _, self.weights, self.biases = layer_views(self.flat, [w.shape for w in weights])

@@ -116,7 +116,7 @@ class RepeatedId(CorrSpaceError):
 
 
 class UsageError(CorrSpaceError, ValueError):
-    """Invalid command-line arguments, `TrainConfig` or `SweepConfig` values."""
+    """Invalid command-line arguments, `TrainConfig` or `SweepConfig` values, or constructor arguments."""
 
     exit_code = 2
 

@@ -354,8 +354,8 @@ def threshold_radius_sq(eta: float, slack: float = 1.0) -> float:
     """Radius² for a correlation threshold η: 2‖Δ‖² ≤ 2−2η ⇒ r² = slack·(1−η)."""
     if not -1.0 <= eta <= 1.0:
         raise UsageError("threshold must be a correlation in [-1, 1]")
-    if slack <= 0:
-        raise UsageError("slack must be positive")
+    if not 0 < slack < np.inf:  # NaN fails too
+        raise UsageError("slack must be positive and finite")
     return slack * (1.0 - eta)
 
 

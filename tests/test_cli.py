@@ -437,6 +437,15 @@ def test_query_modes_fail_alike(capsys, tmp_path, bad, exit_code):
         assert (code, stdout) == (exit_code, "")
 
 
+@pytest.mark.parametrize("slack", ["inf", "nan"])
+def test_query_slack_must_be_finite(capsys, tmp_path, slack):
+    # r² = slack·(1−η) is NaN for slack inf at η = 1, and every NaN radius matches nothing
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-id", "1", "--threshold", "1", "--slack", slack)
+    assert (code, stdout) == (2, "") and "--slack must be positive and finite" in err
+
+
 def test_query_exact_ranks_by_unclipped_distance(capsys, tmp_path):
     # near-duplicates of one series: the computed correlation of id 5 with
     # the query is 1 + 2⁻⁵², of ids 0 and 2 exactly 1. All three print as
@@ -1400,6 +1409,18 @@ def test_train_writes_no_non_finite_model(capsys, tmp_path, rate, exit_code):
     )
     assert code == exit_code and stdout == "" and err.startswith("error: ")
     assert not model.exists() and not (tmp_path / "m.chr1.manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow of a diverging run
+def test_train_that_writes_no_model_leaves_no_log(capsys, tmp_path):
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "m.chr1"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "50", "--learning-rate", "1e300",
+        "--model-out", str(model),
+    )
+    assert code == 13 and "non-finite weight or bias" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.manifest.json"]
 
 
 # ------------------------------------------------------------ config file

@@ -1,6 +1,7 @@
 """Ingestion, splitting, and the two synthetic generator families."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrspace import datasets
+from corrspace import commands, datasets
+from corrspace.core import TimeSeries
 from corrspace.datasets import (
     Dataset,
     SplitDataset,
@@ -19,7 +21,7 @@ from corrspace.datasets import (
     save_csv,
     split,
 )
-from corrspace.embed import features_matrix
+from corrspace.embed import NetworkParams, features_matrix
 from corrspace.errors import (
     ConstantSeries,
     CorrSpaceError,
@@ -30,6 +32,7 @@ from corrspace.errors import (
     ParseError,
     RaggedRows,
     TooSmall,
+    UsageError,
 )
 from oracles import corr_direct
 
@@ -376,6 +379,62 @@ def test_random_bytes_give_only_typed_errors(blob):
                     pass
 
 
+_RAGGED_LINE_2 = "1,2,3,4,5\n6,7,8\n9,10,11,12,13\n"
+
+
+@pytest.mark.parametrize("loader", [load_csv, load_by_loop])
+@pytest.mark.parametrize(
+    "line_4", [b"\xff\xfe,1,2,3,4\n", b"1,2,0." + b"0" * 140_000 + b"1,4,5\n"], ids=["not-utf8", "past-field-limit"]
+)
+def test_a_file_with_several_faults_names_its_first_bad_line(tmp_path, loader, line_4):
+    # each row is checked as `csv` reads it: bytes that are not UTF-8, or a
+    # field past `csv`'s limit, on line 4 come after the ragged line 2
+    p = tmp_path / "d.csv"
+    p.write_bytes(_RAGGED_LINE_2.encode() + line_4)
+    with pytest.raises(RaggedRows) as exc:
+        loader(str(p), "csv")
+    assert str(exc.value) == "line 2: expected 5 columns, got 3"
+
+
+@pytest.mark.parametrize("loader", [load_csv, load_by_loop])
+def test_bytes_that_are_not_utf8_in_a_record_of_two_lines_name_the_record(tmp_path, loader):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b'1,2,3,4\n"5\n",6,7,\xff\n')  # record 2 spans lines 2 and 3
+    with pytest.raises(ParseError) as exc:
+        loader(str(p), "csv")
+    assert str(exc.value) == "line 2: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("quoted, opens", [(False, 1), (True, 2)])
+def test_load_csv_opens_a_file_once_and_again_only_for_the_loop(tmp_path, quoted, opens):
+    ds = Dataset(ids=np.arange(400), values=np.random.default_rng(3).standard_normal((400, 64)))
+    p = tmp_path / "d.csv"
+    save_csv(ds, p)
+    if quoted:  # numpy's reader takes no quotes
+        p.write_text(p.read_text().replace("0,", '"0",', 1))
+    assert p.stat().st_size > 131_072  # larger than `csv`'s default field limit
+    with mock.patch("builtins.open", wraps=open) as opened:
+        back = load_csv(str(p), "csv_id")
+    assert [call.args[0] for call in opened.call_args_list] == [str(p)] * opens
+    assert back.values.tobytes() == ds.values.tobytes()
+
+
+def test_line_loop_holds_no_copy_of_the_file(tmp_path):
+    # the loop keeps the parsed rows, not the file's tokens beside them
+    values = np.random.default_rng(4).standard_normal((1000, 128))
+    p = tmp_path / "d.csv"
+    p.write_text("".join(f'"{i}",' + ",".join(map(repr, row)) + "\n" for i, row in enumerate(values.tolist())))
+    assert datasets._vectorised_rows(str(p), "csv_id") is None and p.stat().st_size > 2_000_000
+    tracemalloc.start()
+    try:
+        ds = load_csv(str(p), "csv_id")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.values.tobytes() == values.tobytes()
+    assert peak < 4 * p.stat().st_size
+
+
 def test_long_lines_of_short_fields_still_load(tmp_path):
     values = np.random.default_rng(5).standard_normal((2, 8000))
     p = tmp_path / "d.csv"
@@ -388,6 +447,25 @@ def test_long_lines_of_short_fields_still_load(tmp_path):
 def test_dataset_unique_ids_enforced():
     with pytest.raises(ValueError):
         Dataset(ids=np.array([1, 1]), values=np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Dataset(ids=np.array([1, 1]), values=np.zeros((2, 4))),
+    lambda: Dataset(ids=np.arange(3), values=np.zeros((2, 4))),
+    lambda: Dataset(ids=np.arange(4), values=np.zeros(4)),
+    lambda: SplitDataset(train_ids=np.array([1, 2]), val_ids=np.array([2]), test_ids=np.array([3]), seed=0),
+    lambda: TimeSeries(id=1, values=np.array([1.0])),
+    lambda: TimeSeries(id=1, values=np.array([1.0, np.nan, 2.0])),
+    lambda: NetworkParams(weights=[np.zeros((3, 4))], biases=[], seed=0),
+    lambda: NetworkParams(weights=[np.zeros((3, 4))], biases=[np.zeros(2)], seed=0),
+    lambda: NetworkParams(weights=[np.zeros((3, 4)), np.zeros((2, 2))], biases=[np.zeros(3), np.zeros(2)], seed=0),
+], ids=[
+    "repeated-id", "row-counts", "not-2d", "overlap", "short-series", "non-finite-series",
+    "layer-counts", "bias-shape", "unchained-layers",
+])
+def test_constructors_refuse_bad_arguments_with_a_usage_error(build):
+    with pytest.raises(UsageError):
+        build()
 
 
 def test_rows_for_preserves_order():
@@ -448,6 +526,17 @@ def test_split_ratios_must_be_three_summing_to_one(ratios):
     ds = Dataset(ids=np.arange(20), values=np.random.default_rng(13).standard_normal((20, 8)))
     with pytest.raises(ValueError, match="ratios must be three values summing to 1"):
         split(ds, ratios)
+
+
+@pytest.mark.parametrize("ratios", [
+    (1.2, -0.1, -0.1), (0.5, float("nan"), 0.5), (float("nan"),) * 3, (float("inf"), float("-inf"), 1.0),
+])
+def test_split_refuses_the_ratios_the_cli_refuses(ratios):
+    ds = Dataset(ids=np.arange(20), values=np.random.default_rng(13).standard_normal((20, 8)))
+    with pytest.raises(UsageError, match="ratios must be three values summing to 1"):
+        split(ds, ratios)
+    with pytest.raises(UsageError, match="ratios must be three comma-separated nonnegative numbers"):
+        commands._parse_ratios(",".join(map(str, ratios)))
 
 
 def test_split_too_small():

@@ -25,6 +25,7 @@ from corrspace.errors import (
     EmptyInput,
     MissingArtifact,
     RepeatedId,
+    UsageError,
 )
 from corrspace.index import (
     INDEX_MAGIC,
@@ -264,6 +265,12 @@ def test_threshold_radius_rejects_bad_eta():
         threshold_radius_sq(-1.1)
     with pytest.raises(ValueError):
         threshold_radius_sq(0.5, slack=0.0)
+
+
+@pytest.mark.parametrize("eta, slack", [(0.5, float("nan")), (1.0, float("inf")), (0.5, float("inf"))])
+def test_threshold_radius_slack_must_be_finite(eta, slack):
+    with pytest.raises(UsageError, match="slack must be positive and finite"):
+        threshold_radius_sq(eta, slack)
 
 
 # ------------------------------------------------------------------- format
