@@ -149,6 +149,9 @@ def cmd_query(p):
         raise UsageError(f"--threshold must be a correlation in [-1, 1], got {p['threshold']}")
     if not 0 < p["slack"] < np.inf:
         raise UsageError(f"--slack must be positive and finite, got {p['slack']}")
+    # before the index or --data is read; not `isfile`, as a pipe such as /dev/stdin is read
+    if p["query_file"] is not None and (not os.path.exists(p["query_file"]) or os.path.isdir(p["query_file"])):
+        raise MissingArtifact(f"query file not found: {p['query_file']}")
     ds = embedder = held = None
     if p["exact"]:
         if p["index"]:
@@ -326,48 +329,29 @@ SUBCOMMANDS = {
 }
 
 
-def _add_flags(parser, name):
-    for key in ("config", *SUBCOMMANDS[name].defaults):
-        parser.add_argument(flag(key), **FLAGS[key])
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv[0]'s subcommand alone when it names one, since
+    building all eight subparsers is most of a parse; of all eight otherwise.
+    Its usage line lists all eight either way."""
     ap = argparse.ArgumentParser(
         prog="corrspace",
         description="Correlation-preserving time-series embeddings with exact k-d tree search.",
     )
     ap.add_argument("--version", action="version", version=f"corrspace {__version__}")
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, spec in SUBCOMMANDS.items():
-        _add_flags(sub.add_parser(name, help=spec.help), name)
+    names = [argv[0]] if argv and argv[0] in SUBCOMMANDS else list(SUBCOMMANDS)
+    # unset with all eight built: a metavar would replace "subcommand" in their errors
+    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        parser = sub.add_parser(name, help=SUBCOMMANDS[name].help)
+        for key in ("config", *SUBCOMMANDS[name].defaults):
+            parser.add_argument(flag(key), **FLAGS[key])
     return ap
 
 
-class _FullParserAnswers(Exception):
-    """Help or a parse error: text that only the full parser prints as users see it."""
-
-
-class _OneSubcommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _FullParserAnswers
-
-    def print_help(self, file=None):
-        raise _FullParserAnswers
-
-
 def _parse(argv):
-    """The namespace of `argv`. Building all eight subparsers is most of a
-    parse, so the subcommand that argv[0] names is parsed by its own parser
-    alone. The full parser answers everything else, each error and help
-    included: its usage and error text are the ones users see."""
-    if argv and argv[0] in SUBCOMMANDS:
-        parser = _OneSubcommandParser(prog=f"corrspace {argv[0]}")
-        _add_flags(parser, argv[0])
-        try:
-            return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-        except _FullParserAnswers:
-            pass
-    return build_parser().parse_args(argv)
+    """The namespace of `argv`, from one parse."""
+    return build_parser(argv).parse_args(argv)
 
 
 def _command(name):

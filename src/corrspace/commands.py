@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .datasets import SplitDataset, gen_example1, gen_example2, load_csv, ratios_ok, save_csv, split
 from .embed import LOSS_OF, METHODS, U32, embedder_for, load_model, save_model
-from .errors import CorruptArtifact, MissingArtifact, UsageError, check_range, is_int
+from .errors import CorruptArtifact, UsageError, check_range, is_int
 from .files import atomic_write, read_json
 from .index import KdTree, save_index
 
@@ -211,16 +211,20 @@ def cmd_index(p):
         raise UsageError("--partition needs --split")
     if learned and not p["model"]:
         raise UsageError(f"method {p['method']} requires --model")
+    # an input that would go unread is refused: the manifest would hash it as one
+    if p["model"] and not learned:
+        raise UsageError(f"--model is not taken with method {p['method']}: it reads no model")
+    if p["split"] and p["partition"] == "all":
+        raise UsageError("--split is not taken with --partition all: it indexes every series of --data")
     ds = load_csv(p["data"], p["format"])
     if p["partition"] != "all":
         splits = _load_split(p["split"])
         rows = ds.rows_for(getattr(splits, f"{p['partition']}_ids"))
     else:
         rows = slice(None)
-    for key in ("split", "model"):  # unread with --partition all or a fixed method, but the manifest hashes them
-        if p[key] and not os.path.isfile(p[key]):
-            raise MissingArtifact(f"{key} file not found: {p[key]}")
     model = load_model(p["model"]) if learned else None
+    if learned and p["m"] not in (None, model.output_width):
+        raise UsageError(f"--m {p['m']} is not the model's output width {model.output_width}")
     embedder = embedder_for(p["method"], p["m"], model)
     tree = KdTree(embedder.embed_matrix(ds.normalized_matrix(rows)), ds.ids[rows])
     meta = {

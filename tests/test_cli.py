@@ -302,15 +302,35 @@ def build_index(capsys, tmp_path, data, method="dft", m="8", extra=()):
 
 @pytest.mark.parametrize("flag", ["--split", "--model"])
 def test_index_input_left_unread_must_name_a_file(capsys, tmp_path, flag):
-    # a dft index over --partition all reads neither, but its manifest hashes both
+    # a dft index over --partition all reads neither, and its manifest would hash
+    # both as inputs: either is a usage error, given a file or not
     data = gen_small(capsys, tmp_path)
     out = tmp_path / "x.cix1"
-    code, stdout, err = run(
-        capsys, "index", "--data", str(data), "--method", "dft", "--m", "4", "--partition", "all",
-        flag, str(tmp_path / "absent"), "--output", str(out),
+    for path in (tmp_path / "absent", data):
+        code, stdout, err = run(
+            capsys, "index", "--data", str(data), "--method", "dft", "--m", "4", "--partition", "all",
+            flag, str(path), "--output", str(out),
+        )
+        assert code == 2 and stdout == "" and f"{flag} is not taken with" in err
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("m, code", [("7", 2), ("4", 0)])
+def test_index_m_must_be_the_models_width(capsys, tmp_path, m, code):
+    data = gen_small(capsys, tmp_path)
+    model = tmp_path / "m.chr1"
+    assert run(capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "5",
+               "--model-out", str(model))[0] == 0
+    out = tmp_path / "x.cix1"
+    got, stdout, err = run(
+        capsys, "index", "--data", str(data), "--method", "learned-order", "--m", m, "--model", str(model),
+        "--output", str(out),
     )
-    assert code == 23 and stdout == "" and f"{flag[2:]} file not found: {tmp_path / 'absent'}" in err
-    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+    assert got == code, err
+    if code:
+        assert stdout == "" and "--m 7 is not the model's output width 4" in err and not out.exists()
+    else:
+        assert load_index(str(out))[1]["m"] == 4
 
 
 def test_index_metadata(capsys, tmp_path):
@@ -345,8 +365,11 @@ def test_index_learned_method_requires_model(capsys, tmp_path):
     (("index", "--method", "dft"), 2, "method dft requires --m"),
     (("index", "--method", "dft", "--m", "4", "--partition", "train"), 2, "--partition needs --split"),
     (("index", "--method", "learned-order"), 2, "method learned-order requires --model"),
+    (("index", "--method", "downsample", "--m", "4", "--model", "m.chr1"), 2,
+     "--model is not taken with method downsample"),
+    (("index", "--method", "dft", "--m", "4", "--split", "s.json"), 2, "--split is not taken with --partition all"),
     (("train", "--m", "4", "--ratios", "bogus"), 2, 'cannot read "bogus" as a list of numbers'),
-], ids=["index-m", "index-split", "index-model", "train-ratios"])
+], ids=["index-m", "index-split", "index-model", "index-unread-model", "index-unread-split", "train-ratios"])
 def test_own_flags_are_checked_before_the_data_is_read(capsys, tmp_path, argv, code, message):
     # --data names no file, which would exit 23 ("data file not found") were it read first
     out = "--output" if argv[0] == "index" else "--model-out"
@@ -620,6 +643,15 @@ def test_query_length_must_match_the_index(capsys, tmp_path, mode):
     code, stdout, err = run(capsys, "query", *how, "--query-file", str(qf), "--k", "3")
     assert code == 11
     assert stdout == "" and "length 8" in err and "length 16" in err
+
+
+@pytest.mark.parametrize("mode", [("--index", "ghost.cix1"), ("--exact",)], ids=["index", "exact"])
+def test_missing_query_file_is_named_before_the_index_or_data_is_read(capsys, tmp_path, mode):
+    # neither the index nor --data names a file: read first, either would be the error
+    argv = [*(str(tmp_path / a) if a.startswith("ghost") else a for a in mode), "--data", str(tmp_path / "ghost.csv")]
+    for query_file in (tmp_path / "nope.csv", tmp_path):
+        code, stdout, err = run(capsys, "query", *argv, "--query-file", str(query_file))
+        assert (code, stdout, err) == (23, "", f"error: query file not found: {query_file}\n")
 
 
 @pytest.mark.parametrize("edit", [
@@ -1802,10 +1834,10 @@ def test_installed_entry_point():
     assert "corrspace" in proc.stdout
 
 
-# The parse of argv[0]'s subcommand alone must hand every argv that the full
-# parser refuses or answers with help to it: each byte and exit code is the
-# full parser's.
-FULL_PARSER_ANSWERS = [
+# One parse, by the parser of argv[0]'s subcommand alone when it names one,
+# must answer every argv as the parser of all eight subcommands does: the
+# same bytes and exit code for help and errors, the same namespace otherwise.
+HAND_PICKED_ARGV = [
     *([name, "-h"] for name in SUBCOMMANDS),
     ["query", "--help"],
     ["query", "--he"],  # an abbreviation of --help
@@ -1819,6 +1851,33 @@ FULL_PARSER_ANSWERS = [
 ]
 
 
+def argv_forms():
+    """The hand-picked argv, then these: for each subcommand, help, a stray
+    positional, an unknown flag and a flag of the top level; for each flag it
+    takes, the flag without a value, with a bad one, with a good one, its
+    abbreviation, a repeat and its --no- form; and argv naming no subcommand."""
+    forms = [*HAND_PICKED_ARGV, ["--help"], ["-x"], ["quer"], ["--", "query"], ["-h", "query"], ["--version", "nope"]]
+    for name in SUBCOMMANDS:
+        forms += [[name], [name, "--he"], [name, "a", "b"], [name, "-x"], [name, "--version"]]
+        for key in ("config", *SUBCOMMANDS[name].defaults):
+            spec, option = FLAGS[key], _flag(key)
+            if spec.get("action") is argparse.BooleanOptionalAction:
+                good, bad = [], ["v"]  # a value is a stray positional
+            else:  # not a choice, not a number; a string flag refuses only what looks like a flag
+                good, bad = [good_value(spec)], ["nope" if "choices" in spec else "x" if "type" in spec else "-x"]
+            forms += [
+                [name, option], [name, option, *bad], [name, option, *good], [name, option[:-1], *good],
+                [name, option, *good, option, *good], [name, "--no-" + option[2:], *good],
+            ]
+    unique = {" ".join(argv): argv for argv in forms}  # each form once, so the first ones keep their ids
+    return list(unique.values())
+
+
+def good_value(spec):
+    """A value that the flag of argparse keywords `spec` takes."""
+    return spec["choices"][-1] if "choices" in spec else {int: "3", float: "0.5"}.get(spec.get("type"), "v")
+
+
 def exit_of(capsys, call):
     with pytest.raises(SystemExit) as exc:
         call()
@@ -1826,10 +1885,32 @@ def exit_of(capsys, call):
     return exc.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", FULL_PARSER_ANSWERS, ids=lambda argv: " ".join(argv) or "no-argv")
-def test_argv_refused_or_helped_answers_as_the_full_parser(capsys, argv):
-    want = exit_of(capsys, lambda: build_parser().parse_args(argv))
-    assert exit_of(capsys, lambda: main(argv)) == want
+@pytest.fixture(scope="module")
+def full_parser():
+    """All eight subparsers, built once: each call formats its help and usage at the width of that call."""
+    return build_parser()
+
+
+@pytest.mark.parametrize("argv", argv_forms(), ids=lambda argv: " ".join(argv) or "no-argv")
+def test_argv_refused_or_helped_answers_as_the_full_parser(capsys, monkeypatch, full_parser, argv):
+    for columns in ("30", "200"):  # help and usage lines wrap at the terminal's width
+        monkeypatch.setenv("COLUMNS", columns)
+        try:
+            want = vars(full_parser.parse_args(argv))
+        except SystemExit as exc:
+            want = (exc.code, *capsys.readouterr())
+            assert exit_of(capsys, lambda: main(argv)) == want, columns
+        else:
+            assert vars(_parse(argv)) == want, columns
+
+
+def test_usage_lists_every_subcommand_and_errors_name_the_argument(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # the usage on one line
+    usage = "usage: corrspace [-h] [--version] {gen,ingest,split,train,index,query,eval,bench} ...\n"
+    code, _, err = exit_of(capsys, lambda: main(["query", "--version"]))  # parsed by query's parser alone
+    assert code == 2 and err == usage + "corrspace: error: unrecognized arguments: --version\n"
+    assert exit_of(capsys, lambda: main([]))[2].endswith("error: the following arguments are required: subcommand\n")
+    assert "error: argument subcommand: invalid choice: 'nope'" in exit_of(capsys, lambda: main(["nope"]))[2]
 
 
 def every_flag(name):
@@ -1840,19 +1921,24 @@ def every_flag(name):
         if flag.get("action") is argparse.BooleanOptionalAction:
             argv.append(_flag(key).replace("--", "--no-"))
         else:
-            value = flag["choices"][-1] if "choices" in flag else {int: "3", float: "0.5"}.get(flag.get("type"), "v")
-            argv += [_flag(key), value]
+            argv += [_flag(key), good_value(flag)]
     return argv
 
 
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_one_subcommand_parse_gives_the_full_parsers_namespace(monkeypatch, name):
     seed = ["--seed", "-1"] if "seed" in SUBCOMMANDS[name].defaults else []  # a value that looks like a flag
+    add_parser = argparse._SubParsersAction.add_parser
     for argv in ([name], every_flag(name), [name, "--config=c", *seed]):
         want = vars(build_parser().parse_args(argv))
+        built = []
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "build_parser", lambda: pytest.fail("the full parser was built"))
+            patch.setattr(
+                argparse._SubParsersAction, "add_parser",
+                lambda self, sub, **kwargs: built.append(sub) or add_parser(self, sub, **kwargs),
+            )
             assert vars(_parse(argv)) == want, argv
+        assert built == [name], argv
 
 
 def test_every_command_is_a_cli_attribute():
