@@ -204,7 +204,7 @@ def cmd_query(p):
             from .datasets import load_csv
 
             ds = load_csv(p["data"], p["format"])
-        elif p["data"] and not os.path.isfile(p["data"]):  # not read, but naming no file is still an error
+        elif p["data"] and (not os.path.exists(p["data"]) or os.path.isdir(p["data"])):  # unread, yet must exist
             raise MissingArtifact(f"data file not found: {p['data']}")
     if held is not None:
         queries = [(f"id {p['query_id']}", held, int(p["query_id"]))]

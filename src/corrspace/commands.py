@@ -18,7 +18,7 @@ from . import __version__
 from .datasets import SplitDataset, gen_example1, gen_example2, load_csv, ratios_ok, save_csv, split
 from .embed import LOSS_OF, METHODS, U32, embedder_for, load_model, save_model
 from .errors import CorruptArtifact, UsageError, check_range, is_int
-from .files import atomic_write, read_json
+from .files import read_json, write_json
 from .index import KdTree, save_index
 
 # `train` and `evaluation` are imported by the commands that use them: `ingest`
@@ -51,9 +51,7 @@ def write_manifest(path, subcommand, spec, params):
         "inputs": _hash_files(params, spec.inputs),
         "outputs": _hash_files(params, spec.outputs),
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, indent=2, sort_keys=True)
 
 
 def _number(x):
@@ -112,9 +110,7 @@ def _save_split(splits, path):
         "val_ids": splits.val_ids.tolist(),
         "test_ids": splits.test_ids.tolist(),
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _load_split(path):
@@ -216,15 +212,15 @@ def cmd_index(p):
         raise UsageError(f"--model is not taken with method {p['method']}: it reads no model")
     if p["split"] and p["partition"] == "all":
         raise UsageError("--split is not taken with --partition all: it indexes every series of --data")
+    model = load_model(p["model"]) if learned else None
+    if learned and p["m"] not in (None, model.output_width):
+        raise UsageError(f"--m {p['m']} is not the model's output width {model.output_width}")
     ds = load_csv(p["data"], p["format"])
     if p["partition"] != "all":
         splits = _load_split(p["split"])
         rows = ds.rows_for(getattr(splits, f"{p['partition']}_ids"))
     else:
         rows = slice(None)
-    model = load_model(p["model"]) if learned else None
-    if learned and p["m"] not in (None, model.output_width):
-        raise UsageError(f"--m {p['m']} is not the model's output width {model.output_width}")
     embedder = embedder_for(p["method"], p["m"], model)
     tree = KdTree(embedder.embed_matrix(ds.normalized_matrix(rows)), ds.ids[rows])
     meta = {
@@ -274,7 +270,5 @@ def cmd_bench(p):
     for key in ("q50_us", "q99_us", "embed_q50_us", "traverse_q50_us", "scanned_q50", "refined_q50", "build_ms"):
         print(f"{key} = {stats[key]:.1f}")
     if p["report_out"]:
-        with atomic_write(p["report_out"]) as fh:
-            json.dump(stats, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(p["report_out"], stats, indent=2, sort_keys=True)
     return 0

@@ -11,6 +11,7 @@ The synthetic families build a spectrum directly and inverse-transform it:
 """
 
 import csv
+import io
 import logging
 import math
 import warnings
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import is_constant, normalize_rows
-from .errors import EmptyFile, InvalidM, MissingArtifact, ParseError, RaggedRows, TooSmall, UsageError
+from .errors import EmptyFile, InvalidM, MissingArtifact, ParseError, RaggedRows, TooSmall, UsageError, open_input
 from .files import atomic_write
 
 log = logging.getLogger(__name__)
@@ -103,8 +104,8 @@ def _lines_within_field_limit(fh):
         yield line
 
 
-def _vectorised_rows(path, fmt):
-    """`(ids, values, n_constant)` by the rules of `_loop_rows`, from one call to numpy's C reader.
+def _vectorised_rows(fh, fmt):
+    """`(ids, values, n_constant)` by the rules of `_loop_rows`, from one call to numpy's C reader on `fh`.
 
     Returns None when that reader cannot take the file, when a row breaks a
     rule whose error names its line (a repeated id, a line past `csv`'s
@@ -118,10 +119,9 @@ def _vectorised_rows(path, fmt):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy only warns on a file with no data rows
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = _lines_within_field_limit(fh)
-                table = np.loadtxt(lines, delimiter=_DELIMITERS[fmt], comments=None, ndmin=2, dtype=np.float64)
-    except (OSError, ValueError, Warning):
+            lines = _lines_within_field_limit(fh)
+            table = np.loadtxt(lines, delimiter=_DELIMITERS[fmt], comments=None, ndmin=2, dtype=np.float64)
+    except (ValueError, Warning):  # a byte that is not UTF-8 is a lone surrogate, which no number holds
         return None
     if not np.isfinite(table).all():
         return None
@@ -150,60 +150,55 @@ def _not_utf8_or(error, lineno, text):
     return error
 
 
-def _loop_rows(path, fmt):
-    """`(ids, values, n_constant)` row by row, raising the typed error of the first bad line."""
-    try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingArtifact(f"data file not found: {path}") from None
+def _loop_rows(fh, fmt):
+    """`(ids, values, n_constant)` row by row from the start of `fh`, raising the typed error of the first bad line."""
+    fh.seek(0)  # numpy's pass may have read some of it
+    fh.reconfigure(newline="")  # line ends kept, as `csv` needs; numpy's pass takes lines 2x as fast without
     record = []  # the lines `csv` has read since it gave the last row, kept as `rows` reads them
     ids, data, line_of = [], [], {}  # line_of: kept id -> its line
     width, n_constant, lineno = None, 0, 0
-    with fh:
-        rows = csv.reader((record.append(line) or line for line in fh), delimiter=_DELIMITERS[fmt])
-        try:
-            for lineno, row in enumerate(rows, start=1):
-                text = "".join(record)
-                record.clear()
-                if not row:
-                    continue
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise _not_utf8_or(RaggedRows(lineno, f"expected {width} columns, got {len(row)}"), lineno, text)
+    rows = csv.reader((record.append(line) or line for line in fh), delimiter=_DELIMITERS[fmt])
+    try:
+        for lineno, row in enumerate(rows, start=1):
+            text = "".join(record)
+            record.clear()
+            if not row:
+                continue
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise _not_utf8_or(RaggedRows(lineno, f"expected {width} columns, got {len(row)}"), lineno, text)
+            try:
+                nums = [float(tok) for tok in row]
+            except ValueError as exc:
+                raise _not_utf8_or(ParseError(lineno, str(exc)), lineno, text) from None
+            for tok, num in zip(row, nums):
+                if not math.isfinite(num):
+                    raise ParseError(lineno, f"non-finite value {tok!r}")
+            if fmt == "csv_id":
                 try:
-                    nums = [float(tok) for tok in row]
-                except ValueError as exc:
-                    raise _not_utf8_or(ParseError(lineno, str(exc)), lineno, text) from None
-                for tok, num in zip(row, nums):
-                    if not math.isfinite(num):
-                        raise ParseError(lineno, f"non-finite value {tok!r}")
-                if fmt == "csv_id":
-                    try:
-                        rid = int(row[0])  # exact at any size
-                    except ValueError:
-                        rid = int(nums[0])  # a token such as "3.0"
-                    if not -_INT64_BOUND <= rid < _INT64_BOUND:
-                        raise ParseError(lineno, f"id {row[0]!r} is outside the int64 range")
-                    vals = nums[1:]
-                elif fmt == "ucr":
-                    rid, vals = len(ids) + n_constant, nums[1:]  # label column dropped
-                else:
-                    rid, vals = len(ids) + n_constant, nums
-                if len(vals) < 4:
-                    raise ParseError(lineno, f"series length {len(vals)} < 4")
-                if is_constant(max(vals), min(vals)):
-                    n_constant += 1
-                    continue
-                if rid in line_of:
-                    raise ParseError(lineno, f"id {rid} repeats the id of line {line_of[rid]}")
-                line_of[rid] = lineno
-                ids.append(rid)
-                data.append(vals)
-        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            raise _not_utf8_or(ParseError(lineno + 1, str(exc)), lineno + 1, "".join(record)) from None
-    if width is None:
-        raise EmptyFile(f"{path}: no data rows")
+                    rid = int(row[0])  # exact at any size
+                except ValueError:
+                    rid = int(nums[0])  # a token such as "3.0"
+                if not -_INT64_BOUND <= rid < _INT64_BOUND:
+                    raise ParseError(lineno, f"id {row[0]!r} is outside the int64 range")
+                vals = nums[1:]
+            elif fmt == "ucr":
+                rid, vals = len(ids) + n_constant, nums[1:]  # label column dropped
+            else:
+                rid, vals = len(ids) + n_constant, nums
+            if len(vals) < 4:
+                raise ParseError(lineno, f"series length {len(vals)} < 4")
+            if is_constant(max(vals), min(vals)):
+                n_constant += 1
+                continue
+            if rid in line_of:
+                raise ParseError(lineno, f"id {rid} repeats the id of line {line_of[rid]}")
+            line_of[rid] = lineno
+            ids.append(rid)
+            data.append(vals)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise _not_utf8_or(ParseError(lineno + 1, str(exc)), lineno + 1, "".join(record)) from None
     return ids, data, n_constant
 
 
@@ -219,19 +214,24 @@ def load_csv(path, fmt: str = "csv") -> Dataset:
     in `n_constant_dropped`; they would make the correlation undefined. A
     non-finite value anywhere, or a line that is not UTF-8, is a `ParseError`.
 
-    The file is parsed in one vectorised pass. A file that pass cannot take
-    or that breaks a row rule is read again line by line, which gives the
-    same values or raises the error naming the first bad line.
+    The file is opened once, and its one text handle is parsed in one
+    vectorised pass. A file that pass cannot take or that breaks a row rule
+    is read again from the handle's start line by line, which gives the same
+    values or raises the error naming the first bad line. A file that cannot
+    be rewound (a pipe) is first read into memory as bytes.
     """
     if fmt not in _DELIMITERS:
         raise UsageError(f"unknown format {fmt!r}")
-    rows = _vectorised_rows(path, fmt)
-    ids, values, n_constant = _loop_rows(path, fmt) if rows is None else rows
+    with open_input(path, "data file", "rb") as raw:
+        buffer = raw if raw.seekable() else io.BytesIO(raw.read())
+        with io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape") as fh:
+            rows = _vectorised_rows(fh, fmt)
+            ids, values, n_constant = _loop_rows(fh, fmt) if rows is None else rows
 
     if n_constant:
         log.warning("%s: dropped %d constant series", path, n_constant)
     if len(ids) == 0:
-        raise EmptyFile(f"{path}: all rows were constant")
+        raise EmptyFile(f"{path}: {'all rows were constant' if n_constant else 'no data rows'}")
     return Dataset(
         ids=ids,
         values=values,

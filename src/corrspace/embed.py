@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, MissingArtifact, UsageError
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, InvalidM, UsageError, open_input
 
 SMOOTH_EPS = 1e-12
 MODEL_MAGIC = b"CHR1"
@@ -275,9 +275,5 @@ def load_model(path) -> NetworkParams:
     model, or whose weights or biases are not all finite, `CorruptArtifact`
     (`parse_model`).
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingArtifact(f"model file not found: {path}") from None
-    return parse_model(data, path)
+    with open_input(path, "model file", "rb") as fh:
+        return parse_model(fh.read(), path)

@@ -1,9 +1,9 @@
 """Exception classes shared across the package.
 
 Every error carries a stable process exit code so the CLI can map failure
-classes to distinct codes (see cli.py and the README). `check_range` is the
-one out-of-range check of a flag's values, and `is_int` the one test of a
-JSON integer in an artifact's metadata.
+classes to distinct codes (see cli.py and the README). `open_input` opens
+every input file, `check_range` is the one out-of-range check of a flag's
+values, and `is_int` the one test of a JSON integer in an artifact's metadata.
 """
 
 
@@ -119,6 +119,14 @@ class UsageError(CorrSpaceError, ValueError):
     """Invalid command-line arguments, `TrainConfig` or `SweepConfig` values, or constructor arguments."""
 
     exit_code = 2
+
+
+def open_input(path, what, mode="r", **kwargs):
+    """`open(path, mode, **kwargs)`, or MissingArtifact("<what> not found: <path>") for a missing path or a directory."""
+    try:
+        return open(path, mode, **kwargs)
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingArtifact(f"{what} not found: {path}") from None
 
 
 def flag(key):

@@ -1,4 +1,4 @@
-"""Artifact files: one way to write one, and one way to read a JSON one.
+"""Artifact files: one way to write one, and one way to write or read a JSON one.
 
 `atomic_write` gives every saved artifact (CSV, model, index, split, log,
 report, manifest) a temporary file in the output's directory, renamed over
@@ -9,7 +9,7 @@ import contextlib
 import json
 import os
 
-from .errors import MissingArtifact
+from .errors import open_input
 
 
 @contextlib.contextmanager
@@ -33,12 +33,17 @@ def atomic_write(path, mode="w", **kwargs):
         raise
 
 
+def write_json(path, doc, **dump_kwargs):
+    """Write `doc` to `path` as JSON (`json.dump` with `dump_kwargs`) and a newline, by `atomic_write`."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, **dump_kwargs)
+        fh.write("\n")
+
+
 def read_json(path, what, error):
     """The JSON document at `path`; `error` (a CorrSpaceError class) when it is not JSON."""
     try:
-        with open(path) as fh:
+        with open_input(path, what) as fh:
             return json.load(fh)
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingArtifact(f"{what} not found: {path}")
     except (ValueError, RecursionError) as exc:  # among them JSONDecodeError and UnicodeDecodeError
         raise error(f"{what} {path} is not JSON: {exc}") from None

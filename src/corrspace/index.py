@@ -35,7 +35,7 @@ import struct
 import numpy as np
 
 from .embed import model_bytes, parse_model
-from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, MissingArtifact, RepeatedId, UsageError
+from .errors import CorruptArtifact, DegenerateOutput, DimensionMismatch, EmptyInput, RepeatedId, UsageError, open_input
 
 INDEX_MAGIC = b"CIX1"
 # 2: rows in tree order. 3: version 2 plus the model that embedded the rows.
@@ -389,11 +389,7 @@ def load_index(path, with_model=False):
     finite, whose ids repeat or whose model is not a whole CHR1 model of
     output width m, raises `CorruptArtifact`.
     """
-    try:
-        fh = open(path, "rb")
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingArtifact(f"index file not found: {path}") from None
-    with fh:
+    with open_input(path, "index file", "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
         if head[:4] != INDEX_MAGIC:

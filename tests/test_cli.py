@@ -316,7 +316,7 @@ def test_index_input_left_unread_must_name_a_file(capsys, tmp_path, flag):
 
 
 @pytest.mark.parametrize("m, code", [("7", 2), ("4", 0)])
-def test_index_m_must_be_the_models_width(capsys, tmp_path, m, code):
+def test_index_m_must_be_the_models_width(capsys, tmp_path, monkeypatch, m, code):
     data = gen_small(capsys, tmp_path)
     model = tmp_path / "m.chr1"
     assert run(capsys, "train", "--data", str(data), "--m", "4", "--desk", "--iterations", "5",
@@ -329,6 +329,13 @@ def test_index_m_must_be_the_models_width(capsys, tmp_path, m, code):
     assert got == code, err
     if code:
         assert stdout == "" and "--m 7 is not the model's output width 4" in err and not out.exists()
+        # checked before --data is read: it names no file, and `load_csv` is not called
+        monkeypatch.setattr("corrspace.commands.load_csv", None)
+        got, stdout, err = run(
+            capsys, "index", "--data", str(tmp_path / "absent.csv"), "--method", "learned-order", "--m", m,
+            "--model", str(model), "--output", str(out),
+        )
+        assert (got, stdout, err) == (2, "", "error: --m 7 is not the model's output width 4\n")
     else:
         assert load_index(str(out))[1]["m"] == 4
 
@@ -1046,6 +1053,59 @@ def test_query_file_rows_answer_as_they_would_alone(capsys, tmp_path):
         code, stdout, err = run(capsys, "query", "--index", str(idx), "--query-file", str(alone), "--k", "6")
         assert code == 0, err
         assert stdout.split("\n", 1)[1] == blocks[i].split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("case", ["query-file", "ingest", "held-id-data"])
+def test_a_piped_input_answers_as_its_file(capsys, tmp_path, case):
+    # the file goes to a fresh process's stdin, a pipe read as /dev/stdin; a
+    # quoted field sends a file past numpy's pass to the loop
+    data = gen_small(capsys, tmp_path)
+    idx = build_index(capsys, tmp_path, data)
+    lines = data.read_text().splitlines(keepends=True)
+    if case == "query-file":
+        rows = [line.split(",", 1)[1] for line in lines[:3]]
+        path, text = tmp_path / "q.csv", '"' + rows[0].replace(",", '",', 1) + "".join(rows[1:])
+        argv = ["query", "--index", str(idx), "--query-file", "{input}", "--k", "4"]
+    elif case == "ingest":
+        path, text = tmp_path / "raw.csv", '"' + lines[0].replace(",", '",', 1) + "".join(lines[1:])
+        argv = ["ingest", "--input", "{input}", "--format", "csv_id", "--output", str(tmp_path / "{output}")]
+    else:  # an id the index holds: --data is not read, but must name a file
+        path, text = tmp_path / "d.csv", "".join(lines)
+        argv = ["query", "--index", str(idx), "--data", "{input}", "--query-id", "5", "--k", "4"]
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrspace.cli", *(a.format(input="/dev/stdin", output="piped.csv") for a in argv)],
+        input=text, capture_output=True, text=True, env=env,
+    )
+    code, stdout, err = run(capsys, *(a.format(input=path, output="from-path.csv") for a in argv))
+    assert (proc.returncode, proc.stderr) == (code, err) == (0, "")
+    assert proc.stdout == stdout.replace(str(path), "/dev/stdin").replace("from-path.csv", "piped.csv")
+    if case == "ingest":
+        assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "from-path.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("what, argv", [
+    ("data file", ("ingest", "--input", "{path}", "--output", "{tmp}/x.csv")),
+    ("model file", ("bench", "--n", "100", "--model", "{path}")),
+    ("index file", ("query", "--index", "{path}", "--query-id", "1")),
+    ("split file", ("train", "--data", "{data}", "--m", "4", "--desk", "--split", "{path}", "--model-out", "{tmp}/m")),
+    ("config file", ("gen", "--family", "example1", "--config", "{path}", "--output", "{tmp}/x.csv")),
+    ("manifest", None),  # `replay_manifest`
+])
+def test_each_loader_names_a_missing_input_or_a_directory(capsys, tmp_path, what, argv, kind):
+    data = gen_small(capsys, tmp_path)
+    path = tmp_path / ("ghost" if kind == "missing" else "folder")
+    if kind == "directory":
+        path.mkdir()
+    if argv is None:
+        with pytest.raises(MissingArtifact) as exc:
+            replay_manifest(str(path))
+        code, stdout, err = exc.value.exit_code, "", f"error: {exc.value}\n"
+    else:
+        code, stdout, err = run(capsys, *(a.format(path=path, tmp=tmp_path, data=data) for a in argv))
+    assert (code, stdout, err) == (23, "", f"error: {what} not found: {path}\n")
 
 
 @pytest.mark.parametrize("argv", [

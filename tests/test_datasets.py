@@ -1,6 +1,8 @@
 """Ingestion, splitting, and the two synthetic generator families."""
 
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -166,6 +168,12 @@ def finite_datasets(draw):
     return Dataset(ids=ids, values=np.hstack([values, np.tile([1.0, 2.0], (n, 1))]))
 
 
+def rows_by(reader, path, fmt):
+    """`reader` (`datasets._vectorised_rows` or `_loop_rows`) on a text handle of `path`, opened as `load_csv` opens it."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        return reader(fh, fmt)
+
+
 def assert_same_rows(rows, ds):
     ids, values, n_constant = rows
     assert np.asarray(ids).tolist() == ds.ids.tolist() and n_constant == 0
@@ -178,12 +186,12 @@ def test_save_csv_round_trips_every_finite_double(ds):
     with tempfile.TemporaryDirectory() as tmp:
         p, again = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
         save_csv(ds, p)
-        vectorised = datasets._vectorised_rows(str(p), "csv_id")
+        vectorised = rows_by(datasets._vectorised_rows, p, "csv_id")
         if all(abs(rid) < 2**53 for rid in ds.ids.tolist()):  # np.abs overflows at -2**63
             assert_same_rows(vectorised, ds)
         else:
             assert vectorised is None  # such an id is read by the loop, exactly
-        assert_same_rows(datasets._loop_rows(str(p), "csv_id"), ds)
+        assert_same_rows(rows_by(datasets._loop_rows, p, "csv_id"), ds)
         save_csv(load_csv(str(p), "csv_id"), again)
         assert again.read_bytes() == p.read_bytes()
 
@@ -198,14 +206,14 @@ def test_files_written_with_17_digits_load_as_before(ds):
         save_csv(ds, new)
         for loader in (load_csv, load_by_loop):
             assert outcome(loader, str(old), "csv_id") == outcome(loader, str(new), "csv_id")
-        assert_same_rows(datasets._loop_rows(str(old), "csv_id"), ds)
+        assert_same_rows(rows_by(datasets._loop_rows, old, "csv_id"), ds)
 
 
 # ------------------------------------------- vectorised reader vs the loop
 
 def load_by_loop(path, fmt):
     """`load_csv` with the vectorised reader switched off: the line-by-line reference."""
-    with mock.patch.object(datasets, "_vectorised_rows", lambda path, fmt: None):
+    with mock.patch.object(datasets, "_vectorised_rows", lambda fh, fmt: None):
         return load_csv(path, fmt)
 
 
@@ -292,7 +300,7 @@ def test_csv_id_round_trips_exactly_at_the_edges(tmp_path, loader, rid):
     ds = Dataset(ids=[rid, 7], values=[[1.0, 2.0, 3.0, 5.0], [4.0, 3.0, 2.0, 0.5]])
     p = tmp_path / "d.csv"
     save_csv(ds, p)
-    assert (datasets._vectorised_rows(str(p), "csv_id") is None) == (abs(rid) >= 2**53)
+    assert (rows_by(datasets._vectorised_rows, p, "csv_id") is None) == (abs(rid) >= 2**53)
     back = loader(str(p), "csv_id")
     assert back.ids.tolist() == [rid, 7]
     assert back.values.tobytes() == ds.values.tobytes()
@@ -318,7 +326,7 @@ def test_vectorised_reader_agrees_with_loop_on_random_matrices(fmt, n, length, d
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "d.csv"
         np.savetxt(p, table, fmt=["%d"] * len(lead) + [f"%.{digits}g"] * length, delimiter=delimiter)
-        assert datasets._vectorised_rows(str(p), fmt) is not None
+        assert rows_by(datasets._vectorised_rows, p, fmt) is not None
         assert_paths_agree(str(p), fmt)
 
 
@@ -405,18 +413,60 @@ def test_bytes_that_are_not_utf8_in_a_record_of_two_lines_name_the_record(tmp_pa
     assert str(exc.value) == "line 2: not UTF-8 text (invalid start byte)"
 
 
-@pytest.mark.parametrize("quoted, opens", [(False, 1), (True, 2)])
-def test_load_csv_opens_a_file_once_and_again_only_for_the_loop(tmp_path, quoted, opens):
+@pytest.mark.parametrize("quoted", [False, True])
+def test_load_csv_opens_a_file_once(tmp_path, quoted):
     ds = Dataset(ids=np.arange(400), values=np.random.default_rng(3).standard_normal((400, 64)))
     p = tmp_path / "d.csv"
     save_csv(ds, p)
-    if quoted:  # numpy's reader takes no quotes
+    if quoted:  # numpy's reader takes no quotes: the loop reads the handle again
         p.write_text(p.read_text().replace("0,", '"0",', 1))
     assert p.stat().st_size > 131_072  # larger than `csv`'s default field limit
     with mock.patch("builtins.open", wraps=open) as opened:
         back = load_csv(str(p), "csv_id")
-    assert [call.args[0] for call in opened.call_args_list] == [str(p)] * opens
+    assert [call.args[0] for call in opened.call_args_list] == [str(p)]
     assert back.values.tobytes() == ds.values.tobytes()
+
+
+def load_from_pipe(path, fmt):
+    """`load_csv` of the bytes of `path` written to a pipe, read as /dev/fd/N as a shell's `<(cat path)` is."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(Path(path).read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_csv(f"/dev/fd/{read_end}", fmt)
+    finally:
+        os.close(read_end)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("fault", [None, "ragged", "not-utf8"])
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "csv_id", "ucr"])
+def test_a_piped_file_loads_as_its_path(tmp_path, fmt, quoted, fault):
+    # larger than a pipe's buffer; a quoted field sends it to the loop after numpy's pass
+    sep = "\t" if fmt == "ucr" else ","
+    rows = np.random.default_rng(6).standard_normal((400, 64)).tolist()
+    rows[7] = [2.5] * 64  # constant: dropped and counted
+    lines = [sep.join(map(repr, ([] if fmt == "csv" else [i]) + row)).encode() for i, row in enumerate(rows)]
+    if quoted:
+        lines[0] = b'"' + lines[0].replace(sep.encode(), b'"' + sep.encode(), 1)
+    if fault:
+        lines[300] += sep.encode() + (b"1" if fault == "ragged" else b"\xff")
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    assert p.stat().st_size > 65_536
+    from_path = outcome(load_csv, str(p), fmt)
+    assert outcome(load_from_pipe, str(p), fmt) == from_path
+    if fault is None:
+        assert from_path[3] == 1  # the constant row
+    else:
+        assert from_path[2].startswith("line 301: ")
 
 
 def test_line_loop_holds_no_copy_of_the_file(tmp_path):
@@ -424,7 +474,7 @@ def test_line_loop_holds_no_copy_of_the_file(tmp_path):
     values = np.random.default_rng(4).standard_normal((1000, 128))
     p = tmp_path / "d.csv"
     p.write_text("".join(f'"{i}",' + ",".join(map(repr, row)) + "\n" for i, row in enumerate(values.tolist())))
-    assert datasets._vectorised_rows(str(p), "csv_id") is None and p.stat().st_size > 2_000_000
+    assert rows_by(datasets._vectorised_rows, p, "csv_id") is None and p.stat().st_size > 2_000_000
     tracemalloc.start()
     try:
         ds = load_csv(str(p), "csv_id")
