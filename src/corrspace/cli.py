@@ -22,7 +22,9 @@ import numpy as np
 
 from . import __version__
 from .embed import APPROXIMATE, FIXED_EMBEDDERS, LOSS_OF, METHODS, ORDER, U32, U64, embedder_for
-from .errors import CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, UsageError, check_range, flag, is_int
+from .errors import (
+    CorrSpaceError, CorruptArtifact, LengthMismatch, MissingArtifact, Unreplayable, UsageError, check_range, flag, is_int
+)
 from .index import load_index, rank, threshold_radius_sq
 
 # `core` and `datasets` are imported by the query modes that use them: a
@@ -411,8 +413,9 @@ def replay_manifest(manifest_path) -> int:
     """Rerun a recorded run; binary outputs must come out bit-identical. The
     recorded params get the checks a --config file's values get. Raises
     MissingArtifact for a missing manifest or input, or an input whose hash
-    changed; CorruptArtifact for a manifest of the wrong shape; UsageError
-    for a param its flag refuses; and the command's own errors."""
+    changed; Unreplayable for an input read from a pipe or device (recorded
+    with a null sha256); CorruptArtifact for a manifest of the wrong shape;
+    UsageError for a param its flag refuses; and the command's own errors."""
     from .commands import file_sha256
     from .files import read_json
 
@@ -420,7 +423,8 @@ def replay_manifest(manifest_path) -> int:
     if not (
         isinstance(doc, dict) and doc.get("subcommand") in tuple(SUBCOMMANDS)  # a tuple: a list or dict is no key
         and isinstance(doc.get("params"), dict) and isinstance(doc.get("inputs"), dict)
-        and all(isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
+        and all(isinstance(e, dict) and isinstance(e.get("path"), str)
+                and "sha256" in e and (e["sha256"] is None or isinstance(e["sha256"], str))
                 for e in doc["inputs"].values())
     ):
         raise CorruptArtifact(
@@ -429,6 +433,11 @@ def replay_manifest(manifest_path) -> int:
     defaults = SUBCOMMANDS[doc["subcommand"]].defaults
     params = {**defaults, **_checked(doc["params"], f"manifest {manifest_path}", defaults)}
     for name, entry in doc["inputs"].items():
+        if entry["sha256"] is None:
+            raise Unreplayable(
+                f"input {name} of manifest {manifest_path} was read from a pipe or device and cannot be replayed: "
+                f"{entry['path']}"
+            )
         if not os.path.isfile(entry["path"]):
             raise MissingArtifact(f"input {name} of manifest {manifest_path} not found: {entry['path']}")
         if file_sha256(entry["path"]) != entry["sha256"]:

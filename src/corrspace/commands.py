@@ -37,8 +37,13 @@ def file_sha256(path):
 
 
 def _hash_files(params, artifacts: dict) -> dict:
+    """Each set artifact's path and sha256, or a null sha256 for one that is
+    not a regular file: a pipe or device is drained by the time this runs."""
     paths = {name: params[key] for name, key in artifacts.items() if params[key]}
-    return {name: {"path": str(path), "sha256": file_sha256(path)} for name, path in paths.items()}
+    return {
+        name: {"path": str(path), "sha256": file_sha256(path) if os.path.isfile(path) else None}
+        for name, path in paths.items()
+    }
 
 
 def write_manifest(path, subcommand, spec, params):

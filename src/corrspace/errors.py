@@ -115,6 +115,12 @@ class RepeatedId(CorrSpaceError):
     exit_code = 25
 
 
+class Unreplayable(CorrSpaceError):
+    """A manifest records an input read from a pipe or device, which left no file to replay."""
+
+    exit_code = 27
+
+
 class UsageError(CorrSpaceError, ValueError):
     """Invalid command-line arguments, `TrainConfig` or `SweepConfig` values, or constructor arguments."""
 

@@ -19,11 +19,13 @@ times as many of the buckets nearest q as it takes to hold k points, and
 takes the k-th d² among them as its bound: the k-th d² of any subset is
 at least the true one, so no answer lies beyond it, and the more buckets
 the tighter it is. `within_radius` takes r². The remaining buckets whose
-lower bound is within the bound are then gathered, and each of their
-points gets a cheap estimate ‖p‖² − 2⟨p, q⟩ from the stored squared norms
-and one matrix-vector product. Only the points whose estimate a proven
-rounding margin cannot rule out get their exact d², and `rank` orders the
-answer by (d², id). Every returned d² comes from `_dist_sq`, so answers
+lower bound is within the bound are then gathered from a float32 copy of
+the points and norms, made on the first such gather, and each of their
+points gets a cheap estimate ‖p‖² − 2⟨p, q⟩ from one float32
+matrix-vector product (in float64 where a value leaves the range its proof
+covers). Only the points whose estimate a proven rounding margin cannot
+rule out are gathered in float64 and get their exact d², and `rank` orders
+the answer by (d², id). Every returned d² comes from `_dist_sq`, so answers
 equal a brute-force scan with that kernel bit for bit, ties included; the
 only approximation in the pipeline lives in the embedding itself.
 """
@@ -55,6 +57,13 @@ _TINY = 2.0**-900
 # The prefilter only drops points while ‖q‖² and the bound are at most this,
 # so no sum in the estimate or threshold of a point it must keep can overflow.
 _HUGE = 2.0**1000
+# The prefilter estimates in float32 while ‖q‖² and the bound are at most
+# this, every |coordinate| of the pool at most its square root and m at most
+# `_WIDEST32`; then no float32 sum overflows (`KdTree._filtered_scan`).
+_HUGE32 = 2.0**100
+_WIDEST32 = 2**16
+# The float32 threshold's absolute term: it absorbs float32 underflow.
+_TINY32 = 2.0**-120
 
 
 class QueryResult:
@@ -164,7 +173,8 @@ class KdTree:
         self._shrink = 1.0 - 2 * (m + 2) * 2.0**-53
         # See `_filtered_scan`.
         self._nn = nn.reshape(n_buckets, width)
-        self._rel = 8 * (m + 4) * 2.0**-53
+        self._rel, self._rel32 = 8 * (m + 4) * 2.0**-53, 4 * (m + 8) * 2.0**-24
+        self._f32 = None  # `_copy32`, made by the first filtered scan
 
     @property
     def n(self):
@@ -219,29 +229,47 @@ class KdTree:
         """(d², ids) of every slot of the given buckets; padding gives NaN."""
         return _dist_sq(self._pts[buckets].reshape(-1, self.m), q), self._ids[buckets].ravel()
 
+    def _copy32(self):
+        """(points, norms) as `_pts` and `_nn` in float32, or () when m or the
+        pool's largest |coordinate| is past the float32 estimate's range. Made
+        on the first filtered scan, so building or loading a tree makes none."""
+        if self._f32 is None:
+            big = max(-self._lo.min(), self._hi.max())  # the boxes hold every coordinate
+            small = self.m <= _WIDEST32 and big <= _HUGE32**0.5
+            self._f32 = (self._pts.astype(np.float32), self._nn.astype(np.float32)) if small else ()
+        return self._f32
+
     def _filtered_scan(self, buckets, q, bound):
         """(d², ids) of the slots of `buckets` whose computed d² may be ≤ bound.
 
-        Each slot gets est = ‖p‖² + ⟨p, −2q⟩, its stored `_nn` plus one
-        matrix-vector product, and is dropped only if est > thr, where
-        thr = (bound − ‖q‖²) + 8(m + 4)·2⁻⁵³·(‖q‖² + bound) + 2⁻⁹⁰⁰, or +∞
-        when ‖q‖² or bound exceeds H = 2¹⁰⁰⁰. Kept slots get their d² from
-        `_dist_sq`. A NaN est (padding, or ∞ − ∞ past H) is never > thr, so
-        it is kept; padding then computes to NaN and `_ranked` drops it.
+        Each slot gets est = ‖p‖² + ⟨p, −2q⟩, its stored norm plus one
+        matrix-vector product, and is dropped only if est > thr. Kept slots
+        get their d² from `_dist_sq` over the float64 rows, gathered through
+        their flat slots. A NaN est (padding, or ∞ − ∞ past the float64
+        range) is never > thr, so it is kept; padding then computes to NaN and
+        `_ranked` drops it. thr is computed in float64, and est is either
+        - float32, from `_copy32` and fl32(−2q), with
+          thr = (bound − ‖q‖²) + 4(m + 8)·2⁻²⁴·(‖q‖² + bound) + 2⁻¹²⁰,
+          while ‖q‖² and bound are at most 2¹⁰⁰ and the copy exists; or
+        - float64, from `_pts`, `_nn` and −2q, with
+          thr = (bound − ‖q‖²) + 8(m + 4)·2⁻⁵³·(‖q‖² + bound) + 2⁻⁹⁰⁰, or
+          +∞ when ‖q‖² or bound exceeds H = 2¹⁰⁰⁰.
 
         Proof that a point whose computed d² D is at most B = bound is kept.
-        Let u = 2⁻⁵³, γ_j = ju/(1 − ju), and P = ‖p‖², Q = ‖q‖², G = ⟨p, q⟩
-        and Δ = P + Q − 2G be exact. Past H, thr = +∞ drops nothing. Else:
-        a sum of m products, rounded in any order, with or without fused
-        multiply-adds, is within γ_m·Σ|product| of the exact sum, plus
-        m·2⁻¹⁰⁷⁴ for underflow (sums that land among the subnormals are
-        exact). `_dist_sq` also rounds each p_j − q_j, so
-        D ≥ (1 − γ_{m+2})Δ − m·2⁻¹⁰⁷⁴ and Δ ≤ (1 + 2γ_{m+2})B + 2m·2⁻¹⁰⁷⁴.
-        As √P ≤ √Q + √Δ, P ≤ 2Q + 2Δ: whatever the data's scale, such a
-        point has P below about 2¹⁰⁰³, so no sum below overflows.
-        Scaling q by −2 is exact and 2Σ|p_j q_j| ≤ P + Q, so
-        nn ≤ (1 + γ_m)P + m·2⁻¹⁰⁷⁴, ⟨p, −2q⟩ ≤ −2G + γ_m(P + Q) + m·2⁻¹⁰⁷⁴
-        and est ≤ Δ − Q + γ_{m+1}(2P + Q) + 3m·2⁻¹⁰⁷⁴; with the two bounds
+        Let P = ‖p‖², Q = ‖q‖², G = ⟨p, q⟩ and Δ = P + Q − 2G be exact, and
+        γ_j = ju/(1 − ju) for a unit roundoff u. A sum of m products, rounded
+        in any order, with or without fused multiply-adds, is within
+        γ_m·Σ|product| of the exact sum, plus one underflow error per product
+        (sums that land among the subnormals are exact). With ε = 2⁻⁵³,
+        `_dist_sq` also rounds each p_j − q_j, so D ≥ (1 − γ_{m+2})Δ −
+        m·2⁻¹⁰⁷⁴ and Δ ≤ (1 + 2γ_{m+2})B + 2m·2⁻¹⁰⁷⁴ at u = ε. As
+        √P ≤ √Q + √Δ, P ≤ 2Q + 2Δ.
+
+        Float64, u = ε. Past H, thr = +∞ drops nothing. Else such a point
+        has P below about 2¹⁰⁰³, so no sum below overflows. Scaling q by −2
+        is exact and 2Σ|p_j q_j| ≤ P + Q, so nn ≤ (1 + γ_m)P + m·2⁻¹⁰⁷⁴,
+        ⟨p, −2q⟩ ≤ −2G + γ_m(P + Q) + m·2⁻¹⁰⁷⁴ and
+        est ≤ Δ − Q + γ_{m+1}(2P + Q) + 3m·2⁻¹⁰⁷⁴; with the two bounds
         above, est ≤ B − Q + 7γ_{m+2}(B + Q) + 6m·2⁻¹⁰⁷⁴. The computed ‖q‖²
         is within γ_m·Q + m·2⁻¹⁰⁷⁴ of Q; it and the margin's own three
         roundings shrink the margin by at most a factor 1 − γ_{m+3}, and the
@@ -250,16 +278,48 @@ class KdTree:
         + 2⁻⁹⁰⁰(1 − 3u) − (m + 2)·2⁻¹⁰⁷⁴. For m < 2²⁴ the factor on u(B + Q)
         exceeds the 7m + 15 that 7γ_{m+2} needs, and 2⁻⁹⁰⁰ covers the
         underflow terms, so est ≤ thr.
+
+        Float32, u = 2⁻²⁴. As m ≤ 2¹⁶, γ_m ≤ 1.004mu, and each float64 error
+        above is at most 2⁻¹²u relative. A float32 rounding that underflows
+        errs by at most E = 2⁻¹⁵⁰. Every |p_j| ≤ 2⁵⁰ and Q ≤ 2¹⁰⁰, so no
+        float32 value below passes 2¹¹⁹: nothing overflows. Let R = P + Q;
+        R ≤ 3(Q + B) + 2⁻¹⁰⁵⁶.
+        - The stored norm, fl32 of `_nn`, is within 2uP + 2E of P.
+        - Rounding to float32 gives p̃_j = p_j(1 + α_j) + a_j and
+          q̃_j = −2q_j(1 + β_j) + b_j, with |α_j|, |β_j| ≤ u and |a_j|,
+          |b_j| ≤ E. So T = Σp̃_j q̃_j is within (2u + u²)R +
+          (1 + u)E(Σ|p_j| + 2Σ|q_j|) + mE² of −2G. The E terms are a
+          subnormal p_j times q_j and the like: by Cauchy–Schwarz and
+          AM–GM, E·Σ|p_j| ≤ E√(mP) ≤ (uP + mE²/u)/2 and
+          2E·Σ|q_j| ≤ 2E√(mQ) ≤ uQ + mE²/u. So |T + 2G| ≤ 3.01uR +
+          2mE²/u, and likewise Σ|p̃_j q̃_j| ≤ (1 + 4u)R + 2mE²/u.
+        - The product S, rounded as above, is within
+          γ_m·Σ|p̃_j q̃_j| + (1 + γ_m)mE of T.
+        - The final add errs by at most u|nn + S| ≤ u(2.01R + 2(m + 1)E).
+        So est ≤ Δ − Q + (1.005m + 7.02)u·R + (1.01m + 3)E + m·2⁻²⁷⁴
+        ≤ B − Q + (3.02m + 21.1)u(Q + B) + 2⁻¹³². The computed thr, with
+        its computed ‖q‖² and five float64 roundings, is at least
+        B − Q + (4m + 31.9)u(Q + B) + 2⁻¹²¹. NumPy compares est with this
+        float64 thr either exactly or, by its promotion rules (a Python float
+        beside a float32 array, or value-based casting before NumPy 2), after
+        rounding thr to the nearest float32, which costs at most
+        u|thr| + E ≤ 1.02u(Q + B) + 2⁻¹⁴³. Either way est ≤ thr.
         """
-        rows = self._pts[buckets].reshape(-1, self.m)
+        width = self._ids.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):  # past H, est may be ±∞ or NaN
-            est = self._nn[buckets].ravel() + np.dot(rows, -2.0 * q)
-            qq = float(np.dot(q, q))
+            qq, bound = float(np.dot(q, q)), float(bound)  # so thr is a float64
+            copy = self._copy32() if qq <= _HUGE32 and bound <= _HUGE32 else ()
+            if copy:
+                pts, nn, q2, rel, tiny = *copy, (-2.0 * q).astype(np.float32), self._rel32, _TINY32
+            else:
+                pts, nn, q2, rel, tiny = self._pts, self._nn, -2.0 * q, self._rel, _TINY
+            est = nn[buckets].ravel() + pts[buckets].reshape(-1, self.m) @ q2
         thr = np.inf
         if qq <= _HUGE and bound <= _HUGE:
-            thr = (bound - qq) + (self._rel * (qq + bound) + _TINY)
-        keep = np.flatnonzero(~(est > thr))
-        return _dist_sq(rows[keep], q), self._ids[buckets].ravel()[keep]
+            thr = (bound - qq) + (rel * (qq + bound) + tiny)
+        bucket, slot = np.divmod(np.flatnonzero(~(est > thr)), width)
+        slot += buckets[bucket] * width  # the kept points' flat slots
+        return _dist_sq(np.take(self._pts.reshape(-1, self.m), slot, axis=0), q), self._ids.ravel()[slot]
 
     def top_k(self, q, k: int) -> QueryResult:
         """Exact k nearest neighbors (k capped at n), ties by ascending id."""

@@ -28,7 +28,7 @@ from corrspace.commands import _load_split
 from corrspace.datasets import Dataset, load_csv, save_csv
 from corrspace.core import normalize_rows
 from corrspace.embed import DftTruncationEmbedder, LearnedEmbedder, NetworkParams, load_model, save_model
-from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, UsageError
+from corrspace.errors import CorrSpaceError, CorruptArtifact, MissingArtifact, Unreplayable, UsageError
 from corrspace.errors import flag as _flag
 from corrspace.index import load_index, save_index, threshold_radius_sq
 from corrspace.train import desk_config, init_params
@@ -1876,6 +1876,42 @@ def test_replay_param_errors_read_as_config_errors(eval_manifest):
     eval_manifest.write_text(json.dumps(_edited(doc, "params", {**doc["params"], "seed": "5"})))
     with pytest.raises(UsageError, match=f'manifest {eval_manifest}: seed = "5" is not a valid --seed'):
         replay_manifest(str(eval_manifest))
+
+
+def test_a_pipe_or_device_is_recorded_without_a_digest(capsys, tmp_path):
+    # a piped input is drained and /dev/null keeps nothing, so neither has
+    # bytes to hash once the run is over: the manifest records a null sha256,
+    # and a replay refuses the piped input rather than calling it missing
+    data = gen_small(capsys, tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "piped.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrspace.cli", "ingest", "--input", "/dev/stdin", "--format", "csv_id",
+         "--output", str(out)],
+        input=data.read_text(), capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    manifest = tmp_path / "piped.csv.manifest.json"
+    doc = json.loads(manifest.read_text())
+    assert doc["inputs"] == {"raw": {"path": "/dev/stdin", "sha256": None}}
+    assert doc["outputs"] == {"data": {"path": str(out), "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}}
+    with pytest.raises(Unreplayable) as exc:
+        replay_manifest(str(manifest))
+    assert exc.value.exit_code == 27
+    assert str(exc.value) == (
+        f"input raw of manifest {manifest} was read from a pipe or device and cannot be replayed: /dev/stdin"
+    )
+    model = tmp_path / "model.bin"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--m", "4", "--desk",
+        "--iterations", "5", "--model-out", str(model), "--log-out", os.devnull,
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads((tmp_path / "model.bin.manifest.json").read_text())
+    assert doc["outputs"]["log"] == {"path": os.devnull, "sha256": None}
+    before = model.read_bytes()
+    assert replay_manifest(str(tmp_path / "model.bin.manifest.json")) == 0  # only inputs are checked
+    assert model.read_bytes() == before
 
 
 def test_replay_of_a_missing_manifest(tmp_path):

@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -598,6 +599,115 @@ def test_refined_counts_exact_work():
     assert len(res) <= res.refined < res.scanned // 2
     res = tree.top_k(points[0], 100)
     assert 100 <= res.refined < res.scanned // 2
+
+
+# ------------------------------------------------------ float32 prefilter
+
+def unit_pool(n, m, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, m))
+    return points / np.linalg.norm(points, axis=1, keepdims=True), rng
+
+
+def shell_pool(seed, offset, m=12):
+    """(points, ids, q): 400 points well inside a unit sphere around q, 1500
+    outside it, and on it a shell of 700 points whose d² all lie within about
+    1e-12 of one another, far inside float32's rounding of the estimate, each
+    with its twin reflected through q (p − q and p' − q exact negatives, so
+    equal d²); q far from the origin makes ‖q‖² dominate that rounding."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(-4, 5, size=m) * 0.5 + offset
+    d = rng.standard_normal((700, m))
+    d = np.round(d / np.linalg.norm(d, axis=1, keepdims=True) * 2.0**40) * 2.0**-40  # exact sums below
+    inside = rng.standard_normal((400, m)) * 0.2
+    outside = rng.standard_normal((1500, m))
+    outside *= (1.0 + rng.random((1500, 1))) / np.linalg.norm(outside, axis=1, keepdims=True)
+    points = np.vstack([q + d, q - d, q + inside, q + outside])
+    return points, rng.permutation(len(points)).astype(np.int64), q
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float32_prefilter_keeps_a_shell_at_the_bound(offset, seed):
+    points, ids, q = shell_pool(seed, offset)
+    tree = KdTree(points, ids)
+    d2, _ = full_scan(points, ids, q)
+    n_in = int(np.count_nonzero(d2 < 0.5))
+    assert_matches_full_scan(tree, points, ids, q, (1, n_in, n_in + 1, n_in + 300, n_in + 700, n_in + 1400))
+    assert tree._f32  # the float32 copy was used
+
+
+def test_a_float32_radius_is_taken_at_its_value():
+    # the threshold is computed in float64 whatever the radius' type: from a
+    # float32 r², NumPy 2 computed it in float32, which rounded the margin
+    # away (and compared r² with 2¹⁰⁰⁰ by casting that to float32)
+    for seed in range(20):
+        points, ids, q = shell_pool(seed, 1.0)
+        tree = KdTree(points, ids)
+        d2, order = full_scan(points, ids, q)
+        r_sq = np.float32(d2[order[1100]])
+        hit = order[d2[order] <= r_sq]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_bitwise(tree.within_radius(q, r_sq), ids[hit], d2[hit])
+
+
+@pytest.mark.parametrize("scale, float32", [
+    (1e-40, True), (1e-30, True), (1e-22, True), (1e14, True), (1e15, False), (1e19, False), (1e20, False),
+    (1e38, False),
+])
+def test_float32_prefilter_near_float32_limits(scale, float32):
+    # 1e-40 is a float32 subnormal and 1e-30 squares to one; at 1e-22 the
+    # products are subnormal and ‖q‖² too small for the margin's relative
+    # term to cover their rounding, so the absolute term keeps those points.
+    # Past a largest |coordinate| of 2⁵⁰ (about 1.1e15) the estimate runs in
+    # float64, as it must where squares leave float32's range (from 1.8e19)
+    rng = np.random.default_rng(83)
+    points = rng.standard_normal((2000, 5)) * scale
+    ids = np.arange(2000)
+    tree = KdTree(points, ids)
+    for row in rng.choice(2000, size=10, replace=False):
+        assert_matches_full_scan(tree, points, ids, points[row] + rng.standard_normal(5) * scale * 0.01, (1, 7, 60))
+        assert list(tree.within_radius(points[row], 0.0).ids) == [row]
+    assert_matches_full_scan(tree, points, ids, np.full(5, -scale), (1, 60))
+    assert bool(tree._f32) is float32
+
+
+def test_float32_prefilter_falls_back_past_its_range():
+    # ‖q‖² or a bound above 2¹⁰⁰ runs the float64 estimate, which makes no copy
+    points, rng = unit_pool(3000, 8, seed=89)
+    ids = np.arange(3000)
+    tree = KdTree(points, ids)
+    far = points[0] * 2.0**51  # ‖q‖² = 2¹⁰²
+    assert_matches_full_scan(tree, points, ids, far, (1, 10, 100))
+    hit = tree.within_radius(points[0], 2.0**101)
+    assert len(hit) == hit.refined == 3000
+    assert tree._f32 is None
+    assert_matches_full_scan(tree, points, ids, points[0] * 2.0**49, (1, 10, 100))  # ‖q‖² = 2⁹⁸
+    assert tree._f32
+
+
+def test_no_float32_copy_until_a_filtered_search(tmp_path):
+    # building or loading a tree makes no copy; a filtered scan makes it once,
+    # and it changes neither the answers nor the saved bytes
+    points, rng = unit_pool(20_000, 16, seed=97)
+    tree = KdTree(points)
+    assert tree._f32 is None
+    save_index(tree, tmp_path / "a.cix1", meta={"m": 16})
+    loaded, meta = load_index(tmp_path / "a.cix1")
+    assert loaded._f32 is None
+    q = points[5] + 0.05 * rng.standard_normal(16)
+    d2, order = full_scan(points, np.arange(20_000), q)
+    res = loaded.top_k(q, 100)
+    assert_bitwise(res, order[:100], d2[order[:100]])
+    assert res.scanned > res.refined  # a filtered scan ran and dropped points
+    copy = loaded._f32
+    assert [a.dtype for a in copy] == [np.float32, np.float32]
+    assert [a.shape for a in copy] == [loaded._pts.shape, loaded._nn.shape]
+    loaded.within_radius(q, 0.2)
+    assert loaded._f32 is copy  # made once
+    save_index(loaded, tmp_path / "b.cix1", meta=meta)
+    assert (tmp_path / "a.cix1").read_bytes() == (tmp_path / "b.cix1").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
