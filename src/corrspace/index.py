@@ -22,12 +22,13 @@ the tighter it is. `within_radius` takes r². The remaining buckets whose
 lower bound is within the bound are then gathered from a float32 copy of
 the points and norms, made on the first such gather, and each of their
 points gets a cheap estimate ‖p‖² − 2⟨p, q⟩ from one float32
-matrix-vector product (in float64 where a value leaves the range its proof
-covers). Only the points whose estimate a proven rounding margin cannot
-rule out are gathered in float64 and get their exact d², and `rank` orders
-the answer by (d², id). Every returned d² comes from `_dist_sq`, so answers
-equal a brute-force scan with that kernel bit for bit, ties included; the
-only approximation in the pipeline lives in the embedding itself.
+matrix-vector product. Only the points whose estimate a proven rounding
+margin cannot rule out are gathered in float64 and get their exact d²;
+past the range that proof covers, every point of those buckets gets its
+exact d² instead. `rank` orders the answer by (d², id). Every returned d²
+comes from `_dist_sq`, so answers equal a brute-force scan with that
+kernel bit for bit, ties included; the only approximation in the pipeline
+lives in the embedding itself.
 """
 
 import json
@@ -51,12 +52,8 @@ BUCKET = 128  # most points per bucket (README "Index" has the measurements)
 _SEED = 4
 
 # Box bounds below this are set to 0, so the rounding argument in
-# `KdTree._box_bounds` never meets a subnormal product or sum; the
-# prefilter's margin adds it to absorb underflow (`KdTree._filtered_scan`).
+# `KdTree._box_bounds` never meets a subnormal product or sum.
 _TINY = 2.0**-900
-# The prefilter only drops points while ‖q‖² and the bound are at most this,
-# so no sum in the estimate or threshold of a point it must keep can overflow.
-_HUGE = 2.0**1000
 # The prefilter estimates in float32 while ‖q‖² and the bound are at most
 # this, every |coordinate| of the pool at most its square root and m at most
 # `_WIDEST32`; then no float32 sum overflows (`KdTree._filtered_scan`).
@@ -173,7 +170,7 @@ class KdTree:
         self._shrink = 1.0 - 2 * (m + 2) * 2.0**-53
         # See `_filtered_scan`.
         self._nn = nn.reshape(n_buckets, width)
-        self._rel, self._rel32 = 8 * (m + 4) * 2.0**-53, 4 * (m + 8) * 2.0**-24
+        self._rel = 4 * (m + 8) * 2.0**-24
         self._f32 = None  # `_copy32`, made by the first filtered scan
 
     @property
@@ -242,44 +239,27 @@ class KdTree:
     def _filtered_scan(self, buckets, q, bound):
         """(d², ids) of the slots of `buckets` whose computed d² may be ≤ bound.
 
-        Each slot gets est = ‖p‖² + ⟨p, −2q⟩, its stored norm plus one
-        matrix-vector product, and is dropped only if est > thr. Kept slots
-        get their d² from `_dist_sq` over the float64 rows, gathered through
-        their flat slots. A NaN est (padding, or ∞ − ∞ past the float64
-        range) is never > thr, so it is kept; padding then computes to NaN and
-        `_ranked` drops it. thr is computed in float64, and est is either
-        - float32, from `_copy32` and fl32(−2q), with
-          thr = (bound − ‖q‖²) + 4(m + 8)·2⁻²⁴·(‖q‖² + bound) + 2⁻¹²⁰,
-          while ‖q‖² and bound are at most 2¹⁰⁰ and the copy exists; or
-        - float64, from `_pts`, `_nn` and −2q, with
-          thr = (bound − ‖q‖²) + 8(m + 4)·2⁻⁵³·(‖q‖² + bound) + 2⁻⁹⁰⁰, or
-          +∞ when ‖q‖² or bound exceeds H = 2¹⁰⁰⁰.
+        Each slot gets a float32 est = ‖p‖² + ⟨p, −2q⟩, its stored norm from
+        `_copy32` plus one matrix-vector product with fl32(−2q), and is
+        dropped only if est > thr, with thr computed in float64 as
+        thr = (bound − ‖q‖²) + 4(m + 8)·2⁻²⁴·(‖q‖² + bound) + 2⁻¹²⁰.
+        Kept slots get their d² from `_dist_sq` over the float64 rows,
+        gathered through their flat slots. A NaN est (padding) is never
+        > thr, so it is kept; padding then computes to NaN and `_ranked`
+        drops it. When ‖q‖² or bound exceeds 2¹⁰⁰, or `_copy32` is (), the
+        estimate does not apply: every slot gets its d² from `_scan`.
 
         Proof that a point whose computed d² D is at most B = bound is kept.
         Let P = ‖p‖², Q = ‖q‖², G = ⟨p, q⟩ and Δ = P + Q − 2G be exact, and
         γ_j = ju/(1 − ju) for a unit roundoff u. A sum of m products, rounded
         in any order, with or without fused multiply-adds, is within
         γ_m·Σ|product| of the exact sum, plus one underflow error per product
-        (sums that land among the subnormals are exact). With ε = 2⁻⁵³,
+        (sums that land among the subnormals are exact). With u = 2⁻⁵³,
         `_dist_sq` also rounds each p_j − q_j, so D ≥ (1 − γ_{m+2})Δ −
-        m·2⁻¹⁰⁷⁴ and Δ ≤ (1 + 2γ_{m+2})B + 2m·2⁻¹⁰⁷⁴ at u = ε. As
-        √P ≤ √Q + √Δ, P ≤ 2Q + 2Δ.
+        m·2⁻¹⁰⁷⁴ and Δ ≤ (1 + 2γ_{m+2})B + 2m·2⁻¹⁰⁷⁴. As √P ≤ √Q + √Δ,
+        P ≤ 2Q + 2Δ.
 
-        Float64, u = ε. Past H, thr = +∞ drops nothing. Else such a point
-        has P below about 2¹⁰⁰³, so no sum below overflows. Scaling q by −2
-        is exact and 2Σ|p_j q_j| ≤ P + Q, so nn ≤ (1 + γ_m)P + m·2⁻¹⁰⁷⁴,
-        ⟨p, −2q⟩ ≤ −2G + γ_m(P + Q) + m·2⁻¹⁰⁷⁴ and
-        est ≤ Δ − Q + γ_{m+1}(2P + Q) + 3m·2⁻¹⁰⁷⁴; with the two bounds
-        above, est ≤ B − Q + 7γ_{m+2}(B + Q) + 6m·2⁻¹⁰⁷⁴. The computed ‖q‖²
-        is within γ_m·Q + m·2⁻¹⁰⁷⁴ of Q; it and the margin's own three
-        roundings shrink the margin by at most a factor 1 − γ_{m+3}, and the
-        two outer sums lose at most 3u(B + Q), so
-        thr ≥ B − Q + ((8m + 32)(1 − γ_{m+3}) − m − 3)·u·(B + Q)
-        + 2⁻⁹⁰⁰(1 − 3u) − (m + 2)·2⁻¹⁰⁷⁴. For m < 2²⁴ the factor on u(B + Q)
-        exceeds the 7m + 15 that 7γ_{m+2} needs, and 2⁻⁹⁰⁰ covers the
-        underflow terms, so est ≤ thr.
-
-        Float32, u = 2⁻²⁴. As m ≤ 2¹⁶, γ_m ≤ 1.004mu, and each float64 error
+        Now let u = 2⁻²⁴. As m ≤ 2¹⁶, γ_m ≤ 1.004mu, and each float64 error
         above is at most 2⁻¹²u relative. A float32 rounding that underflows
         errs by at most E = 2⁻¹⁵⁰. Every |p_j| ≤ 2⁵⁰ and Q ≤ 2¹⁰⁰, so no
         float32 value below passes 2¹¹⁹: nothing overflows. Let R = P + Q;
@@ -305,18 +285,16 @@ class KdTree:
         rounding thr to the nearest float32, which costs at most
         u|thr| + E ≤ 1.02u(Q + B) + 2⁻¹⁴³. Either way est ≤ thr.
         """
+        with np.errstate(over="ignore"):  # an ‖q‖² that overflows to ∞ takes `_scan`
+            qq = float(np.dot(q, q))
+        bound = float(bound)  # so thr is a float64
+        copy = self._copy32() if qq <= _HUGE32 and bound <= _HUGE32 else ()
+        if not copy:
+            return self._scan(buckets, q)
+        pts, nn = copy
+        est = nn[buckets].ravel() + pts[buckets].reshape(-1, self.m) @ (-2.0 * q).astype(np.float32)
+        thr = (bound - qq) + (self._rel * (qq + bound) + _TINY32)
         width = self._ids.shape[1]
-        with np.errstate(over="ignore", invalid="ignore"):  # past H, est may be ±∞ or NaN
-            qq, bound = float(np.dot(q, q)), float(bound)  # so thr is a float64
-            copy = self._copy32() if qq <= _HUGE32 and bound <= _HUGE32 else ()
-            if copy:
-                pts, nn, q2, rel, tiny = *copy, (-2.0 * q).astype(np.float32), self._rel32, _TINY32
-            else:
-                pts, nn, q2, rel, tiny = self._pts, self._nn, -2.0 * q, self._rel, _TINY
-            est = nn[buckets].ravel() + pts[buckets].reshape(-1, self.m) @ q2
-        thr = np.inf
-        if qq <= _HUGE and bound <= _HUGE:
-            thr = (bound - qq) + (rel * (qq + bound) + tiny)
         bucket, slot = np.divmod(np.flatnonzero(~(est > thr)), width)
         slot += buckets[bucket] * width  # the kept points' flat slots
         return _dist_sq(np.take(self._pts.reshape(-1, self.m), slot, axis=0), q), self._ids.ravel()[slot]
@@ -343,7 +321,7 @@ class KdTree:
     def within_radius(self, q, r_sq: float) -> QueryResult:
         """All points with distance² ≤ r_sq, ascending (distance², id)."""
         q = self._check_query(q)
-        if r_sq < 0:
+        if not r_sq >= 0:  # NaN fails too
             raise UsageError("radius² must be nonnegative")
         hits = np.flatnonzero(self._box_bounds(q) <= r_sq)
         return self._ranked(*self._filtered_scan(hits, q, r_sq), r_sq, hits)

@@ -98,8 +98,9 @@ def test_non_finite_query_is_degenerate(bad):
 
 def test_negative_radius_is_refused():
     tree = KdTree(np.random.default_rng(0).standard_normal((10, 4)))
-    with pytest.raises(ValueError, match="radius² must be nonnegative"):
-        tree.within_radius(np.zeros(4), -1e-12)
+    for r_sq in (-1e-12, float("nan"), np.float32("nan")):  # NaN is no radius either
+        with pytest.raises(ValueError, match="radius² must be nonnegative"):
+            tree.within_radius(np.zeros(4), r_sq)
 
 
 def test_k_out_of_range():
@@ -674,17 +675,25 @@ def test_float32_prefilter_near_float32_limits(scale, float32):
 
 
 def test_float32_prefilter_falls_back_past_its_range():
-    # ‖q‖² or a bound above 2¹⁰⁰ runs the float64 estimate, which makes no copy
+    # past the float32 estimate's range (‖q‖² or a bound above 2¹⁰⁰, or m above
+    # 2¹⁶) there is no estimate: every visited point gets its exact d²
     points, rng = unit_pool(3000, 8, seed=89)
     ids = np.arange(3000)
     tree = KdTree(points, ids)
     far = points[0] * 2.0**51  # ‖q‖² = 2¹⁰²
     assert_matches_full_scan(tree, points, ids, far, (1, 10, 100))
+    for res in (tree.top_k(far, k) for k in (1, 10, 100)):
+        assert res.refined == res.scanned
     hit = tree.within_radius(points[0], 2.0**101)
-    assert len(hit) == hit.refined == 3000
+    assert len(hit) == hit.refined == hit.scanned == 3000
     assert tree._f32 is None
     assert_matches_full_scan(tree, points, ids, points[0] * 2.0**49, (1, 10, 100))  # ‖q‖² = 2⁹⁸
     assert tree._f32
+    wide = unit_pool(3, 2**16 + 1, seed=90)[0]  # m = 2¹⁶ + 1: no copy, about 1.5 MB
+    tree = KdTree(wide)
+    hit = tree.within_radius(wide[0], 0.0)
+    assert list(hit.ids) == [0] and hit.refined == hit.scanned == 3
+    assert tree._f32 == ()
 
 
 def test_no_float32_copy_until_a_filtered_search(tmp_path):
