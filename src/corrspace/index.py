@@ -9,9 +9,10 @@ Layout: the points live once, bucket by bucket, in a (buckets, width, m)
 array padded with NaN rows to a common width, so any set of buckets is one
 fancy index. Beside it sit the ids (padding -1), the bucket sizes, each
 bucket's bounding box, and `_slots`, the flat slot of each tree position.
-The bucket edges in tree order depend on n alone, so `save_index` writes
-the rows in tree order (one gather through `_slots`) and `load_index` lays
-them out again without sorting anything.
+The bucket edges in tree order, and so every slot, depend on n alone
+(`_layout`): `save_index` writes the runs of real slots between the
+padding, which hold the rows in tree order, and `load_index` reads them
+straight back into their slots, with no row buffer, sort or scatter.
 
 A query is a few numpy passes. The squared distance from q to each box is
 a lower bound for every point in that bucket. `top_k` scans `_SEED`
@@ -109,7 +110,7 @@ class KdTree:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] == 0:
             raise DimensionMismatch(f"points must be (n, m) with m >= 1, got shape {points.shape}")
-        n = points.shape[0]
+        n, m = points.shape
         if n == 0:
             raise EmptyInput("cannot index zero points")
         if ids is None:
@@ -117,59 +118,47 @@ class KdTree:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape[0] != n:
             raise DimensionMismatch("ids/points row counts differ")
-        order = _build_order(points, ids, _levels(n))
-        self._lay_out(points[order], ids[order])
+        levels = _levels(n)
+        order = _build_order(points, ids, levels)
+        pts, pad_ids, slot, pad, _ = _layout(n, m, levels)
+        pts.reshape(-1, m)[slot], pad_ids.ravel()[slot] = points[order], ids[order]
+        self._lay_out(pts, pad_ids, slot, pad)
 
-    @classmethod
-    def _from_tree_order(cls, points: np.ndarray, ids: np.ndarray):
-        """The tree whose rows, in tree order, are (points, ids): what
-        `save_index` writes. Any order searches exactly (boxes and norms are
-        computed from the rows), so a wrong one can only make queries slower."""
-        tree = cls.__new__(cls)
-        tree._lay_out(points, ids)
-        return tree
-
-    def _lay_out(self, points, ids):
-        """Lay out (n, m) points and their ids, given in tree order, bucket by
-        bucket: the bucket edges follow from n alone (`_bucket_edges`)."""
-        n, m = points.shape
-        if not np.diff(np.sort(ids)).all():  # (d², id) orders points only when ids are unique
-            values, counts = np.unique(ids, return_counts=True)
+    def _lay_out(self, pts, ids, slot, pad):
+        """Take a `_layout` whose real slots hold the points and ids in tree
+        order: pad it, check it and make the bucket boxes. Any order searches
+        exactly (the boxes are computed from the rows), so a wrong one can
+        only make queries slower."""
+        n_buckets, width, m = pts.shape
+        real = ids.ravel()[slot]
+        real.sort()  # in place: a load's peak memory falls here
+        if not (real[1:] != real[:-1]).all():  # (d², id) orders points only when ids are unique
+            values, counts = np.unique(real, return_counts=True)
             raise RepeatedId(f"id {values[counts > 1][0]} repeats")
-        self._levels = _levels(n)
-        bounds = _bucket_edges(n, self._levels)
-        sizes = np.diff(bounds)
-        n_buckets, width = len(sizes), int(sizes.max())
-        # tree position t in bucket b goes to flat slot b·width + (t − bounds[b])
-        slot = np.repeat(np.arange(n_buckets) * width - bounds[:-1], sizes) + np.arange(n)
-        # bucket sizes differ by at most one, so a bucket pads at most its last slot
-        pad = np.flatnonzero(sizes < width) * width + width - 1
-        pts = np.empty((n_buckets * width, m))
-        pts[slot] = points
-        pts[pad] = np.nan
-        pad_ids = np.empty(n_buckets * width, dtype=np.int64)
-        pad_ids[slot] = ids
-        pad_ids[pad] = -1
-        # squared norms, NaN for padding; a non-finite coordinate makes one NaN or ∞
-        nn = np.einsum("ij,ij->i", pts, pts)
-        odd = ~np.isfinite(nn[slot])
-        if odd.any() and not np.isfinite(points[odd]).all():
-            raise DegenerateOutput("cannot index a non-finite point")
-        self._pts = pts.reshape(n_buckets, width, m)
-        self._ids = pad_ids.reshape(n_buckets, width)
-        self._slots = slot
-        self._sizes = sizes
+        pts.reshape(-1, m)[pad] = np.nan
+        ids.ravel()[pad] = -1
+        sizes = np.full(n_buckets, width)
+        sizes[pad // width] -= 1
+        self._pts, self._ids, self._slots, self._sizes = pts, ids, slot, sizes
+        self._levels = n_buckets.bit_length() - 1  # 2**levels buckets
         self._smallest = int(sizes.min())
-        # fmin/fmax skip the NaN padding; a loop over slot columns beats a
-        # reduction over axis 1 by about 4 ms at 10⁵ points, paying for `_nn`
-        self._lo, self._hi = self._pts[:, 0].copy(), self._pts[:, 0].copy()
-        for j in range(1, width):
-            np.fmin(self._lo, self._pts[:, j], out=self._lo)
-            np.fmax(self._hi, self._pts[:, j], out=self._hi)
+        # slot columns 0…smallest−1 hold a point in every bucket, the last
+        # column only in full ones; np.minimum/maximum carry a NaN into the
+        # box, so the boxes are all finite exactly when the points are. The
+        # loop beats a reduction over axis 1: about 4 against 8 ms at 10⁵ points
+        self._lo, self._hi = pts[:, 0].copy(), pts[:, 0].copy()
+        for j in range(1, self._smallest):
+            np.minimum(self._lo, pts[:, j], out=self._lo)
+            np.maximum(self._hi, pts[:, j], out=self._hi)
+        if width > self._smallest:
+            full = np.flatnonzero(sizes == width)
+            self._lo[full] = np.minimum(self._lo[full], pts[full, -1])
+            self._hi[full] = np.maximum(self._hi[full], pts[full, -1])
+        if not (np.isfinite(self._lo).all() and np.isfinite(self._hi).all()):
+            raise DegenerateOutput("cannot index a non-finite point")
         # See `_box_bounds`: shrinking by 2(m+2)·2⁻⁵³ absorbs the rounding.
         self._shrink = 1.0 - 2 * (m + 2) * 2.0**-53
         # See `_filtered_scan`.
-        self._nn = nn.reshape(n_buckets, width)
         self._rel = 4 * (m + 8) * 2.0**-24
         self._f32 = None  # `_copy32`, made by the first filtered scan
 
@@ -227,13 +216,17 @@ class KdTree:
         return _dist_sq(self._pts[buckets].reshape(-1, self.m), q), self._ids[buckets].ravel()
 
     def _copy32(self):
-        """(points, norms) as `_pts` and `_nn` in float32, or () when m or the
-        pool's largest |coordinate| is past the float32 estimate's range. Made
-        on the first filtered scan, so building or loading a tree makes none."""
+        """(points, norms): `_pts` and the squared norm of each of its slots
+        (NaN for padding) in float32, or () when m or the pool's largest
+        |coordinate| is past the float32 estimate's range. Made on the first
+        filtered scan, so building or loading a tree makes neither."""
         if self._f32 is None:
             big = max(-self._lo.min(), self._hi.max())  # the boxes hold every coordinate
-            small = self.m <= _WIDEST32 and big <= _HUGE32**0.5
-            self._f32 = (self._pts.astype(np.float32), self._nn.astype(np.float32)) if small else ()
+            self._f32 = ()
+            if self.m <= _WIDEST32 and big <= _HUGE32**0.5:
+                flat = self._pts.reshape(-1, self.m)
+                nn = np.einsum("ij,ij->i", flat, flat).astype(np.float32).reshape(self._ids.shape)
+                self._f32 = (self._pts.astype(np.float32), nn)
         return self._f32
 
     def _filtered_scan(self, buckets, q, bound):
@@ -264,7 +257,8 @@ class KdTree:
         errs by at most E = 2⁻¹⁵⁰. Every |p_j| ≤ 2⁵⁰ and Q ≤ 2¹⁰⁰, so no
         float32 value below passes 2¹¹⁹: nothing overflows. Let R = P + Q;
         R ≤ 3(Q + B) + 2⁻¹⁰⁵⁶.
-        - The stored norm, fl32 of `_nn`, is within 2uP + 2E of P.
+        - The stored norm, fl32 of the float64 ‖p‖² from `_copy32`'s
+          `einsum`, is within 2uP + 2E of P.
         - Rounding to float32 gives p̃_j = p_j(1 + α_j) + a_j and
           q̃_j = −2q_j(1 + β_j) + b_j, with |α_j|, |β_j| ≤ u and |a_j|,
           |b_j| ≤ E. So T = Σp̃_j q̃_j is within (2u + u²)R +
@@ -365,6 +359,25 @@ def _bucket_edges(n, levels):
     return bounds
 
 
+def _layout(n, m, levels):
+    """An empty padded layout of n points of width m in `_bucket_edges(n, levels)`.
+
+    Returns `"<f8"` points (buckets, width, m), `"<i8"` ids (buckets,
+    width), the flat slot of each tree position, the padding slots (a
+    bucket pads at most its last slot) and the (start, stop) runs of real
+    slots between them, which hold the tree positions in order.
+    """
+    bounds = _bucket_edges(n, levels)
+    sizes = np.diff(bounds)
+    n_buckets, width = len(sizes), int(sizes.max())
+    # tree position t in bucket b goes to flat slot b·width + (t − bounds[b])
+    slot = np.repeat(np.arange(n_buckets) * width - bounds[:-1], sizes) + np.arange(n)
+    pad = np.flatnonzero(sizes < width) * width + width - 1
+    cuts = zip([0, *(pad + 1).tolist()], [*pad.tolist(), n_buckets * width])
+    runs = [(a, b) for a, b in cuts if a < b]
+    return np.empty((n_buckets, width, m), "<f8"), np.empty((n_buckets, width), "<i8"), slot, pad, runs
+
+
 def _build_order(pts: np.ndarray, ids: np.ndarray, levels: int):
     """Input rows in tree order; the buckets are `_bucket_edges(n, levels)`.
 
@@ -411,10 +424,12 @@ def save_index(tree: KdTree, path, meta: dict | None = None, model=None) -> None
         front += _MODEL_LENGTH.pack(len(block)) + blob + block
     from .files import atomic_write  # imported here: a query loads no writer
 
+    *_, runs = _layout(tree.n, tree.m, tree._levels)
     with atomic_write(path, "wb") as fh:
         fh.write(front)
-        fh.write(tree._ids.ravel()[tree._slots].astype("<i8", copy=False).tobytes())
-        fh.write(tree._pts.reshape(-1, tree.m)[tree._slots].astype("<f8", copy=False).tobytes())
+        for flat in (tree._ids.ravel(), tree._pts.reshape(-1, tree.m)):
+            for a, b in runs:
+                fh.write(flat[a:b])
 
 
 def load_index(path, with_model=False):
@@ -457,12 +472,15 @@ def load_index(path, with_model=False):
         model = parse_model(fh.read(model_len), f"{path}: its model") if model_len else None
         if version == INDEX_VERSION_WITH_MODEL and (model is None or model.output_width != m):
             raise CorruptArtifact(f"{path}: holds no model of output width {m}")
-        rows = np.empty(8 * n * (1 + m), dtype=np.uint8)  # read straight into an array: no copy of the file
-        if fh.readinto(rows) != rows.size:  # the file shrank since `fstat`
-            raise CorruptArtifact(f"{path}: shorter than its header describes")
-    ids, pts = rows[: 8 * n].view("<i8"), rows[8 * n :].view("<f8").reshape(n, m)
+        # allocated only now, when the file is known to hold every row
+        pts, ids, slot, pad, runs = _layout(n, m, _levels(n))
+        for flat in (ids.ravel(), pts.reshape(-1, m)):
+            for a, b in runs:
+                if fh.readinto(flat[a:b]) != flat[a:b].nbytes:  # the file shrank since `fstat`
+                    raise CorruptArtifact(f"{path}: shorter than its header describes")
+    tree = KdTree.__new__(KdTree)
     try:
-        tree = KdTree._from_tree_order(pts, ids)
+        tree._lay_out(pts, ids, slot, pad)
     except (DegenerateOutput, RepeatedId) as exc:  # the tree's own checks: finite points, unique ids
         raise CorruptArtifact(f"{path}: {exc}")
     return (tree, meta, model) if with_model else (tree, meta)

@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import tempfile
+import types
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -545,18 +546,20 @@ def test_prefilter_near_duplicates():
 
 
 @pytest.mark.parametrize("scale", [1e149, 1e150, 1e154, 1e155, 1e200, 1e307])
-def test_prefilter_near_overflow(scale):
+def test_prefilter_near_overflow(tmp_path, scale):
     # ‖p‖² passes 2¹⁰⁰⁰ from about 1e150 and overflows from about 1e154;
-    # at q = p both ‖p‖² and ⟨p, −2q⟩ overflow, so est = ∞ − ∞ is NaN and must be kept
+    # at q = p both ‖p‖² and ⟨p, −2q⟩ overflow, so est = ∞ − ∞ is NaN and must be kept.
+    # Such finite points also load: the load checks the boxes, not the norms
     rng = np.random.default_rng(47)
     points = rng.standard_normal((2000, 5)) * scale
     ids = np.arange(2000)
-    tree = KdTree(points, ids)
-    for row in rng.choice(2000, size=10, replace=False):
-        assert_matches_full_scan(tree, points, ids, points[row], (1, 7, 60))
-        assert list(tree.within_radius(points[row], 0.0).ids) == [row]
-    assert_matches_full_scan(tree, points, ids, np.full(5, -scale), (1, 60))
-    assert len(tree.within_radius(points[0], math.inf)) == 2000
+    save_index(KdTree(points, ids), tmp_path / "i.cix1")
+    for tree in (KdTree(points, ids), load_index(tmp_path / "i.cix1")[0]):
+        for row in rng.choice(2000, size=10, replace=False):
+            assert_matches_full_scan(tree, points, ids, points[row], (1, 7, 60))
+            assert list(tree.within_radius(points[row], 0.0).ids) == [row]
+        assert_matches_full_scan(tree, points, ids, np.full(5, -scale), (1, 60))
+        assert len(tree.within_radius(points[0], math.inf)) == 2000
 
 
 def test_prefilter_on_dft_embeddings():
@@ -712,7 +715,10 @@ def test_no_float32_copy_until_a_filtered_search(tmp_path):
     assert res.scanned > res.refined  # a filtered scan ran and dropped points
     copy = loaded._f32
     assert [a.dtype for a in copy] == [np.float32, np.float32]
-    assert [a.shape for a in copy] == [loaded._pts.shape, loaded._nn.shape]
+    assert [a.shape for a in copy] == [loaded._pts.shape, loaded._ids.shape]
+    flat = loaded._pts.reshape(-1, 16)  # the norms: fl32 of the float64 ‖p‖², NaN for padding
+    assert copy[1].tobytes() == np.einsum("ij,ij->i", flat, flat).astype(np.float32).tobytes()
+    assert not hasattr(loaded, "_nn")  # no float64 norms are kept
     loaded.within_radius(q, 0.2)
     assert loaded._f32 is copy  # made once
     save_index(loaded, tmp_path / "b.cix1", meta=meta)
@@ -725,6 +731,38 @@ def test_non_finite_point_is_degenerate(bad):
     points[123, 2] = bad
     with pytest.raises(DegenerateOutput):
         KdTree(points)
+
+
+def slot_classes(tree):
+    """Flat slots of the first slot, a middle slot, the last slot of a full
+    bucket and the last real slot of a padded bucket."""
+    width = tree._ids.shape[1]
+    full, padded = np.flatnonzero(tree._sizes == width), np.flatnonzero(tree._sizes < width)
+    assert len(full) and len(padded)
+    return [0, 3 * width + width // 2, full[-1] * width + width - 1, padded[1] * width + width - 2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_in_every_slot_class(tmp_path, bad):
+    # 1001 points make 8 buckets of 125 or 126, split on axes 0, 1 and 2:
+    # a bad coordinate 3 leaves the tree order as it is, so it lands in the
+    # slot chosen; a bad saved coordinate lands there on load
+    points = np.random.default_rng(73).standard_normal((1001, 4))
+    tree = KdTree(points)
+    path = tmp_path / "i.cix1"
+    save_index(tree, path)
+    blob = path.read_bytes()
+    rows_at = len(blob) - 8 * 1001 * 4
+    for slot in slot_classes(tree):
+        row = tree._ids.ravel()[slot]
+        damaged = points.copy()
+        damaged[row, 3] = bad
+        with pytest.raises(DegenerateOutput, match="cannot index a non-finite point"):
+            KdTree(damaged)
+        at = rows_at + 8 * (4 * int(np.flatnonzero(tree._slots == slot)[0]) + 3)
+        path.write_bytes(blob[:at] + struct.pack("<d", bad) + blob[at + 8 :])
+        with pytest.raises(CorruptArtifact, match="cannot index a non-finite point"):
+            load_index(path)
 
 
 def test_save_writes_tree_order_from_the_bucket_layout(tmp_path):
@@ -754,13 +792,20 @@ def layout(tree):
 B = index.BUCKET
 
 
-@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 4 * B - 1, 4 * B + 1, 8 * B + 1])
+@pytest.mark.parametrize(
+    "n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 4 * B - 1, 4 * B + 1, 8 * B, 8 * B + 1, 8 * (B - 28) + 1]
+)
 @pytest.mark.parametrize("grid", [False, True])
 def test_loaded_layout_equals_the_built_one(tmp_path, n, grid):
     # a version-2 load lays out the stored rows without sorting, and gets
     # the built tree's arrays bit for bit; integer-grid points repeat
-    # coordinates, so the build breaks ties by id
+    # coordinates, so the build breaks ties by id. 8·B points fill 8 buckets
+    # (one run), and 8·(B − 28) + 1 pad all but one of them
     tree, points, ids = random_tree(n, 3, seed=n, integer=grid)
+    if n == 8 * B:
+        assert len(tree._sizes) == 8 and len(index._layout(n, 3, tree._levels)[-1]) == 1
+    if n == 8 * (B - 28) + 1:
+        assert len(tree._sizes) == 8 and np.count_nonzero(tree._sizes < tree._ids.shape[1]) == 7
     path = tmp_path / "idx.bin"
     save_index(tree, str(path))
     with mock.patch.object(index, "_build_order", side_effect=AssertionError("rebuilt")):
@@ -836,6 +881,28 @@ def test_truncated_artifact_is_corrupt_at_every_length(tmp_path, make, loader):
     path, blob = make(tmp_path)
     for size in range(len(blob)):
         assert not loads_or_corrupt(loader, path, blob[:size]), size
+
+
+def test_file_that_shrinks_after_its_size_check_is_corrupt(tmp_path):
+    # the size check passes (`fstat` reports the whole file), then the rows
+    # run out inside the first, a middle or the last run of the ids or the
+    # points, or right where one of them starts
+    tree, _, _ = random_tree(1001, 3, seed=83)
+    path = tmp_path / "i.cix1"
+    save_index(tree, path)
+    blob = path.read_bytes()
+    runs = index._layout(1001, 3, tree._levels)[-1]
+    assert len(runs) > 3
+    starts = np.cumsum([0] + [b - a for a, b in runs])  # each run's first tree position
+    ids_at = len(blob) - 8 * 1001 * 4
+    whole = types.SimpleNamespace(st_size=len(blob))
+    for r in (0, len(runs) // 2, len(runs) - 1):
+        for at, row in ((ids_at, 8), (ids_at + 8 * 1001, 24)):
+            for cut in (at + row * int(starts[r]), at + row * int((starts[r] + starts[r + 1]) // 2) + 3):
+                path.write_bytes(blob[:cut])
+                with mock.patch.object(index.os, "fstat", return_value=whole):
+                    with pytest.raises(CorruptArtifact, match="shorter than its header describes"):
+                        load_index(path)
 
 
 @pytest.mark.parametrize(
